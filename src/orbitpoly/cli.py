@@ -7,7 +7,8 @@ including the seed, yields byte-identical output, so ``timings`` carries
 work counters rather than wall-clock times.
 
 Exit codes: 0 verdict computed (regardless of true/false), 1 input error,
-2 internal inconsistency.
+2 internal inconsistency (any orbitpoly error raised after the input has
+loaded, reported as a one-line ``error:`` message).
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from .coxeter import (
     sp_check_pair,
     sp_equivalence_report,
 )
-from .errors import (
-    InconsistentCriteriaError,
-    InputFormatError,
-    OrbitPolyError,
-)
+from .errors import InputFormatError, OrbitPolyError
 from .group import find_regular, group_from_json_dict, orbit
 from .numerics import Tolerance
 from .polytope import export_off, hull, minkowski_sum
@@ -115,7 +112,19 @@ def _reject_off(off_path):
         _fail("--export-off is only supported by the hull and minkowski commands")
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that turns orbitpoly errors into exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OrbitPolyError as exc:
+            # Input errors already exited with code 1 in _load_group.
+            lines = str(exc).splitlines()
+            _fail(f"{type(exc).__name__}: {lines[0] if lines else ''}", code=2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Orbit polytopes and the Minkowski semigroup property of their hulls."""
@@ -305,10 +314,7 @@ def cmd_theorem2(input_path, model_name, seed, tol_flag, samples, out_path, off_
     """Full semigroup-property verdict: SP plus its three equivalent criteria."""
     _reject_off(off_path)
     group, tol = _load_group(input_path, tol_flag)
-    try:
-        sp_report = sp_equivalence_report(group, seed=seed, tol=tol)
-    except InconsistentCriteriaError as exc:
-        _fail(str(exc), code=2)
+    sp_report = sp_equivalence_report(group, seed=seed, tol=tol)
     body = sp_report.to_dict()
     report = {
         "meta": _meta("theorem2", name=group.name, seed=seed, tol=tol, samples=samples),

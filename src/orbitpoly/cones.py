@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 from .errors import DimensionMismatchError, GeometryError, ZeroVectorError
 from .group import FiniteGroup, orbit
 from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector
+from .polytope import hull_neighbors
 
 # An essential halfspace admits a point that violates it while satisfying the
 # others; inside the unit box that violation is O(0.1) for the geometry
@@ -164,14 +165,17 @@ def cone_from_halfspaces(
 def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCone:
     """Cone of directions for which v beats every other point of its orbit.
 
-    Normals are the differences v - gv over the orbit, reduced to the
-    irredundant facet set.  The cone always contains v.
+    This is the normal cone of hull(O_v) at v, so only the hull-edge
+    neighbors w of v can contribute a facet v - w.  The constraints are
+    pruned to the Qhull neighbors of v (:func:`~orbitpoly.polytope.hull_neighbors`),
+    kept in orbit order; the LP reduction decides which are irredundant.
+    The cone always contains v.
     """
     v = as_vector(v, G.dim)
     if np.linalg.norm(v) <= tol.eps_eq:
         raise ZeroVectorError("orbit cone is undefined for the zero vector")
     orb = orbit(G, v, tol)
-    diffs = v[None, :] - orb.points
+    diffs = v[None, :] - orb.points[hull_neighbors(orb.points, 0, tol)]
     cone = cone_from_halfspaces(diffs, dim=G.dim, tol=tol)
     if len(cone.halfspace_normals) > len(orb.points):
         raise GeometryError(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
 from .errors import (
     DimensionMismatchError,
@@ -107,26 +107,28 @@ def _within_hull(point: np.ndarray, others: np.ndarray, eps: float) -> bool:
 
 
 def _merge_facet_rows(rows: np.ndarray, eps: float) -> np.ndarray:
-    """Union-find merge of near-identical (normal, offset) rows."""
-    k = len(rows)
-    parent = list(range(k))
+    """Merge near-identical (normal, offset) rows into their means.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(rows[i] - rows[j])) < eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return np.array([rows[members].mean(axis=0) for members in groups.values()])
+    Rows closer than eps in max-norm are linked, and linked rows merge
+    transitively (single linkage).  A k-d tree finds the linked pairs;
+    minimum-label propagation over those pairs, with pointer jumping,
+    labels each group by its smallest member.  Groups come in that order
+    and average their members in index order.
+    """
+    # query_pairs keeps distances <= r; the float below eps keeps the test strict.
+    pairs = cKDTree(rows).query_pairs(np.nextafter(eps, 0), p=np.inf, output_type="ndarray")
+    if len(pairs) == 0:
+        return rows
+    i, j = pairs.T
+    labels = np.arange(len(rows))
+    while np.any(labels[i] != labels[j]):
+        low = np.minimum(labels[i], labels[j])
+        np.minimum.at(labels, i, low)
+        np.minimum.at(labels, j, low)
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.array([rows[members].mean(axis=0) for members in np.split(order, starts)])
 
 
 def _validate(poly: Polytope, tol: Tolerance) -> Polytope:
@@ -150,6 +152,54 @@ def _validate(poly: Polytope, tol: Tolerance) -> Polytope:
     return poly
 
 
+def _affine_chart(pts: np.ndarray, tol: Tolerance):
+    """Orthonormal chart of the affine hull of the rows of ``pts``.
+
+    Returns the centroid, the orthonormal basis rows (as many as singular
+    values above ``tol.eps_rank``) and the points' chart coordinates.
+    """
+    origin = pts.mean(axis=0)
+    centered = pts - origin
+    if len(pts) == 1:
+        basis = np.zeros((0, pts.shape[1]))
+    else:
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        basis = vt[: int(np.sum(svals > tol.eps_rank))]
+    return origin, basis, centered @ basis.T
+
+
+def _qhull(chart: np.ndarray) -> ConvexHull:
+    try:
+        return ConvexHull(chart)
+    except QhullError as exc:
+        raise GeometryError(
+            f"Qhull failed on {len(chart)} points in chart dim {chart.shape[1]}: {exc}"
+        ) from exc
+
+
+def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Indices of the points that share a hull simplex with ``points[index]``.
+
+    The simplices are those of Qhull's triangulated hull of the points in
+    their affine chart.  Every hull edge at the point is an edge of that
+    triangulation, so the result contains every hull-edge neighbor; it is
+    ascending and excludes ``index``.  Below affine dimension 2, and when
+    Qhull leaves the point out of every simplex (roundoff on nearly
+    coincident points), every other index is returned.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _, basis, chart = _affine_chart(pts, tol)
+    mask = np.ones(len(pts), dtype=bool)
+    if len(basis) >= 2:
+        simplices = _qhull(chart).simplices
+        touching = simplices[np.any(simplices == index, axis=1)]
+        if len(touching):
+            mask[:] = False
+            mask[touching.ravel()] = True
+    mask[index] = False
+    return np.flatnonzero(mask)
+
+
 def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
     """Convex hull: minimal vertex set plus supporting facets.
 
@@ -171,14 +221,8 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
     # are harmless beyond that.
     pts = np.unique(np.round(pts, 12), axis=0) if len(pts) > 1 else pts
 
-    origin = pts.mean(axis=0)
-    centered = pts - origin
-    if len(pts) == 1:
-        d = 0
-    else:
-        svals = np.linalg.svd(centered, compute_uv=False)
-        d = int(np.sum(svals > tol.eps_rank))
-
+    origin, basis, chart = _affine_chart(pts, tol)
+    d = len(basis)
     if d == 0:
         vertex = pts[:1].copy()
         return Polytope(
@@ -190,10 +234,6 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
             affine_origin=pts[0].copy(),
             affine_basis=np.zeros((0, n)),
         )
-
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:d]
-    chart = centered @ basis.T
 
     if d == 1:
         proj = chart[:, 0]
@@ -213,11 +253,7 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
         )
         return _validate(poly, tol)
 
-    try:
-        qh = ConvexHull(chart)
-    except QhullError as exc:
-        raise GeometryError(f"Qhull failed on {len(chart)} points in chart dim {d}: {exc}") from exc
-
+    qh = _qhull(chart)
     candidates = pts[qh.vertices]
     # Qhull emits one (triangulated) equation per simplex; coplanar simplices
     # produce near-identical rows that merge into true facets here.

@@ -2,7 +2,9 @@
 
 Nothing here touches the production hull/cone code paths: extreme points
 come from support sweeps, dihedral groups from the closed-form matrices,
-and permutohedron membership from partial-sum majorization.
+reflection groups of rank 3 and 4 from their simple roots, permutohedron
+membership from partial-sum majorization, and facet-row merging from the
+plain pairwise union-find.
 """
 
 import math
@@ -30,6 +32,56 @@ def dihedral_matrices(k):
 
 def cyclic_matrices(k):
     return [rot2(2 * math.pi * j / k) for j in range(k)]
+
+
+GOLDEN = (1 + math.sqrt(5)) / 2
+
+# Simple roots of reflection groups outside the built-in catalog.
+SIMPLE_ROOTS = {
+    "h3": ([1, 0, 0], [-GOLDEN, 1 / GOLDEN, -1], [0, 0, 1]),  # order 120
+    "d4": ([1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]),  # order 192
+    "b4": ([1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]),  # order 384
+    "f4": ([0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [1, -1, -1, -1]),  # order 1152
+}
+
+
+def reflection(normal):
+    """Orthogonal reflection across the hyperplane with the given normal."""
+    n = np.asarray(normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    return np.eye(len(n)) - 2.0 * np.outer(n, n)
+
+
+def reflection_generators(name):
+    """Simple reflections generating the named group of SIMPLE_ROOTS."""
+    return [reflection(r) for r in SIMPLE_ROOTS[name]]
+
+
+def merge_facet_rows_reference(rows, eps):
+    """Pairwise union-find merge of rows closer than eps in max-norm.
+
+    Quadratic reference for the production merge: groups come in the order
+    of their smallest member and average their members in index order.
+    """
+    k = len(rows)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.max(np.abs(rows[i] - rows[j])) < eps:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return np.array([rows[members].mean(axis=0) for members in groups.values()])
 
 
 def extreme_points_2d(points, n_dirs=3600):

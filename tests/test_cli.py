@@ -203,6 +203,30 @@ def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
     assert "criteria disagree" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, attribute",
+    [
+        ("hull", "hull"),
+        ("minkowski", "minkowski_sum"),
+        ("cone", "orbit_cone"),
+        ("voronoi-check", "voronoi_consistency"),
+        ("sp-check", "sp_check_pair"),
+        ("theorem2", "sp_equivalence_report"),
+    ],
+)
+def test_geometry_error_exit_code(runner, fixtures, monkeypatch, command, attribute):
+    from orbitpoly import cli
+    from orbitpoly.errors import GeometryError
+
+    def boom(*args, **kwargs):
+        raise GeometryError("Qhull failed on 4 points (forced)\nQH6154 second line")
+
+    monkeypatch.setattr(cli, attribute, boom)
+    result = _run(runner, [command, "--input", str(fixtures / "b2.json")])
+    assert result.exit_code == 2
+    assert result.output == "error: GeometryError: Qhull failed on 4 points (forced)\n"
+
+
 def test_report_determinism(runner, fixtures, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _run(runner, ["theorem2", "--input", str(fixtures / "g2.json"), "--out", str(a)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from orbitpoly.catalog import CATALOG_NAMES
 from orbitpoly.cones import (
     cone_contains,
     cone_equal,
@@ -14,6 +15,7 @@ from orbitpoly.cones import (
     orbit_cone,
     voronoi_consistency,
 )
+from orbitpoly.coxeter import group_reflections
 from orbitpoly.errors import ZeroVectorError
 from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import unit
@@ -54,6 +56,56 @@ def test_orbit_cone_b2_chamber(b2):
     C = orbit_cone(b2, [2.0, 1.0])
     assert helpers.match_point_sets(C.halfspace_normals, [[0, 1], [R2, -R2]])
     assert helpers.match_point_sets(C.rays, [[1, 0], [R2, R2]])
+
+
+def _assert_matches_unpruned(G, v):
+    """The pruned orbit cone equals the cone of all |G| difference rows."""
+    v = np.asarray(v, dtype=float)
+    C = orbit_cone(G, v)
+    ref = cone_from_halfspaces(v - orbit(G, v).points, dim=G.dim)
+    assert np.array_equal(C.halfspace_normals, ref.halfspace_normals)
+    assert np.array_equal(C.rays, ref.rays)
+    assert C.lineality_dim == ref.lineality_dim
+    assert np.array_equal(C.lineality_basis, ref.lineality_basis)
+    return C
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("h3", "d4"))
+def test_orbit_cone_matches_unpruned(groups, name):
+    if name in groups:
+        G = groups[name]
+    else:
+        G = close_generators(helpers.reflection_generators(name), name=name)
+    vectors = [find_regular(G, seed) for seed in (0, 1)]
+    reflections = group_reflections(G)
+    if reflections:
+        # On a mirror (non-regular), then 1e-2 ... 1e-6 off it.
+        n = reflections[0].normal
+        on_mirror = vectors[0] - (vectors[0] @ n) * n
+        vectors += [on_mirror + delta * n for delta in (0.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    for v in vectors:
+        _assert_matches_unpruned(G, v)
+
+
+B2_PLUS_TRIVIAL = [
+    np.block([[helpers.rot2(math.pi / 2), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]]),
+    np.diag([1.0, -1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, v, lineality_dim",
+    [
+        ([np.eye(3)], [0.3, -0.4, 0.5], 3),  # orbit of affine dim 0
+        ([-np.eye(1)], [0.7], 0),  # a1: affine dim 1
+        ([-np.eye(3)], [0.3, -0.4, 0.5], 2),  # -I3: affine dim 1
+        (B2_PLUS_TRIVIAL, [0.8, 0.3, 0.5], 1),  # non-essential action
+    ],
+    ids=["trivial", "a1", "minus_i3", "b2_plus_trivial"],
+)
+def test_orbit_cone_degenerate_orbits_match_unpruned(gens, v, lineality_dim):
+    C = _assert_matches_unpruned(close_generators(gens), v)
+    assert C.lineality_dim == lineality_dim
 
 
 def test_orbit_cone_rejects_zero(b2):

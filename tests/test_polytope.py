@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 import helpers
 from orbitpoly.errors import DimensionMismatchError, DimensionTooHighError, GeometryError
-from orbitpoly.group import close_generators, orbit
+from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import Tolerance
 from orbitpoly.polytope import (
+    _merge_facet_rows,
     export_off,
     hull,
+    hull_neighbors,
     minkowski_sum,
     polytope_equal,
     polytope_from_halfspaces,
@@ -199,8 +202,6 @@ def test_peak_additive_random_clouds(seed):
 
 
 def test_facet_vertex_incidence(groups):
-    from orbitpoly.group import find_regular
-
     for name in ("b2", "a3", "b3"):
         G = groups[name]
         P = hull(orbit(G, find_regular(G, 4)).points)
@@ -259,3 +260,88 @@ def test_export_off_rejects_flat():
     P = hull(np.hstack([SQUARE, np.zeros((4, 1))]))
     with pytest.raises(ValueError):
         export_off(P)
+
+
+@pytest.mark.parametrize(
+    "name, order, facets", [("d4", 192, 48), ("b4", 384, 80), ("f4", 1152, 240)]
+)
+def test_large_orbit_hull_known_answers(name, order, facets):
+    G = close_generators(helpers.reflection_generators(name), name=name)
+    assert G.order == order
+    P = hull(orbit(G, find_regular(G, 0)).points)
+    assert P.n_vertices == order
+    assert len(P.facet_normals) == facets
+
+
+# A dyadic merge width: rows on a grid of EPS / 16 differ by exact multiples.
+EPS = 2.0**-20
+
+
+@st.composite
+def facet_rows(draw):
+    """Shuffled rows with planted clusters, a chain and an exact-EPS pair.
+
+    Returns the rows and the number of groups single linkage must form.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    width = draw(st.integers(min_value=2, max_value=5))
+    n_clusters = draw(st.integers(min_value=0, max_value=6))
+    blocks = []
+    for _ in range(n_clusters):
+        size = draw(st.integers(min_value=1, max_value=5))
+        blocks.append(rng.uniform(-1, 1, width) + rng.uniform(-0.45, 0.45, (size, width)) * EPS)
+    # Neighbors 0.75 EPS apart; the ends are at least 1.5 EPS apart.
+    links = draw(st.integers(min_value=2, max_value=6))
+    step = np.zeros(width)
+    step[0] = 0.75 * EPS
+    blocks.append(rng.uniform(-1, 1, width) + np.arange(links + 1)[:, None] * step)
+    # Exactly EPS apart in max-norm: must stay two groups.
+    grid = rng.integers(-(2**23), 2**23, width) * (EPS / 16)
+    blocks.append(np.array([grid, grid + np.eye(width)[-1] * EPS]))
+    rows = np.vstack(blocks)
+    return rows[rng.permutation(len(rows))], n_clusters + 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_rows())
+def test_merge_facet_rows_matches_reference(case):
+    rows, n_groups = case
+    merged = _merge_facet_rows(rows, EPS)
+    assert np.array_equal(merged, helpers.merge_facet_rows_reference(rows, EPS))
+    assert len(merged) == n_groups
+
+
+def test_merge_facet_rows_on_qhull_equations(groups):
+    for name in ("a3", "b3"):
+        G = groups[name]
+        rows = ConvexHull(orbit(G, find_regular(G, 3)).points).equations
+        merged = _merge_facet_rows(rows, 1e-9)
+        assert np.array_equal(merged, helpers.merge_facet_rows_reference(rows, 1e-9))
+        assert len(merged) < len(rows)
+
+
+def test_hull_neighbors_square():
+    assert hull_neighbors(SQUARE, 0).tolist() == [1, 3]
+    assert hull_neighbors(SQUARE, 2).tolist() == [1, 3]
+
+
+def test_hull_neighbors_keep_every_index_without_simplices():
+    # An interior point is in no hull simplex; a segment has no triangulation.
+    assert hull_neighbors(np.vstack([SQUARE, [[0.0, 0.0]]]), 4).tolist() == [0, 1, 2, 3]
+    segment = [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]
+    assert hull_neighbors(segment, 1).tolist() == [0, 2]
+    assert hull_neighbors([[1.0, 2.0]], 0).tolist() == []
+
+
+def test_qhull_failure_raises_geometry_error(monkeypatch):
+    from scipy.spatial import QhullError
+
+    from orbitpoly import polytope
+
+    def fail(points):
+        raise QhullError("QH6154 initial simplex is flat (forced)")
+
+    monkeypatch.setattr(polytope, "ConvexHull", fail)
+    for call in (lambda: hull(SQUARE), lambda: hull_neighbors(SQUARE, 0)):
+        with pytest.raises(GeometryError, match="Qhull failed"):
+            call()
