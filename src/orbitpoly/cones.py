@@ -167,7 +167,7 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
 
     This is the normal cone of hull(O_v) at v, so only the hull-edge
     neighbors w of v can contribute a facet v - w.  The constraints are
-    pruned to the Qhull neighbors of v (:func:`~orbitpoly.polytope.hull_neighbors`),
+    pruned to those neighbors (:func:`~orbitpoly.polytope.hull_neighbors`),
     kept in orbit order; the LP reduction decides which are irredundant.
     The cone always contains v.
     """

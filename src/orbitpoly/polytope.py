@@ -21,7 +21,7 @@ from .errors import (
     DimensionTooHighError,
     GeometryError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector
+from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, matrix_rank
 
 MAX_AMBIENT_DIM = 6
 
@@ -178,24 +178,30 @@ def _qhull(chart: np.ndarray) -> ConvexHull:
 
 
 def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Indices of the points that share a hull simplex with ``points[index]``.
+    """Indices of the points joined to ``points[index]`` by a hull edge.
 
-    The simplices are those of Qhull's triangulated hull of the points in
-    their affine chart.  Every hull edge at the point is an edge of that
-    triangulation, so the result contains every hull-edge neighbor; it is
-    ascending and excludes ``index``.  Below affine dimension 2, and when
-    Qhull leaves the point out of every simplex (roundoff on nearly
-    coincident points), every other index is returned.
+    Qhull triangulates the hull of the points in their affine chart, of
+    dimension d.  A triangulation edge at the point is a hull edge iff the
+    normals of the simplices around it have rank d - 1; a diagonal of a
+    larger face lies only in simplices of the facets through that face,
+    whose normals have lower rank.  So the result does not depend on how
+    Qhull splits the faces.  It is ascending and excludes ``index``.  Below
+    affine dimension 2, and when Qhull leaves the point out of every simplex
+    (roundoff on nearly coincident points), every other index is returned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _, basis, chart = _affine_chart(pts, tol)
+    d = len(basis)
     mask = np.ones(len(pts), dtype=bool)
-    if len(basis) >= 2:
-        simplices = _qhull(chart).simplices
-        touching = simplices[np.any(simplices == index, axis=1)]
-        if len(touching):
+    if d >= 2:
+        qh = _qhull(chart)
+        at = np.any(qh.simplices == index, axis=1)
+        simplices, normals = qh.simplices[at], qh.equations[at, :d]
+        if len(simplices):
             mask[:] = False
-            mask[touching.ravel()] = True
+            for w in np.unique(simplices):
+                around = normals[np.any(simplices == w, axis=1)]
+                mask[w] = matrix_rank(around, tol) == d - 1
     mask[index] = False
     return np.flatnonzero(mask)
 

@@ -325,6 +325,25 @@ def test_hull_neighbors_square():
     assert hull_neighbors(SQUARE, 2).tolist() == [1, 3]
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_hull_neighbors_skip_face_diagonals(dim):
+    # Qhull splits every square face of a cube along a diagonal; only the
+    # dim edge neighbors (one flipped sign) are hull edges.
+    cube = np.array(np.meshgrid(*[[-1.0, 1.0]] * dim, indexing="ij")).reshape(dim, -1).T
+    for index in range(len(cube)):
+        flips = np.sum(cube != cube[index], axis=1)
+        assert hull_neighbors(cube, index).tolist() == np.flatnonzero(flips == 1).tolist()
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", "d4"])
+def test_hull_neighbors_of_regular_orbit_are_its_mirror_images(groups, name):
+    # A regular orbit point has one hull edge per simple reflection, however
+    # Qhull triangulates the hexagons, decagons and squares around it.
+    G = groups[name] if name in groups else close_generators(helpers.reflection_generators(name))
+    for seed in range(5):
+        assert len(hull_neighbors(orbit(G, find_regular(G, seed)).points, 0)) == G.dim
+
+
 def test_hull_neighbors_keep_every_index_without_simplices():
     # An interior point is in no hull simplex; a segment has no triangulation.
     assert hull_neighbors(np.vstack([SQUARE, [[0.0, 0.0]]]), 4).tolist() == [0, 1, 2, 3]
