@@ -31,9 +31,7 @@ from .coxeter import (
 from .errors import InputFormatError, OrbitPolyError
 from .group import find_regular, group_from_json_dict, orbit
 from .numerics import Tolerance
-from .polytope import export_off, hull, minkowski_sum
-
-MAX_INPUT_DIM = 6
+from .polytope import MAX_AMBIENT_DIM, export_off, hull, minkowski_sum
 
 
 def _fail(message: str, code: int = 1):
@@ -52,8 +50,8 @@ def _load_group(input_path, tol_flag):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         _fail(f"malformed JSON in {input_path}: {exc}")
-    if isinstance(data, dict) and int(data.get("dim", 0)) > MAX_INPUT_DIM:
-        _fail(f"dimension {data.get('dim')} exceeds the supported maximum of {MAX_INPUT_DIM}")
+    if isinstance(data, dict) and int(data.get("dim", 0)) > MAX_AMBIENT_DIM:
+        _fail(f"dimension {data.get('dim')} exceeds the supported maximum of {MAX_AMBIENT_DIM}")
     tol = Tolerance(eps_eq=tol_flag) if tol_flag is not None else None
     try:
         group, effective_tol = group_from_json_dict(data, tol)
@@ -270,7 +268,7 @@ def cmd_coxeter(input_path, model_name, seed, tol_flag, samples, out_path, off_p
     _reject_off(off_path)
     group, tol = _load_group(input_path, tol_flag)
     reflections = group_reflections(group, tol)
-    verdict = is_reflection_generated(group, tol)
+    verdict = is_reflection_generated(group, tol, reflections)
     report = {
         "meta": _meta("coxeter-check", name=group.name, seed=seed, tol=tol, samples=samples),
         "verdict": verdict,

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 from .errors import DimensionMismatchError, GeometryError, ZeroVectorError
 from .group import FiniteGroup, orbit
 from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector
-from .polytope import hull_neighbors
+from .polytope import _edge_neighbors
 
 # An essential halfspace admits a point that violates it while satisfying the
 # others; inside the unit box that violation is O(0.1) for the geometry
@@ -58,6 +58,18 @@ def _unit_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     return rows[keep] / norms[keep, None]
 
 
+def _distinct_unit_rows(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Nonzero rows scaled to unit length, tolerant duplicates dropped, in order."""
+    normals = _unit_rows(normals, tol)
+    buckets = ToleranceBuckets(tol)
+    kept = []
+    for row in normals:
+        _, inserted = buckets.insert(row)
+        if inserted:
+            kept.append(row)
+    return np.array(kept) if kept else np.zeros((0, normals.shape[1]))
+
+
 def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Drop normals whose halfspace is implied by the rest.
 
@@ -66,16 +78,10 @@ def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
     the unit box.  Removing a redundant constraint never changes the cone,
     so constraints are dropped as they are found.
     """
-    normals = _unit_rows(normals, tol)
+    normals = _distinct_unit_rows(normals, tol)
     if len(normals) == 0:
         return normals
-    buckets = ToleranceBuckets(tol)
-    kept = []
-    for row in normals:
-        _, inserted = buckets.insert(row)
-        if inserted:
-            kept.append(row)
-    current = list(kept)
+    current = list(normals)
     i = 0
     while i < len(current):
         others = current[:i] + current[i + 1:]
@@ -139,6 +145,18 @@ def _rays_and_lineality(normals: np.ndarray, dim: int, tol: Tolerance):
     return rays @ chart, lineality
 
 
+def _cone(normals: np.ndarray, dim: int, tol: Tolerance) -> PolyhedralCone:
+    """Cone of already irredundant unit normals, with its rays and lineality."""
+    rays, lineality = _rays_and_lineality(normals, dim, tol)
+    return PolyhedralCone(
+        halfspace_normals=normals,
+        rays=rays,
+        ambient_dim=dim,
+        lineality_dim=len(lineality),
+        lineality_basis=lineality,
+    )
+
+
 def cone_from_halfspaces(
     normals, dim: int | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> PolyhedralCone:
@@ -151,36 +169,29 @@ def cone_from_halfspaces(
     dim = normals.shape[1] if dim is None else dim
     if normals.shape[1] != dim:
         raise DimensionMismatchError("normal rows do not match the ambient dimension")
-    reduced = _irredundant(normals, tol)
-    rays, lineality = _rays_and_lineality(reduced, dim, tol)
-    return PolyhedralCone(
-        halfspace_normals=reduced,
-        rays=rays,
-        ambient_dim=dim,
-        lineality_dim=len(lineality),
-        lineality_basis=lineality,
-    )
+    return _cone(_irredundant(normals, tol), dim, tol)
 
 
 def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCone:
     """Cone of directions for which v beats every other point of its orbit.
 
-    This is the normal cone of hull(O_v) at v, so only the hull-edge
-    neighbors w of v can contribute a facet v - w.  The constraints are
-    pruned to those neighbors (:func:`~orbitpoly.polytope.hull_neighbors`),
-    kept in orbit order; the LP reduction decides which are irredundant.
-    The cone always contains v.
+    This is the normal cone of hull(O_v) at v, whose facets are exactly the
+    hull edges at v: the irredundant normals are the unit rows v - w over
+    the hull-edge neighbors w of v
+    (:func:`~orbitpoly.polytope.hull_neighbors`), in orbit order, and no LP
+    is needed.  Only when Qhull leaves v out of every simplex (roundoff)
+    does the LP reduction pick the facets from all rows v - w.  The cone
+    always contains v.
     """
     v = as_vector(v, G.dim)
     if np.linalg.norm(v) <= tol.eps_eq:
         raise ZeroVectorError("orbit cone is undefined for the zero vector")
-    orb = orbit(G, v, tol)
-    diffs = v[None, :] - orb.points[hull_neighbors(orb.points, 0, tol)]
-    cone = cone_from_halfspaces(diffs, dim=G.dim, tol=tol)
-    if len(cone.halfspace_normals) > len(orb.points):
-        raise GeometryError(
-            "orbit cone kept more facets than orbit points; reduction failed"
-        )
+    points = orbit(G, v, tol).points
+    neighbors = _edge_neighbors(points, 0, tol)
+    if neighbors is None:
+        cone = cone_from_halfspaces(v - points[1:], dim=G.dim, tol=tol)
+    else:
+        cone = _cone(_distinct_unit_rows(v - points[neighbors], tol), G.dim, tol)
     if len(cone.halfspace_normals) and np.min(cone.halfspace_normals @ v) < -tol.eps_eq:
         raise GeometryError("orbit cone does not contain its base vector")
     return cone

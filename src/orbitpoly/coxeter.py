@@ -5,6 +5,12 @@ sums of orbit hulls are again orbit hulls) exactly when it is generated by
 reflections.  This module implements that verdict four ways - direct SP
 sampling, the peak criterion, reflection generation, and local cone
 stability - and cross-checks that they agree.
+
+None of the four solves an LP or builds a Minkowski sum: an SP pair is
+checked by support inequalities against the facets of one orbit hull,
+reflection generation by counting the orbit points of a regular vector in
+its chamber, and orbit cones are read from hull edges (with an LP fallback
+only when Qhull drops the base point by roundoff).
 """
 
 from __future__ import annotations
@@ -16,14 +22,15 @@ import numpy as np
 
 from .cones import PolyhedralCone, cone_contains, cone_equal, orbit_cone
 from .errors import (
+    GeometryError,
     InconsistentCriteriaError,
     NotCoxeterError,
     NotInChamberError,
     NotRegularError,
 )
-from .group import FiniteGroup, close_generators, find_regular, is_regular, orbit
+from .group import FiniteGroup, find_regular, is_regular, orbit
 from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, matrix_rank, unit
-from .polytope import Polytope, hull, minkowski_sum, polytope_equal, polytope_from_halfspaces
+from .polytope import Polytope, hull, polytope_from_halfspaces
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +127,28 @@ def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Refl
     return found
 
 
-def is_reflection_generated(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_reflection_generated(
+    G: FiniteGroup, tol: Tolerance = DEFAULT_TOL, reflections: list[Reflection] | None = None
+) -> bool:
     """True iff the subgroup generated by the group's reflections is the whole group.
 
-    The trivial group is generated by the empty set of reflections.
+    Decided by counting chambers: the reflection subgroup W acts simply
+    transitively on the chambers cut out by the mirrors, and G permutes
+    them, so each chamber holds |G| / |W| points of a regular orbit.  G = W
+    exactly when a regular v is the only point of its orbit whose sign
+    against every mirror normal equals v's.  The trivial group, with no
+    mirrors, counts as generated.  ``reflections`` defaults to
+    :func:`group_reflections`.
     """
-    if G.order == 1:
-        return True
-    mirrors = [G.elements[r.element_index] for r in group_reflections(G, tol)]
-    if not mirrors:
-        return False
-    closure = close_generators(mirrors, tol=tol, max_order=G.order)
-    return closure.order == G.order
+    if reflections is None:
+        reflections = group_reflections(G, tol)
+    normals = np.array([r.normal for r in reflections]).reshape(-1, G.dim)
+    v = find_regular(G, 0, tol)
+    margins = v @ normals.T
+    if np.min(np.abs(margins), initial=np.inf) <= tol.eps_eq:
+        raise GeometryError("regular vector lies on a mirror; chambers cannot be counted")
+    sides = (np.array(G.elements) @ v) @ normals.T > 0
+    return int(np.sum(np.all(sides == (margins > 0), axis=1))) == 1
 
 
 def chamber(G: FiniteGroup, v_reg, tol: Tolerance = DEFAULT_TOL) -> ChamberData:
@@ -272,6 +289,25 @@ def criterion_local_cone(
     return True, None
 
 
+def _support_bounded(O_u: np.ndarray, O_v: np.ndarray, P: Polytope, eps: float) -> bool:
+    """Does hull(O_u) + hull(O_v) lie in P, up to eps in every facet offset?
+
+    Support functions add under Minkowski sums, so this asks
+    ``max(O_u . n) + max(O_v . n) <= offset + eps`` for every facet normal
+    n of P, and for plus and minus every direction orthogonal to its affine
+    hull, whose offset is taken at the affine origin.
+    """
+    if P.affine_dim:
+        across = np.linalg.svd(P.affine_basis)[2][P.affine_dim:]
+    else:
+        across = np.eye(P.ambient_dim)
+    rows = np.vstack([P.facet_normals, across, -across])
+    offsets = np.concatenate(
+        [P.facet_offsets, across @ P.affine_origin, -(across @ P.affine_origin)]
+    )
+    return bool(np.all((O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0) <= offsets + eps))
+
+
 def sp_check_pair(
     G: FiniteGroup, u, v, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
@@ -283,16 +319,30 @@ def sp_check_pair(
     is group-invariant, so if it equals an orbit hull the base is u + v' up
     to the action.  Candidates are ordered by decreasing ``<u, v'>`` since a
     successful representative maximizes that pairing; first hit wins.
+
+    The sum is never built.  It always contains hull(O_w), w = u + v', so
+    equality holds iff the support inequalities of the sum stay within
+    hull(O_w)'s facets (:func:`_support_bounded`).  A cheap exact test
+    comes first: orbit points lie on a sphere, so along n = w / |w| the
+    orbit hull of w reaches only ``|w| = <u, n> + <v', n>``, and equality
+    needs u and v' each to peak on its orbit at n (u and v' in one
+    chamber).  A candidate failing that by more than eps builds no hull.
     """
     u = as_vector(u, G.dim)
     v = as_vector(v, G.dim)
-    total = minkowski_sum(hull(orbit(G, u, tol).points, tol), hull(orbit(G, v, tol).points, tol), tol)
-    candidates = orbit(G, v, tol).points
-    order = np.argsort(-(candidates @ u), kind="stable")
+    eps = tol.eps_eq
+    O_u = orbit(G, u, tol).points
+    O_v = orbit(G, v, tol).points
+    order = np.argsort(-(O_v @ u), kind="stable")
     for idx in order:
-        v_prime = candidates[idx]
-        candidate_hull = hull(orbit(G, u + v_prime, tol).points, tol)
-        if polytope_equal(total, candidate_hull, tol):
+        v_prime = O_v[idx]
+        w = u + v_prime
+        norm_w = np.linalg.norm(w)
+        if norm_w > 0.0:
+            n = w / norm_w
+            if np.max(O_u @ n) - u @ n > eps or np.max(O_v @ n) - v_prime @ n > eps:
+                continue
+        if _support_bounded(O_u, O_v, hull(orbit(G, w, tol).points, tol), eps):
             return True, v_prime
     return False, None
 

@@ -171,14 +171,9 @@ def stabilizer(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> FiniteGroup:
     )
 
 
-def stabilizer_size(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> int:
-    v = as_vector(v, G.dim)
-    return sum(1 for g in G.elements if close(g @ v, v, tol))
-
-
 def is_regular(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the stabilizer of v is trivial (faithful actions assumed)."""
-    return stabilizer_size(G, v, tol) == 1
+    return stabilizer(G, v, tol).order == 1
 
 
 def find_regular(

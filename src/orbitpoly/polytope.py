@@ -177,6 +177,29 @@ def _qhull(chart: np.ndarray) -> ConvexHull:
         ) from exc
 
 
+def _edge_neighbors(pts: np.ndarray, index: int, tol: Tolerance) -> np.ndarray | None:
+    """Hull-edge neighbours of ``pts[index]``, or None if Qhull gives no incidence.
+
+    See :func:`hull_neighbors`.  None means Qhull left the point out of every
+    simplex of a hull of affine dimension >= 2.
+    """
+    _, basis, chart = _affine_chart(pts, tol)
+    d = len(basis)
+    mask = np.ones(len(pts), dtype=bool)
+    if d >= 2:
+        qh = _qhull(chart)
+        at = np.any(qh.simplices == index, axis=1)
+        simplices, normals = qh.simplices[at], qh.equations[at, :d]
+        if not len(simplices):
+            return None
+        mask[:] = False
+        for w in np.unique(simplices):
+            around = normals[np.any(simplices == w, axis=1)]
+            mask[w] = matrix_rank(around, tol) == d - 1
+    mask[index] = False
+    return np.flatnonzero(mask)
+
+
 def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Indices of the points joined to ``points[index]`` by a hull edge.
 
@@ -190,20 +213,8 @@ def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     (roundoff on nearly coincident points), every other index is returned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, basis, chart = _affine_chart(pts, tol)
-    d = len(basis)
-    mask = np.ones(len(pts), dtype=bool)
-    if d >= 2:
-        qh = _qhull(chart)
-        at = np.any(qh.simplices == index, axis=1)
-        simplices, normals = qh.simplices[at], qh.equations[at, :d]
-        if len(simplices):
-            mask[:] = False
-            for w in np.unique(simplices):
-                around = normals[np.any(simplices == w, axis=1)]
-                mask[w] = matrix_rank(around, tol) == d - 1
-    mask[index] = False
-    return np.flatnonzero(mask)
+    found = _edge_neighbors(pts, index, tol)
+    return np.delete(np.arange(len(pts)), index) if found is None else found
 
 
 def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:

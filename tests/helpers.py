@@ -1,15 +1,22 @@
 """Independent oracles used to derive expected values.
 
-Nothing here touches the production hull/cone code paths: extreme points
-come from support sweeps, dihedral groups from the closed-form matrices,
-reflection groups of rank 3 and 4 from their simple roots, permutohedron
-membership from partial-sum majorization, and facet-row merging from the
-plain pairwise union-find.
+Extreme points come from support sweeps, dihedral groups from the
+closed-form matrices, reflection groups of rank 3 and 4 from their simple
+roots, permutohedron membership from partial-sum majorization, and
+facet-row merging from the plain pairwise union-find; none of these touch
+the production hull/cone code paths.  Two references replay slower
+production algorithms on top of the library: the SP pair scan that builds
+the Minkowski sum, and reflection generation by closing the reflections.
 """
 
 import math
 
 import numpy as np
+
+from orbitpoly.coxeter import detect_reflection
+from orbitpoly.group import close_generators, orbit
+from orbitpoly.numerics import DEFAULT_TOL
+from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
 
 def rot2(theta):
@@ -55,6 +62,48 @@ def reflection(normal):
 def reflection_generators(name):
     """Simple reflections generating the named group of SIMPLE_ROOTS."""
     return [reflection(r) for r in SIMPLE_ROOTS[name]]
+
+
+def rot3z(theta):
+    """Rotation of 3-space about the z axis."""
+    return np.block([[rot2(theta), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
+
+
+_CYCLE3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_MIRROR_Z = np.diag([1.0, 1.0, -1.0])
+
+# Finite groups of 3-space that are not generated by reflections.  The last
+# two contain a reflection (z -> -z), so reflections alone do not decide it.
+NON_REFLECTION_GENERATORS = {
+    "chiral_t": [_CYCLE3, np.diag([1.0, -1.0, -1.0])],  # rotations of the tetrahedron, order 12
+    "chiral_o": [_CYCLE3, rot3z(math.pi / 2)],  # rotations of the cube, order 24
+    "minus_i3": [-np.eye(3)],  # order 2
+    "c3h": [rot3z(2 * math.pi / 3), _MIRROR_Z],  # order 6
+    "c4_x_mirror": [rot3z(math.pi / 2), _MIRROR_Z],  # order 8
+}
+
+
+def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
+    """SP pair scan that builds hull(O_u) + hull(O_v) and compares vertex sets.
+
+    Same candidate order as the production scan: decreasing ``<u, v'>``,
+    stable, first hit wins.
+    """
+    u = np.asarray(u, dtype=float)
+    total = minkowski_sum(hull(orbit(G, u, tol).points, tol), hull(orbit(G, v, tol).points, tol), tol)
+    candidates = orbit(G, v, tol).points
+    for idx in np.argsort(-(candidates @ u), kind="stable"):
+        if polytope_equal(total, hull(orbit(G, u + candidates[idx], tol).points, tol), tol):
+            return True, candidates[idx]
+    return False, None
+
+
+def is_reflection_generated_reference(G, tol=DEFAULT_TOL):
+    """Close the group's reflections breadth first and compare orders."""
+    mirrors = [g for g in G.elements if detect_reflection(g, tol) is not None]
+    if not mirrors:
+        return G.order == 1
+    return close_generators(mirrors, tol=tol, max_order=G.order).order == G.order
 
 
 def merge_facet_rows_reference(rows, eps):

@@ -87,6 +87,20 @@ def test_orbit_cone_matches_unpruned(groups, name):
         _assert_matches_unpruned(G, v)
 
 
+@pytest.mark.parametrize("name", ["chiral_t", "chiral_o"])
+def test_orbit_cone_matches_unpruned_near_a_chiral_wall(name):
+    # No mirrors here: step off a wall of a regular vector's own cone, a
+    # plane on which the functional ties two points of its orbit.  From 1e-6
+    # in, the hull-edge facets and the LP reduction can disagree on a thin
+    # facet (a tolerance question), so the sweep stops at 1e-5.
+    G = close_generators(helpers.NON_REFLECTION_GENERATORS[name], name=name)
+    for seed in (0, 1, 2):
+        v = find_regular(G, seed)
+        n = _assert_matches_unpruned(G, v).halfspace_normals[0]
+        for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+            _assert_matches_unpruned(G, v - (v @ n - delta) * n)
+
+
 B2_PLUS_TRIVIAL = [
     np.block([[helpers.rot2(math.pi / 2), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]]),
     np.diag([1.0, -1.0, 1.0]),
@@ -301,3 +315,36 @@ def test_voronoi_trivial_group():
     G = close_generators([np.eye(2)])
     report = voronoi_consistency(G, np.array([1.0, 0.0]), n_samples=50, seed=3)
     assert report.passed
+
+
+def _count_lps(monkeypatch):
+    from orbitpoly import cones
+
+    calls = []
+    real = cones.linprog
+    monkeypatch.setattr(cones, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_orbit_cone_reads_facets_from_hull_edges_without_lp(groups, monkeypatch):
+    calls = _count_lps(monkeypatch)
+    for G in groups.values():
+        orbit_cone(G, find_regular(G, 5))
+        voronoi_consistency(G, find_regular(G, 6), n_samples=20, seed=1)
+    assert not calls
+
+
+def test_orbit_cone_without_incidence_falls_back_to_lp(groups, monkeypatch):
+    # Qhull can leave a point out of every simplex by roundoff; then the LP
+    # reduction picks the facets from all rows v - w.
+    from orbitpoly import cones
+
+    G = groups["b3"]
+    v = find_regular(G, 5)
+    want = orbit_cone(G, v)
+    calls = _count_lps(monkeypatch)
+    monkeypatch.setattr(cones, "_edge_neighbors", lambda points, index, tol: None)
+    got = orbit_cone(G, v)
+    assert calls
+    assert np.array_equal(got.halfspace_normals, want.halfspace_normals)
+    assert np.array_equal(got.rays, want.rays)

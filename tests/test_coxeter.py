@@ -17,7 +17,8 @@ from orbitpoly.coxeter import (
     sp_check_pair,
     sp_equivalence_report,
 )
-from orbitpoly.errors import NotCoxeterError, NotInChamberError, NotRegularError
+from orbitpoly.catalog import CATALOG_NAMES
+from orbitpoly.errors import GeometryError, NotCoxeterError, NotInChamberError, NotRegularError
 from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import Tolerance
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
@@ -271,3 +272,91 @@ def test_chamber_representative(groups, b2):
         rep = chamber_representative(b2, C, x)
         assert any(np.allclose(rep, p, atol=1e-9) for p in orbit(b2, x).points)
         assert np.min(C.halfspace_normals @ rep) >= -1e-9
+
+
+def _group(groups, name):
+    if name in groups:
+        return groups[name]
+    if name in helpers.SIMPLE_ROOTS:
+        return close_generators(helpers.reflection_generators(name), name=name)
+    return close_generators(helpers.NON_REFLECTION_GENERATORS[name], name=name)
+
+
+def _sp_oracle_pairs(G, seed):
+    """Structured probes, random pairs, pairs near a wall, and a w = 0 candidate."""
+    rng = np.random.default_rng(seed)
+    v = find_regular(G, seed)
+    cone = orbit_cone(G, v)
+    probes = [v, *cone.rays]
+    pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i:]]
+    pairs += [(rng.standard_normal(G.dim), rng.standard_normal(G.dim)) for _ in range(3)]
+    if len(cone.halfspace_normals):
+        n = cone.halfspace_normals[0]
+        for delta in (1e-3, 1e-5, 1e-7):
+            near = v - (v @ n - delta) * n
+            pairs += [(near, v), (near, near)]
+    pairs.append((v, -v))  # the scan reaches v' = -v, where u + v' = 0, unless it hits first
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "b2", "g2", "i2_5", "c3", "c4", "a3", "b3", "chiral_t", "minus_i3"]
+)
+def test_sp_check_pair_matches_minkowski_scan(groups, name):
+    G = _group(groups, name)
+    for seed in (3, 4):
+        for u, v in _sp_oracle_pairs(G, seed):
+            ok, rep = sp_check_pair(G, u, v)
+            ref_ok, ref_rep = helpers.sp_check_pair_reference(G, u, v)
+            assert ok == ref_ok
+            assert (rep is None and ref_rep is None) or np.array_equal(rep, ref_rep)
+
+
+def test_sp_check_pair_zero_sum_hits_on_fixed_points():
+    G = close_generators([np.eye(2)])
+    ok, rep = sp_check_pair(G, [1.0, 2.0], [-1.0, -2.0])
+    assert ok
+    assert np.array_equal(rep, [-1.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*CATALOG_NAMES, "h3", "d4", "b4", "f4", "chiral_t", "chiral_o", "minus_i3", "c3h", "c4_x_mirror"],
+)
+def test_is_reflection_generated_matches_closure(groups, name):
+    G = _group(groups, name)
+    assert is_reflection_generated(G) == helpers.is_reflection_generated_reference(G)
+    if name in ("c3h", "c4_x_mirror"):
+        assert G.order == {"c3h": 6, "c4_x_mirror": 8}[name]
+        assert len(group_reflections(G)) == 1
+        assert not is_reflection_generated(G)
+
+
+def test_is_reflection_generated_rejects_base_on_mirror(b2, monkeypatch):
+    from orbitpoly import coxeter
+
+    monkeypatch.setattr(coxeter, "find_regular", lambda G, seed, tol: np.array([1.0, 0.0]))
+    with pytest.raises(GeometryError, match="mirror"):
+        is_reflection_generated(b2)
+
+
+@pytest.mark.parametrize("name, want", [("h3", True), ("d4", True), ("chiral_t", False), ("chiral_o", False)])
+def test_equivalence_report_known_answers(groups, name, want):
+    rep = sp_equivalence_report(_group(groups, name), seed=42)
+    assert rep.verdict == want
+    assert [passed for passed, _ in rep.criterion_results.values()] == [want] * 4
+
+
+def test_sp_report_and_chamber_make_no_lp(groups, monkeypatch):
+    from orbitpoly import cones, polytope
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LP called")
+
+    monkeypatch.setattr(cones, "linprog", forbidden)
+    monkeypatch.setattr(polytope, "linprog", forbidden)
+    for name in ("b2", "c4", "a3"):
+        G = groups[name]
+        sp_equivalence_report(G, seed=42)
+        sp_check_pair(G, find_regular(G, 1), find_regular(G, 2))
+    chamber(groups["b3"], find_regular(groups["b3"], 3))
