@@ -110,6 +110,11 @@ def _reject_off(off_path):
         _fail("--export-off is only supported by the hull and minkowski commands")
 
 
+def _require_samples(samples):
+    if samples < 1:
+        _fail(f"--samples must be at least 1, got {samples}")
+
+
 class _Main(click.Group):
     """Command group that turns orbitpoly errors into exit code 2."""
 
@@ -242,6 +247,7 @@ def cmd_cone(input_path, model_name, seed, tol_flag, samples, out_path, off_path
 def cmd_voronoi(input_path, model_name, seed, tol_flag, samples, out_path, off_path):
     """Nearest-orbit-point vs cone-membership consistency over seeded samples."""
     _reject_off(off_path)
+    _require_samples(samples)
     group, tol = _load_group(input_path, tol_flag)
     v = find_regular(group, seed, tol)
     result = voronoi_consistency(group, v, samples, seed, tol)
@@ -329,6 +335,7 @@ def cmd_theorem2(input_path, model_name, seed, tol_flag, samples, out_path, off_
 def cmd_polar_verify(input_path, model_name, seed, tol_flag, samples, out_path, off_path):
     """Run the polar-structure check battery for a built-in model."""
     _reject_off(off_path)
+    _require_samples(samples)
     if model_name is None:
         _fail("polar-verify requires --model NAME")
     tol = _effective_tol(tol_flag)

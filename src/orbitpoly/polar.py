@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import special_ortho_group
+from scipy.stats import special_ortho_group  # unused here; perfbench/tracing.py wraps it by name
 
 from . import coxeter
 from .errors import NoCartanDataError
@@ -101,9 +101,29 @@ _SKEW_BASIS = np.array(
 
 
 def _sample_rotations(seed: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    mats = special_ortho_group.rvs(3, size=count, random_state=rng)
-    return np.asarray(mats).reshape(count, 3, 3)
+    """Haar-random rotations of 3-space, the ones scipy's special_ortho_group draws.
+
+    Takes the same Gaussian matrices Z from the same generator and builds
+    the Q of Z = QR with positive diag(R) column by column: Gram-Schmidt
+    (the second column orthogonalized twice), the third column from the
+    cross product with the sign of det Z, and row 0 flipped by that sign
+    so the result is a rotation.
+    """
+    z = np.random.default_rng(seed).normal(size=(count, 3, 3))
+    a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, count)
+    q0 = a / np.sqrt(_dot(a, a))
+    q1 = b - _dot(q0, b) * q0
+    q1 -= _dot(q0, q1) * q0
+    q1 /= np.sqrt(_dot(q1, q1))
+    sign = np.where(_dot(np.cross(a, b, axis=0), c) < 0.0, -1.0, 1.0)
+    q = np.stack([q0, q1, sign * np.cross(q0, q1, axis=0)])  # q[j, k, s] = Q_s[k, j]
+    q[:, 0] *= sign
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products of matching columns of two (3, count) arrays."""
+    return np.einsum("ks,ks->s", x, y)
 
 
 def _rotation_onto_e1(v: np.ndarray) -> np.ndarray:
@@ -158,8 +178,15 @@ def sym_mat(coords) -> np.ndarray:
 def conjugation_action(rotations: np.ndarray) -> np.ndarray:
     """5x5 matrices of A -> R A R^T on the symmetric traceless space, batched."""
     rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
-    transformed = np.einsum("sac,jcd,sbd->sjab", rotations, _SYM_BASIS, rotations)
-    return np.einsum("iab,sjab->sij", _SYM_BASIS, transformed)
+    # Sample axis last, so each contraction below runs along contiguous rows.
+    rs = np.ascontiguousarray(rotations.transpose(1, 2, 0))  # rs[a, c, s] = R_s[a, c]
+    flat_basis = _SYM_BASIS.reshape(5, 9)
+    out = np.empty((len(rotations), 5, 5))
+    for j, e in enumerate(_SYM_BASIS):
+        # e @ rs holds R E_j (E_j is symmetric); contracting it with R gives R E_j R^T.
+        conjugated = np.einsum("acs,bcs->abs", rs, e @ rs)
+        out[:, :, j] = (flat_basis @ conjugated.reshape(9, -1)).T
+    return out
 
 
 # ---------------------------------------------------------------------------

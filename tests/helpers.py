@@ -7,15 +7,19 @@ facet-row merging from the plain pairwise union-find; none of these touch
 the production hull/cone code paths.  Two references replay slower
 production algorithms on top of the library: the SP pair scan that builds
 the Minkowski sum, and reflection generation by closing the reflections.
+The polar sampler primitives have references too: scipy's QR-based Haar
+sampler and the three-operand conjugation einsum.
 """
 
 import math
 
 import numpy as np
+from scipy.stats import special_ortho_group
 
 from orbitpoly.coxeter import detect_reflection
 from orbitpoly.group import close_generators, orbit
 from orbitpoly.numerics import DEFAULT_TOL
+from orbitpoly.polar import _SYM_BASIS
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
 
@@ -104,6 +108,20 @@ def is_reflection_generated_reference(G, tol=DEFAULT_TOL):
     if not mirrors:
         return G.order == 1
     return close_generators(mirrors, tol=tol, max_order=G.order).order == G.order
+
+
+def sample_rotations_reference(seed, count):
+    """Haar rotations from scipy: batched LAPACK QR of seeded Gaussians, sign-fixed."""
+    rng = np.random.default_rng(seed)
+    mats = special_ortho_group.rvs(3, size=count, random_state=rng)
+    return np.asarray(mats).reshape(count, 3, 3)
+
+
+def conjugation_action_reference(rotations):
+    """5x5 matrices of A -> R A R^T in the symmetric traceless basis, by one einsum chain."""
+    rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
+    transformed = np.einsum("sac,jcd,sbd->sjab", rotations, _SYM_BASIS, rotations)
+    return np.einsum("iab,sjab->sij", _SYM_BASIS, transformed)
 
 
 def merge_facet_rows_reference(rows, eps):

@@ -190,6 +190,23 @@ def test_polar_verify_models(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("command", ["polar-verify", "voronoi-check"])
+def test_nonpositive_samples_rejected(runner, fixtures, monkeypatch, command, samples):
+    from orbitpoly import cli
+
+    # Rejected before any work: neither the battery nor the Voronoi check is reached.
+    monkeypatch.setattr(cli, "polar", None)
+    monkeypatch.setattr(cli, "voronoi_consistency", None)
+    if command == "polar-verify":
+        target = ["--model", "sym3_traceless"]
+    else:
+        target = ["--input", str(fixtures / "a3.json")]
+    result = _run(runner, [command, *target, "--samples", str(samples)])
+    assert result.exit_code == 1
+    assert result.output == f"error: --samples must be at least 1, got {samples}\n"
+
+
 def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
     from orbitpoly import cli
     from orbitpoly.errors import InconsistentCriteriaError

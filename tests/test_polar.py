@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,38 @@ def test_samplers_produce_orthogonal_matrices(so3, sym3, hopf):
 def test_samplers_deterministic(so3, sym3, hopf):
     for model in (so3, sym3, hopf):
         assert np.array_equal(model.sampler(7, 5), model.sampler(7, 5))
+
+
+@pytest.mark.parametrize("count", [1, 7, 10_000])
+@pytest.mark.parametrize("seed", [0, 42, 1001])
+def test_rotations_match_scipy_sampler(count, seed):
+    rotations = polar._sample_rotations(seed, count)
+    assert rotations.shape == (count, 3, 3)
+    assert np.max(np.abs(rotations - helpers.sample_rotations_reference(seed, count))) <= 1e-12
+    assert np.max(np.abs(np.linalg.det(rotations) - 1.0)) <= 1e-12
+    gram = np.einsum("sba,sbc->sac", rotations, rotations)
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-14
+
+
+def test_conjugation_action_matches_reference():
+    rotations = helpers.sample_rotations_reference(5, 2000)
+    action = polar.conjugation_action(rotations)
+    assert np.max(np.abs(action - helpers.conjugation_action_reference(rotations))) <= 1e-14
+
+
+def test_conjugation_action_is_homomorphism():
+    r1 = helpers.sample_rotations_reference(6, 500)
+    r2 = helpers.sample_rotations_reference(7, 500)
+    product = polar.conjugation_action(r1 @ r2)
+    composed = polar.conjugation_action(r1) @ polar.conjugation_action(r2)
+    assert np.max(np.abs(product - composed)) <= 1e-13
+
+
+def test_conjugation_action_single_rotation():
+    rotation = helpers.sample_rotations_reference(8, 1)[0]
+    action = polar.conjugation_action(rotation)
+    assert action.shape == (1, 5, 5)
+    assert np.max(np.abs(action - helpers.conjugation_action_reference(rotation))) <= 1e-14
 
 
 def test_sym_basis_orthonormal():
@@ -255,3 +289,39 @@ def test_battery_deterministic(sym3):
         if isinstance(a, polar.PolarCheckReport):
             assert a.max_violation == b.max_violation
             assert a.passed == b.passed
+
+
+def _reference_sampler(model):
+    """The model's sampler rebuilt from the reference rotation primitives."""
+    if model.name == "so3_standard":
+        return helpers.sample_rotations_reference
+    if model.name == "sym3_traceless":
+        return lambda seed, count: helpers.conjugation_action_reference(
+            helpers.sample_rotations_reference(seed, count)
+        )
+    return model.sampler  # hopf_circle draws no rotations of 3-space
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("name", sorted(polar.MODEL_BUILDERS))
+def test_battery_matches_reference_sampler(name, seed):
+    model = polar.get_model(name)
+    verdict, reports = polar.run_battery(model, samples=2000, seed=seed)
+    ref_verdict, ref_reports = polar.run_battery(
+        replace(model, sampler=_reference_sampler(model)), samples=2000, seed=seed
+    )
+    assert verdict == ref_verdict
+    assert reports.keys() == ref_reports.keys()
+    for key, report in reports.items():
+        ref = ref_reports[key]
+        if not isinstance(report, polar.PolarCheckReport):
+            assert report == ref
+            continue
+        assert (report.passed, report.n_samples) == (ref.passed, ref.n_samples)
+        assert report.max_violation == pytest.approx(ref.max_violation, rel=0.0, abs=1e-13)
+        assert report.details.keys() == ref.details.keys()
+        for field, value in report.details.items():
+            if isinstance(value, float):
+                assert value == pytest.approx(ref.details[field], rel=0.0, abs=1e-13)
+            else:
+                assert value == ref.details[field]
