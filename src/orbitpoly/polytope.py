@@ -408,8 +408,12 @@ def _hrep_vertices(A: np.ndarray, b: np.ndarray, tol: Tolerance, box: float) -> 
         raise GeometryError("halfspace system is infeasible")
 
     if radius > 1e-7:
-        hs = HalfspaceIntersection(np.c_[A, -b], center)
-        points = hs.intersections
+        try:
+            points = HalfspaceIntersection(np.c_[A, -b], center).intersections
+        except QhullError as exc:
+            raise GeometryError(
+                f"Qhull failed on {len(A)} halfspaces in dim {n}: {exc}"
+            ) from exc
         buckets = ToleranceBuckets(tol)
         for p in points:
             if np.all(np.isfinite(p)):

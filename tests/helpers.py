@@ -8,7 +8,8 @@ the production hull/cone code paths.  Two references replay slower
 production algorithms on top of the library: the SP pair scan that builds
 the Minkowski sum, and reflection generation by closing the reflections.
 The polar sampler primitives have references too: scipy's QR-based Haar
-sampler and the three-operand conjugation einsum.
+sampler and the three-operand conjugation einsum; so does the Cartan
+orthogonality check, as its per-point loop.
 """
 
 import math
@@ -122,6 +123,27 @@ def conjugation_action_reference(rotations):
     rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
     transformed = np.einsum("sac,jcd,sbd->sjab", rotations, _SYM_BASIS, rotations)
     return np.einsum("iab,sjab->sij", _SYM_BASIS, transformed)
+
+
+def check_cartan_orthogonality_reference(model, n_samples=200, seed=0):
+    """Worst normalized tangent/subspace overlap, one sampled point at a time.
+
+    Calls the model's tangent map at every sampled point instead of reading
+    it off at the unit vectors; returns the ``max_violation`` value only.
+    """
+    rng = np.random.default_rng(seed)
+    basis = model.cartan_basis
+    worst = 0.0
+    for _ in range(n_samples):
+        u = model.ambient(rng.standard_normal(len(basis)))
+        tangents = np.atleast_2d(model.tangent_basis_at(u))
+        norms = np.linalg.norm(tangents, axis=1)
+        keep = norms > 1e-12
+        if not np.any(keep):
+            continue
+        overlaps = np.abs(tangents[keep] @ basis.T) / norms[keep, None]
+        worst = max(worst, float(overlaps.max()))
+    return worst
 
 
 def merge_facet_rows_reference(rows, eps):

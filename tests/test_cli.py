@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import orbitpoly
 from orbitpoly.catalog import write_fixtures
 from orbitpoly.cli import main
 
@@ -261,3 +267,63 @@ def test_tol_flag_propagates(runner, fixtures):
         runner, ["coxeter-check", "--input", str(fixtures / "a2.json"), "--tol", "1e-7"]
     )
     assert _report(result)["meta"]["tolerance"] == 1e-7
+
+
+_COLD_START = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    import orbitpoly
+    import orbitpoly.cli
+
+    def run(args):
+        try:
+            orbitpoly.cli.main(args)
+        except SystemExit as exc:
+            return exc.code
+
+    out = sys.argv[1]
+    codes = [
+        run(["catalog", "--out", out]),
+        run(["theorem2", "--input", out + "/a2.json", "--out", out + "/theorem2.json"]),
+        run(["polar-verify", "--model", "sym3_traceless", "--samples", "100",
+             "--out", out + "/polar.json"]),
+    ]
+    stats_loaded = "scipy.stats" in sys.modules
+
+    import scipy.stats
+    from orbitpoly import polar
+
+    try:
+        polar.no_such_name
+        missing_raises = False
+    except AttributeError:
+        missing_raises = True
+    print(json.dumps({
+        "codes": codes,
+        "stats_loaded": stats_loaded,
+        "tracer_lookup": polar.special_ortho_group is scipy.stats.special_ortho_group,
+        "missing_raises": missing_raises,
+    }))
+    """
+)
+
+
+def test_cold_start_leaves_scipy_stats_unloaded(tmp_path):
+    # A fresh interpreter: this test process already holds scipy.stats.
+    src = str(Path(orbitpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert not result["stats_loaded"]
+    assert result["tracer_lookup"]
+    assert result["missing_raises"]
+    assert json.loads((tmp_path / "theorem2.json").read_text())["verdict"] is True
+    assert json.loads((tmp_path / "polar.json").read_text())["verdict"] is True

@@ -110,6 +110,34 @@ def test_cartan_orthogonality_hopf_fails(hopf):
     assert report.max_violation > 1e-2
 
 
+def _generic_candidate(model, dim, seed):
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.ambient_dim, dim)))
+    return polar.with_candidate_basis(model, basis.T)
+
+
+def test_tangent_maps_are_linear(so3, sym3, hopf):
+    rng = np.random.default_rng(3)
+    for model in (so3, sym3, hopf):
+        x, y = rng.standard_normal((2, model.ambient_dim))
+        combined = model.tangent_basis_at(2.5 * x - 0.75 * y)
+        expected = 2.5 * model.tangent_basis_at(x) - 0.75 * model.tangent_basis_at(y)
+        assert np.max(np.abs(combined - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42, 1001])
+def test_cartan_orthogonality_matches_reference(so3, sym3, hopf, seed):
+    for model in (so3, sym3, hopf, _generic_candidate(hopf, 2, 11)):
+        report = polar.check_cartan_orthogonality(model, n_samples=200, seed=seed)
+        assert report.max_violation == helpers.check_cartan_orthogonality_reference(model, 200, seed)
+    # A generic subspace of sym3 makes the tangent products non-trivial;
+    # reading the map off at the unit vectors changes only rounding there.
+    model = _generic_candidate(sym3, 2, 11)
+    report = polar.check_cartan_orthogonality(model, n_samples=200, seed=seed)
+    reference = helpers.check_cartan_orthogonality_reference(model, 200, seed)
+    assert report.max_violation > 1e-2
+    assert abs(report.max_violation - reference) <= 1e-14
+
+
 def test_orbits_meet_cartan(so3, sym3, hopf):
     for model in (so3, sym3, hopf):
         report = polar.check_orbits_meet_cartan(model, n_vectors=15, seed=5, n_group_samples=500)

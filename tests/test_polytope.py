@@ -364,3 +364,17 @@ def test_qhull_failure_raises_geometry_error(monkeypatch):
     for call in (lambda: hull(SQUARE), lambda: hull_neighbors(SQUARE, 0)):
         with pytest.raises(GeometryError, match="Qhull failed"):
             call()
+
+
+def test_halfspace_qhull_failure_raises_geometry_error(monkeypatch):
+    from scipy.spatial import QhullError
+
+    from orbitpoly import polytope
+
+    def fail(halfspaces, interior_point):
+        raise QhullError("QH6023 feasible point is not clearly inside halfspace (forced)")
+
+    monkeypatch.setattr(polytope, "HalfspaceIntersection", fail)
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(GeometryError, match="Qhull failed on 4 halfspaces"):
+        polytope.polytope_from_halfspaces(normals, np.ones(4))
