@@ -85,13 +85,23 @@ def _finish(report: dict, out, code: int = 0):
     sys.exit(code)
 
 
+def _check_tol(ctx, param, value):
+    """Reject a --tol that Tolerance refuses while parsing, before any input is read."""
+    if value is not None:
+        try:
+            Tolerance(eps_eq=value)
+        except ValueError:
+            _fail(f"--tol must be a finite positive number, got {value}")
+    return value
+
+
 def common_options(f):
     f = click.option("--input", "input_path", type=click.Path(), default=None,
                      help="Group definition JSON file.")(f)
     f = click.option("--model", "model_name", default=None,
                      help="Built-in compact-group model name.")(f)
     f = click.option("--seed", default=42, show_default=True, type=int)(f)
-    f = click.option("--tol", "tol_flag", default=None, type=float,
+    f = click.option("--tol", "tol_flag", default=None, type=float, callback=_check_tol,
                      help="Coordinate equality tolerance (default 1e-9).")(f)
     f = click.option("--samples", default=1000, show_default=True, type=int)(f)
     f = click.option("--out", "out_path", type=click.Path(), default=None,

@@ -9,8 +9,9 @@ stability - and cross-checks that they agree.
 None of the four solves an LP or builds a Minkowski sum: an SP pair is
 checked by support inequalities against the facets of one orbit hull,
 reflection generation by counting the orbit points of a regular vector in
-its chamber, and orbit cones are read from hull edges (with an LP fallback
-only when Qhull drops the base point by roundoff).
+its chamber, and orbit cones are read from hull edges.  An LP is left only
+in two roundoff guards: an orbit cone whose base point Qhull drops, and a
+hull whose certified vertices do not span its affine hull.
 """
 
 from __future__ import annotations

@@ -85,8 +85,9 @@ class SupportResult(NamedTuple):
 def _within_hull(point: np.ndarray, others: np.ndarray, eps: float) -> bool:
     """Is ``point`` within eps (max-norm) of the convex hull of ``others``?
 
-    Feasibility LP over convex-combination weights; used only for points
-    whose extremality could not be certified cheaply.
+    Feasibility LP over convex-combination weights.  Only the roundoff guard
+    of :func:`_non_extreme` calls it, when the certified vertex candidates
+    do not span the hull's affine chart.
     """
     k, n = others.shape
     A_ub = np.vstack([others.T, -others.T])
@@ -217,14 +218,8 @@ def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return np.delete(np.arange(len(pts)), index) if found is None else found
 
 
-def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
-    """Convex hull: minimal vertex set plus supporting facets.
-
-    Works for any affine dimension up to an ambient dimension of 6.  For
-    degenerate inputs the body is computed inside an orthonormal chart of
-    its affine hull and the facet normals are mapped back to ambient
-    coordinates, lying in the affine hull's linear span.
-    """
+def _hull_points(points) -> np.ndarray:
+    """Validated hull input with exact duplicates (to 12 decimals) removed."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("hull needs at least one point")
@@ -233,43 +228,34 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
         raise DimensionTooHighError(f"ambient dimension {n} exceeds {MAX_AMBIENT_DIM}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("hull input has non-finite coordinates")
-
     # Cheap exact-duplicate removal keeps Qhull input small; interior points
     # are harmless beyond that.
-    pts = np.unique(np.round(pts, 12), axis=0) if len(pts) > 1 else pts
+    return np.unique(np.round(pts, 12), axis=0) if len(pts) > 1 else pts
 
-    origin, basis, chart = _affine_chart(pts, tol)
-    d = len(basis)
-    if d == 0:
-        vertex = pts[:1].copy()
-        return Polytope(
-            vertices=vertex,
-            facet_normals=np.zeros((0, n)),
-            facet_offsets=np.zeros(0),
-            ambient_dim=n,
-            affine_dim=0,
-            affine_origin=pts[0].copy(),
-            affine_basis=np.zeros((0, n)),
-        )
 
-    if d == 1:
-        proj = chart[:, 0]
-        i_min, i_max = int(np.argmin(proj)), int(np.argmax(proj))
-        verts = pts[[i_min, i_max]]
-        direction = basis[0]
-        normals = np.array([direction, -direction])
-        offsets = np.array([float(direction @ verts[1]), float(-direction @ verts[0])])
-        poly = Polytope(
-            vertices=verts,
-            facet_normals=normals,
-            facet_offsets=offsets,
-            ambient_dim=n,
-            affine_dim=1,
-            affine_origin=origin,
-            affine_basis=basis,
-        )
-        return _validate(poly, tol)
+def _chart_polytope(verts, normals, origin, basis, tol: Tolerance) -> Polytope:
+    """Validated polytope whose facet offsets are the vertices' support values."""
+    poly = Polytope(
+        vertices=verts,
+        facet_normals=normals,
+        facet_offsets=(verts @ normals.T).max(axis=0),
+        ambient_dim=verts.shape[1],
+        affine_dim=len(basis),
+        affine_origin=origin,
+        affine_basis=basis,
+    )
+    return _validate(poly, tol)
 
+
+def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: Tolerance):
+    """Qhull of the chart, its merged facet normals, and probe-certified candidates.
+
+    Returns the Qhull object (the candidates are ``pts[qh.vertices]``), the
+    outward unit normals in ambient coordinates, and a mask of the
+    candidates certified extreme because each strictly maximizes, by at
+    least eps_eq, the sum of its incident facet normals or its direction
+    from the candidates' centroid.
+    """
     qh = _qhull(chart)
     candidates = pts[qh.vertices]
     # Qhull emits one (triangulated) equation per simplex; coplanar simplices
@@ -280,12 +266,6 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
     normals = chart_normals @ basis
     offsets = (candidates @ normals.T).max(axis=0)
 
-    # Points that lie on the boundary without being extreme (e.g. collinear
-    # Minkowski vertex sums) can survive Qhull by roundoff and also spawn
-    # degenerate sliver facets.  Keep a candidate only when it is genuinely
-    # extreme at the working tolerance: certified by strictly maximizing the
-    # sum of its incident facet normals, or, for borderline points, by an LP
-    # showing it is not within eps_eq of the hull of the other candidates.
     eps = max(tol.eps_eq, 1e-10)
     on_facet = np.abs(candidates @ normals.T - offsets[None, :]) <= eps
     probes = [on_facet.astype(float) @ normals, candidates - candidates.mean(axis=0)]
@@ -297,33 +277,88 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
         gaps = vals[np.arange(len(candidates)), np.arange(len(candidates))] - vals
         gaps[np.arange(len(candidates)), np.arange(len(candidates))] = np.inf
         gap_by_probe.append(gaps.min(axis=0))
-    certified = np.maximum(*gap_by_probe) >= tol.eps_eq
+    return qh, normals, np.maximum(*gap_by_probe) >= tol.eps_eq
+
+
+def _lp_non_extreme(candidates: np.ndarray, certified: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the uncertified candidates within eps_eq of the hull of the rest.
+
+    One :func:`_within_hull` LP per uncertified candidate, in candidate
+    order, against the candidates not removed so far.
+    """
     removed = np.zeros(len(candidates), dtype=bool)
-    for j in range(len(candidates)):
-        if certified[j]:
-            continue  # strict maximizer of a probe direction: extreme
+    for j in np.flatnonzero(~certified):
         others = candidates[~removed & (np.arange(len(candidates)) != j)]
         if len(others) and _within_hull(candidates[j], others, tol.eps_eq):
             removed[j] = True
+    return removed
+
+
+def _non_extreme(
+    candidates: np.ndarray, chart: np.ndarray, certified: np.ndarray, tol: Tolerance
+) -> np.ndarray:
+    """Mask of the uncertified candidates that are not extreme.
+
+    ``chart`` holds the candidates' chart coordinates.  The certified
+    candidates K are extreme.  One Qhull call gives the facets of hull(K),
+    and an uncertified candidate whose largest slack over them is at most
+    eps_eq is not extreme.  The candidate farthest beyond a facet maximizes
+    the facet's normal over all candidates, so it is extreme up to ties: it
+    joins K and the test repeats, and K grows until nothing sticks out.
+    Only when K does not span the chart does :func:`_lp_non_extreme` decide
+    instead, as a roundoff guard.
+    """
+    d = chart.shape[1]
+    keep = certified.copy()
+    while not keep.all():
+        known = chart[keep]
+        if len(known) <= d or matrix_rank(known - known.mean(axis=0), tol) < d:
+            return _lp_non_extreme(candidates, certified, tol)
+        equations = _qhull(known).equations
+        rest = np.flatnonzero(~keep)
+        slack = chart[rest] @ equations[:, :-1].T + equations[:, -1]  # [candidate, facet]
+        beyond = slack > tol.eps_eq
+        if not beyond.any():
+            break
+        farthest = np.argmax(np.where(beyond, slack, -np.inf), axis=0)
+        keep[rest[farthest[beyond.any(axis=0)]]] = True
+    return ~keep
+
+
+def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
+    """Convex hull: minimal vertex set plus supporting facets.
+
+    Works for any affine dimension up to an ambient dimension of 6.  For
+    degenerate inputs the body is computed inside an orthonormal chart of
+    its affine hull and the facet normals are mapped back to ambient
+    coordinates, lying in the affine hull's linear span.
+    """
+    pts = _hull_points(points)
+    origin, basis, chart = _affine_chart(pts, tol)
+    d = len(basis)
+    if d == 0:
+        return _chart_polytope(pts[:1].copy(), np.zeros((0, pts.shape[1])), pts[0].copy(), basis, tol)
+    if d == 1:
+        proj = chart[:, 0]
+        verts = pts[[int(np.argmin(proj)), int(np.argmax(proj))]]
+        return _chart_polytope(verts, np.array([basis[0], -basis[0]]), origin, basis, tol)
+
+    # Points that lie on the boundary without being extreme (e.g. collinear
+    # Minkowski vertex sums) can survive Qhull by roundoff and also spawn
+    # degenerate sliver facets.  A candidate is kept only when it is
+    # genuinely extreme at the working tolerance: certified by a probe
+    # direction, or sticking out of the hull of the certified candidates by
+    # more than eps_eq (one more Qhull call, no LP unless the certified
+    # candidates do not span the chart).  Removing candidates moves the
+    # chart's centroid, so the survivors are hulled afresh.
+    qh, normals, certified = _probe_facets(pts, chart, basis, tol)
+    candidates = pts[qh.vertices]
+    removed = _non_extreme(candidates, chart[qh.vertices], certified, tol)
     if removed.all():
         raise GeometryError("hull construction inconsistent: no vertex survived filtering")
     if removed.any():
         return hull(candidates[~removed], tol)
-    verts = candidates
-    # Supporting offsets are recomputed from the vertex set so every vertex
-    # satisfies its facets by construction.
-    offsets = (verts @ normals.T).max(axis=0)
-
-    poly = Polytope(
-        vertices=verts,
-        facet_normals=normals,
-        facet_offsets=offsets,
-        ambient_dim=n,
-        affine_dim=d,
-        affine_origin=origin,
-        affine_basis=basis,
-    )
-    return _validate(poly, tol)
+    return _chart_polytope(candidates, normals, origin, basis, tol)
 
 
 def support(P: Polytope, v, tol: Tolerance = DEFAULT_TOL) -> SupportResult:

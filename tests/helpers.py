@@ -6,7 +6,8 @@ roots, permutohedron membership from partial-sum majorization, and
 facet-row merging from the plain pairwise union-find; none of these touch
 the production hull/cone code paths.  Two references replay slower
 production algorithms on top of the library: the SP pair scan that builds
-the Minkowski sum, and reflection generation by closing the reflections.
+the Minkowski sum, reflection generation by closing the reflections, and
+the hull whose uncertified vertex candidates each cost an LP.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler and the three-operand conjugation einsum; so does the Cartan
 orthogonality check, as its per-point loop.
@@ -17,7 +18,9 @@ import math
 import numpy as np
 from scipy.stats import special_ortho_group
 
+from orbitpoly import polytope
 from orbitpoly.coxeter import detect_reflection
+from orbitpoly.errors import GeometryError
 from orbitpoly.group import close_generators, orbit
 from orbitpoly.numerics import DEFAULT_TOL
 from orbitpoly.polar import _SYM_BASIS
@@ -88,6 +91,15 @@ NON_REFLECTION_GENERATORS = {
 }
 
 
+def named_group(groups, name):
+    """A catalog group from ``groups``, or one built from SIMPLE_ROOTS or NON_REFLECTION_GENERATORS."""
+    if name in groups:
+        return groups[name]
+    if name in SIMPLE_ROOTS:
+        return close_generators(reflection_generators(name), name=name)
+    return close_generators(NON_REFLECTION_GENERATORS[name], name=name)
+
+
 def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
     """SP pair scan that builds hull(O_u) + hull(O_v) and compares vertex sets.
 
@@ -101,6 +113,28 @@ def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
         if polytope_equal(total, hull(orbit(G, u + candidates[idx], tol).points, tol), tol):
             return True, candidates[idx]
     return False, None
+
+
+def hull_reference(points, tol=DEFAULT_TOL):
+    """Hull that tests every uncertified vertex candidate by its own LP.
+
+    Same Qhull, facet merge and probe certification as the production hull;
+    each candidate no probe certifies is then removed when an LP finds it
+    within eps_eq of the hull of the candidates not removed so far, in
+    candidate order, and the survivors are hulled afresh.
+    """
+    pts = polytope._hull_points(points)
+    origin, basis, chart = polytope._affine_chart(pts, tol)
+    if len(basis) <= 1:
+        return hull(pts, tol)  # no candidate to certify
+    qh, normals, certified = polytope._probe_facets(pts, chart, basis, tol)
+    candidates = pts[qh.vertices]
+    removed = polytope._lp_non_extreme(candidates, certified, tol)
+    if removed.all():
+        raise GeometryError("hull construction inconsistent: no vertex survived filtering")
+    if removed.any():
+        return hull_reference(candidates[~removed], tol)
+    return polytope._chart_polytope(candidates, normals, origin, basis, tol)
 
 
 def is_reflection_generated_reference(G, tol=DEFAULT_TOL):

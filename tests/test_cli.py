@@ -213,6 +213,25 @@ def test_nonpositive_samples_rejected(runner, fixtures, monkeypatch, command, sa
     assert result.output == f"error: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["theorem2", "hull", "polar-verify", "catalog"])
+def test_invalid_tol_rejected(runner, fixtures, monkeypatch, command, tol):
+    from orbitpoly import cli
+
+    # Rejected before any file, model or catalog entry is read.
+    for attribute in ("group_from_json_dict", "polar", "catalog"):
+        monkeypatch.setattr(cli, attribute, None)
+    target = {
+        "theorem2": ["--input", str(fixtures / "a3.json")],
+        "hull": ["--input", str(fixtures / "a3.json")],
+        "polar-verify": ["--model", "sym3_traceless"],
+        "catalog": [],
+    }[command]
+    result = _run(runner, [command, *target, "--tol", tol])
+    assert result.exit_code == 1
+    assert result.output == f"error: --tol must be a finite positive number, got {float(tol)}\n"
+
+
 def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
     from orbitpoly import cli
     from orbitpoly.errors import InconsistentCriteriaError

@@ -274,14 +274,6 @@ def test_chamber_representative(groups, b2):
         assert np.min(C.halfspace_normals @ rep) >= -1e-9
 
 
-def _group(groups, name):
-    if name in groups:
-        return groups[name]
-    if name in helpers.SIMPLE_ROOTS:
-        return close_generators(helpers.reflection_generators(name), name=name)
-    return close_generators(helpers.NON_REFLECTION_GENERATORS[name], name=name)
-
-
 def _sp_oracle_pairs(G, seed):
     """Structured probes, random pairs, pairs near a wall, and a w = 0 candidate."""
     rng = np.random.default_rng(seed)
@@ -303,7 +295,7 @@ def _sp_oracle_pairs(G, seed):
     "name", ["a2", "b2", "g2", "i2_5", "c3", "c4", "a3", "b3", "chiral_t", "minus_i3"]
 )
 def test_sp_check_pair_matches_minkowski_scan(groups, name):
-    G = _group(groups, name)
+    G = helpers.named_group(groups, name)
     for seed in (3, 4):
         for u, v in _sp_oracle_pairs(G, seed):
             ok, rep = sp_check_pair(G, u, v)
@@ -324,7 +316,7 @@ def test_sp_check_pair_zero_sum_hits_on_fixed_points():
     [*CATALOG_NAMES, "h3", "d4", "b4", "f4", "chiral_t", "chiral_o", "minus_i3", "c3h", "c4_x_mirror"],
 )
 def test_is_reflection_generated_matches_closure(groups, name):
-    G = _group(groups, name)
+    G = helpers.named_group(groups, name)
     assert is_reflection_generated(G) == helpers.is_reflection_generated_reference(G)
     if name in ("c3h", "c4_x_mirror"):
         assert G.order == {"c3h": 6, "c4_x_mirror": 8}[name]
@@ -342,7 +334,7 @@ def test_is_reflection_generated_rejects_base_on_mirror(b2, monkeypatch):
 
 @pytest.mark.parametrize("name, want", [("h3", True), ("d4", True), ("chiral_t", False), ("chiral_o", False)])
 def test_equivalence_report_known_answers(groups, name, want):
-    rep = sp_equivalence_report(_group(groups, name), seed=42)
+    rep = sp_equivalence_report(helpers.named_group(groups, name), seed=42)
     assert rep.verdict == want
     assert [passed for passed, _ in rep.criterion_results.values()] == [want] * 4
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import helpers
+from orbitpoly.catalog import CATALOG_NAMES
+from orbitpoly.cones import orbit_cone
 from orbitpoly.errors import DimensionMismatchError, DimensionTooHighError, GeometryError
 from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import Tolerance
@@ -378,3 +380,114 @@ def test_halfspace_qhull_failure_raises_geometry_error(monkeypatch):
     normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     with pytest.raises(GeometryError, match="Qhull failed on 4 halfspaces"):
         polytope.polytope_from_halfspaces(normals, np.ones(4))
+
+
+def _orbit_hull(G, seed):
+    return hull(orbit(G, find_regular(G, seed)).points)
+
+
+def _pairwise_sums(P, Q):
+    return (P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.ambient_dim)
+
+
+def _forbid_lp(monkeypatch):
+    from orbitpoly import polytope
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LP called")
+
+    monkeypatch.setattr(polytope, "linprog", forbidden)
+
+
+def _count_lps(monkeypatch):
+    """List that gains one entry per LP solved from now on."""
+    from orbitpoly import polytope
+
+    lps = []
+    real = polytope.linprog
+    monkeypatch.setattr(polytope, "linprog", lambda *a, **k: lps.append(1) or real(*a, **k))
+    return lps
+
+
+def test_regular_orbit_hulls_and_sums_make_no_lp(groups, monkeypatch):
+    # On the a3 sum the probes leave candidates uncertified: the reference
+    # spends LPs on them.
+    G = groups["a3"]
+    lps = _count_lps(monkeypatch)
+    helpers.hull_reference(_pairwise_sums(_orbit_hull(G, 1001), _orbit_hull(G, 1002)))
+    assert len(lps) > 0
+
+    # Production settles them against the hull of the certified candidates.
+    _forbid_lp(monkeypatch)
+    for name, facets in (("b3", 26), ("h3", 62), ("d4", 48)):
+        assert len(_orbit_hull(helpers.named_group(groups, name), 7).facet_normals) == facets
+    # The sum inputs of the benchmark's minkowski commands.
+    for name in ("a3", "b3", "chiral_t", "chiral_o"):
+        G = helpers.named_group(groups, name)
+        for seed in range(1001, 1005):
+            total = minkowski_sum(_orbit_hull(G, seed), _orbit_hull(G, seed + 1))
+            assert total.n_vertices % G.order == 0
+
+
+def _same_bytes(P, Q):
+    return all(
+        getattr(P, field).tobytes() == getattr(Q, field).tobytes()
+        for field in ("vertices", "facet_normals", "facet_offsets")
+    )
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "chiral_t", "chiral_o"])
+def test_hull_matches_lp_reference_near_walls(groups, name):
+    # Orbit hulls, and sums with a regular orbit hull, of vectors on and near
+    # a wall of the orbit cone (a mirror for the reflection groups).
+    G = helpers.named_group(groups, name)
+    for seed in range(3):
+        v = find_regular(G, seed)
+        wall = orbit_cone(G, v).halfspace_normals[0]
+        Q = _orbit_hull(G, seed + 1)
+        for delta in (0.0, 1e-3, 1e-5):
+            points = orbit(G, v - (wall @ v - delta) * wall).points
+            P = hull(points)
+            assert _same_bytes(P, helpers.hull_reference(points))
+            sums = _pairwise_sums(P, Q)
+            assert _same_bytes(hull(sums), helpers.hull_reference(sums))
+
+
+def test_regular_orbit_sums_known_answers(groups):
+    # Two regular a3 orbit hulls sum to a permutohedron; a generic sum of
+    # chiral orbit hulls has vertices in whole orbits of the group.
+    for seed in range(20):
+        for name in ("a3", "chiral_t", "chiral_o"):
+            G = helpers.named_group(groups, name)
+            total = minkowski_sum(_orbit_hull(G, seed), _orbit_hull(G, seed + 1))
+            if name == "a3":
+                assert (total.n_vertices, len(total.facet_normals)) == (24, 14)
+            else:
+                assert total.n_vertices % G.order == 0
+
+
+# Two corners 1e-4 apart, 1e-6 above the segment [-1, 1] x {0}: no probe
+# direction separates either corner from the other by eps_eq.
+_TWIN_CORNERS = np.array([[-1.0, 0.0], [1.0, 0.0], [-1e-4, 1e-6], [1e-4, 1e-6]])
+
+
+def test_uncertified_corner_joins_certified_vertices(monkeypatch):
+    # With (0, -1) the certified candidates span the plane: one twin sticks
+    # out of their triangle and joins them, and the other then lies within
+    # eps_eq of the hull, all without an LP.
+    _forbid_lp(monkeypatch)
+    points = np.vstack([_TWIN_CORNERS, [[0.0, -1.0]]])
+    P = hull(points)
+    assert P.n_vertices == 4
+    assert all(P.contains(p) for p in points)
+    assert np.sum(P.vertices[:, 1] == 1e-6) == 1
+
+
+def test_guard_solves_lps_when_certified_vertices_do_not_span(monkeypatch):
+    # Only the segment's ends are certified, two points in the plane: the
+    # twins are tested by LP, as in the reference.
+    lps = _count_lps(monkeypatch)
+    P = hull(_TWIN_CORNERS)
+    assert len(lps) == 2
+    assert P.n_vertices == 3
+    assert _same_bytes(P, helpers.hull_reference(_TWIN_CORNERS))
