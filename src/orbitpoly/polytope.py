@@ -337,7 +337,8 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
     origin, basis, chart = _affine_chart(pts, tol)
     d = len(basis)
     if d == 0:
-        return _chart_polytope(pts[:1].copy(), np.zeros((0, pts.shape[1])), pts[0].copy(), basis, tol)
+        no_facets = np.zeros((0, pts.shape[1]))
+        return _chart_polytope(pts[:1].copy(), no_facets, pts[0].copy(), basis, tol)
     if d == 1:
         proj = chart[:, 0]
         verts = pts[[int(np.argmin(proj)), int(np.argmax(proj))]]

@@ -92,7 +92,7 @@ NON_REFLECTION_GENERATORS = {
 
 
 def named_group(groups, name):
-    """A catalog group from ``groups``, or one built from SIMPLE_ROOTS or NON_REFLECTION_GENERATORS."""
+    """A catalog group from ``groups``, or one closed from the generators above."""
     if name in groups:
         return groups[name]
     if name in SIMPLE_ROOTS:
