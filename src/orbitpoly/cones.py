@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, GeometryError, ZeroVectorError
 from .group import FiniteGroup, orbit
-from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector
+from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, distinct_rows
 from .polytope import _edge_neighbors
 
 # An essential halfspace admits a point that violates it while satisfying the
@@ -61,13 +61,7 @@ def _unit_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
 def _distinct_unit_rows(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Nonzero rows scaled to unit length, tolerant duplicates dropped, in order."""
     normals = _unit_rows(normals, tol)
-    buckets = ToleranceBuckets(tol)
-    kept = []
-    for row in normals:
-        _, inserted = buckets.insert(row)
-        if inserted:
-            kept.append(row)
-    return np.array(kept) if kept else np.zeros((0, normals.shape[1]))
+    return normals[distinct_rows(normals, tol)]
 
 
 def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -300,12 +294,7 @@ def voronoi_consistency(
     base_normals = base_cone.halfspace_normals
 
     # The cone of the orbit point g v is the image of the base cone under g.
-    cones = np.stack(
-        [
-            base_normals @ G.elements[w].T if len(base_normals) else np.zeros((0, G.dim))
-            for w in orb.point_to_element
-        ]
-    ) if len(base_normals) else np.zeros((len(orb), 0, G.dim))
+    cones = base_normals @ G.stack[list(orb.point_to_element)].transpose(0, 2, 1)
 
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, G.dim)) * max(1.0, float(np.linalg.norm(v)))

@@ -30,7 +30,15 @@ from .errors import (
     NotRegularError,
 )
 from .group import FiniteGroup, find_regular, is_regular, orbit
-from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, matrix_rank, unit
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    ToleranceBuckets,
+    as_vector,
+    distinct_rows,
+    matrix_rank,
+    unit,
+)
 from .polytope import Polytope, hull, polytope_from_halfspaces
 
 
@@ -119,13 +127,15 @@ def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) 
 
 
 def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Reflection]:
-    """All reflections in the group, indexed into its element list."""
-    found = []
-    for i, g in enumerate(G.elements):
-        r = detect_reflection(g, tol, element_index=i)
-        if r is not None:
-            found.append(r)
-    return found
+    """All reflections in the group, in element order, indexed into its element list.
+
+    One batched SVD finds the elements whose ``I - g`` has rank one; only
+    those go through :func:`detect_reflection` for their normal.
+    """
+    svals = np.linalg.svd(np.eye(G.dim) - G.stack, compute_uv=False)
+    rank_one = np.flatnonzero(np.sum(svals > tol.eps_rank, axis=1) == 1)
+    found = (detect_reflection(G.elements[i], tol, element_index=int(i)) for i in rank_one)
+    return [r for r in found if r is not None]
 
 
 def is_reflection_generated(
@@ -148,7 +158,7 @@ def is_reflection_generated(
     margins = v @ normals.T
     if np.min(np.abs(margins), initial=np.inf) <= tol.eps_eq:
         raise GeometryError("regular vector lies on a mirror; chambers cannot be counted")
-    sides = (np.array(G.elements) @ v) @ normals.T > 0
+    sides = (G.stack @ v) @ normals.T > 0
     return int(np.sum(np.all(sides == (margins > 0), axis=1))) == 1
 
 
@@ -209,28 +219,20 @@ def hull_from_dual_cones(
     if len(margins) and np.min(margins) < -tol.eps_eq:
         raise NotInChamberError("vector lies outside the closed chamber")
 
-    rows = []
-    offs = []
-    for g in G.elements:
-        rows.append(ch.fundamental_rays @ g.T)
-        offs.append(ch.fundamental_rays @ v)
+    rays = ch.fundamental_rays
+    rows = [(rays @ G.stack.transpose(0, 2, 1)).reshape(-1, G.dim)]
+    offs = [np.tile(rays @ v, G.order)]
     # Non-essential actions leave a lineality subspace; pin its coordinates.
     _, svals, vt = np.linalg.svd(ch.simple_normals, full_matrices=True)
     rank = int(np.sum(svals > tol.eps_rank))
     for l in vt[rank:]:
-        for g in G.elements:
-            gl = g @ l
-            rows.append(np.array([gl, -gl]))
-            offs.append(np.array([l @ v, -(l @ v)]))
+        gl = G.stack @ l
+        rows.append(np.stack([gl, -gl], axis=1).reshape(-1, G.dim))
+        offs.append(np.tile([l @ v, -(l @ v)], G.order))
 
     A = np.vstack(rows)
     b = np.concatenate(offs)
-    keyed = ToleranceBuckets(tol)
-    keep = []
-    for i in range(len(A)):
-        _, inserted = keyed.insert(np.r_[A[i], b[i]])
-        if inserted:
-            keep.append(i)
+    keep = distinct_rows(np.column_stack([A, b]), tol)
     box = 2.0 * float(np.linalg.norm(v)) + 1.0
     return polytope_from_halfspaces(A[keep], b[keep], tol, box=box)
 

@@ -1,19 +1,25 @@
 """Finite matrix groups from generators: closure, orbits, stabilizers, regularity.
 
 Groups are stored as explicit element lists (orthogonal matrices, identity
-first).  Closure is plain breadth-first multiplication with tolerant dedup;
-no permutation-group machinery is needed at catalog scale.
+first), also stacked in one read-only array that orbits, stabilizers and
+reflection detection multiply in a single batched product.  Closure is
+multiplication by the generators with tolerant dedup, batched; its element
+order is that of a stack closure (newest element expanded first), see
+:func:`close_generators`.  No permutation-group machinery is needed at
+catalog scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    GeometryError,
     InputFormatError,
     OrderExceededError,
     RegularNotFoundError,
@@ -21,14 +27,21 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    ToleranceBuckets,
     as_vector,
     close,
+    distinct_rows,
     is_orthogonal,
     round_key,
+    row_keys,
 )
 
 MAX_ORDER_DEFAULT = 100000
+
+# Elements expanded per batched product while closing; bounds the memory of
+# one step when an input that is not finite grows towards max_order.
+_CLOSURE_CHUNK = 1024
+# Highest generator power multiplied in while closing (see _closure_table).
+_POWERS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,18 +67,11 @@ class FiniteGroup:
         return tuple(self.elements[i] for i in self.generator_indices)
 
     @cached_property
-    def _index(self) -> dict[bytes, list[int]]:
-        table: dict[bytes, list[int]] = {}
-        for i, g in enumerate(self.elements):
-            table.setdefault(round_key(g, self.tol), []).append(i)
-        return table
-
-    def element_index(self, matrix) -> int | None:
-        """Index of a matrix in the element list, matched under the tolerance."""
-        for idx in self._index.get(round_key(matrix, self.tol), ()):
-            if close(self.elements[idx], matrix, self.tol):
-                return idx
-        return None
+    def stack(self) -> np.ndarray:
+        """The elements as one read-only ``(order, dim, dim)`` array."""
+        stack = np.array(self.elements, dtype=float).reshape(self.order, self.dim, self.dim)
+        stack.setflags(write=False)
+        return stack
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -88,13 +94,145 @@ class Orbit:
         return len(self.points)
 
 
+def _powers(gens: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Powers g^2 .. g^_POWERS of each generator, stopping at the identity."""
+    eye = np.eye(gens.shape[1])
+    out = []
+    for g in gens:
+        power = g @ g
+        for _ in range(_POWERS - 1):
+            if close(power, eye, tol):
+                break
+            out.append(power)
+            power = power @ g
+    return np.array(out).reshape(-1, *gens.shape[1:])
+
+
+def _closure_table(gens: np.ndarray, tol: Tolerance, max_order: int) -> np.ndarray:
+    """Right-multiplication table of the closure, found a batch at a time.
+
+    Representatives are numbered as found, the identity first, and expanded
+    in that order; ``table[r, j]`` is the representative of ``rep_r @
+    gens[j]``.  The products are deduped as a :class:`ToleranceBuckets` fed
+    them in order would: matched to the first representative with their
+    rounding key when within eps_eq of it, else to the first key-mate
+    within eps_eq, else new.  Representatives are also multiplied by the
+    generators' powers (:func:`_powers`), which only finds elements sooner:
+    a cyclic group then takes order / _POWERS batches instead of order.
+    """
+    k, dim = len(gens), gens.shape[1]
+    words = np.concatenate([gens, _powers(gens, tol)])
+    reps = np.empty((_CLOSURE_CHUNK, dim, dim))
+    reps[0] = np.eye(dim)
+    count = 1
+    first = {round_key(reps[0], tol): 0}  # rounding key -> first representative
+    later: dict[bytes, list[int]] = {}  # rounding key -> its other representatives
+    table = []
+    done = 0
+    while done < count:
+        stop = min(count, done + _CLOSURE_CHUNK)
+        products = (reps[done:stop, None] @ words[None]).reshape(-1, dim, dim)
+        if len(reps) < count + len(products):
+            reps = np.concatenate([reps, np.empty((len(reps) + len(products), dim, dim))])
+        keys = row_keys(products.reshape(len(products), -1), tol)
+        found = np.fromiter(map(first.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        for q in np.flatnonzero(found < 0).tolist():
+            found[q] = first.setdefault(keys[q], count)
+            if found[q] == count:
+                reps[count] = products[q]
+                count += 1
+        gap = np.abs(products - reps[found]).reshape(len(products), -1)
+        if gap.max() > tol.eps_eq:
+            for q in np.flatnonzero(gap.max(axis=1) > tol.eps_eq):
+                mates = later.setdefault(keys[q], [])
+                found[q] = next((r for r in mates if close(reps[r], products[q], tol)), count)
+                if found[q] == count:
+                    reps[count] = products[q]
+                    mates.append(count)
+                    count += 1
+        if count > max_order:
+            raise OrderExceededError(
+                f"closure exceeded max_order={max_order}; input may not be finite"
+            )
+        table.append(found.reshape(stop - done, -1)[:, :k])
+        done = stop
+    return np.concatenate(table)
+
+
+def _stack_order(table: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """Replay the stack closure on the table: element order and parentage.
+
+    The closure pushes each new element and pops the newest first; element
+    m (m > 0) is ``element[parent[m]] @ gens[via[m]]``.  Returns the position
+    of every representative in that order along with ``parent`` and ``via``.
+    """
+    rows = table.tolist()
+    position = [-1] * len(rows)
+    position[0] = 0
+    parent, via = [-1], [-1]
+    stack = [0]
+    while stack:
+        r = stack.pop()
+        here = position[r]
+        for j, t in enumerate(rows[r]):
+            if position[t] < 0:
+                position[t] = len(parent)
+                parent.append(here)
+                via.append(j)
+                stack.append(t)
+    return np.array(position, dtype=np.intp), parent, via
+
+
+def _check_replay(
+    elements: np.ndarray, gens: np.ndarray, target: np.ndarray, tol: Tolerance
+) -> None:
+    """Raise unless the stack closure would dedup every product as ``target`` says.
+
+    The table was found on products of other roundings than the elements
+    the replay builds.  Each product ``elements[i] @ gens[j]`` must share
+    its rounding key with ``elements[target[i, j]]``, lie within eps_eq of
+    it, and lie farther than eps_eq from every earlier key-mate of it; then
+    the stack closure, run on these exact elements, makes the same choices.
+    """
+    n, dim = len(elements), elements.shape[1]
+    products = (elements[:, None] @ gens[None]).reshape(-1, dim * dim)
+    flat = elements.reshape(n, dim * dim)
+    hit = flat[target.ravel()]
+    digits = tol.round_digits
+    ok = np.array_equal(np.round(products, digits), np.round(hit, digits))
+    ok &= bool(np.abs(products - hit).max() <= tol.eps_eq)
+    mates: dict[bytes, list[int]] = {}
+    for i, key in enumerate(row_keys(flat, tol)):
+        mates.setdefault(key, []).append(i)
+    for group in (g for g in mates.values() if len(g) > 1):
+        for q in np.flatnonzero(np.isin(target.ravel(), group[1:])):
+            t = target.flat[q]
+            ok &= not any(close(flat[s], products[q], tol) for s in group if s < t)
+    if not ok:
+        raise GeometryError(
+            "closure depends on the order of multiplication: a product lies within "
+            "roundoff of the tolerance's rounding grid; try another tolerance"
+        )
+
+
 def close_generators(
     gens,
     tol: Tolerance = DEFAULT_TOL,
     max_order: int = MAX_ORDER_DEFAULT,
     name: str = "",
 ) -> FiniteGroup:
-    """Generate the group spanned by orthogonal matrices, breadth first.
+    """Generate the group spanned by orthogonal matrices.
+
+    Element order: the identity, then the order in which a closure keeps a
+    stack of new elements, pops the newest, and multiplies it on the right
+    by each generator in turn, storing each product that matches no stored
+    element (tolerant dedup).  Each element is stored with the bits of its
+    parent times the generator.  Reports depend on this order:
+    ``coxeter-check`` lists reflections in it and ``orbit`` reports witness
+    element indices.  The closure itself is batched: the multiplication
+    table is found a batch of elements at a time, the stack order is
+    replayed on it, and the elements are rebuilt along the replay and
+    checked against the table.
 
     Raises OrderExceededError when the closure passes ``max_order``, which
     signals a non-finite or badly conditioned input (for example a rotation
@@ -112,59 +250,49 @@ def close_generators(
         if not is_orthogonal(g, tol):
             raise ValueError(f"generator {i} is not orthogonal within {tol.eps_eq:.1e}")
 
-    buckets = ToleranceBuckets(tol)
-    buckets.insert(np.eye(dim))
-    queue = [0]
-    while queue:
-        current = buckets.items[queue.pop()]
-        for g in mats:
-            product = current @ g
-            idx, inserted = buckets.insert(product)
-            if inserted:
-                if len(buckets) > max_order:
-                    raise OrderExceededError(
-                        f"closure exceeded max_order={max_order}; input may not be finite"
-                    )
-                queue.append(idx)
-
-    elements = tuple(buckets.items)
-    gen_indices = []
-    for g in mats:
-        idx = None
-        for j, e in enumerate(elements):
-            if close(e, g, tol):
-                idx = j
-                break
-        gen_indices.append(idx)
+    gens_stack = np.stack(mats)
+    table = _closure_table(gens_stack, tol, max_order)
+    position, parent, via = _stack_order(table)
+    elements = np.empty((len(table), dim, dim))
+    elements[0] = np.eye(dim)
+    for m in range(1, len(elements)):
+        elements[m] = elements[parent[m]] @ mats[via[m]]
+    target = np.empty_like(table)
+    target[position] = position[table]
+    _check_replay(elements, gens_stack, target, tol)
+    elements.setflags(write=False)
     return FiniteGroup(
         dim=dim,
-        elements=elements,
-        generator_indices=tuple(gen_indices),
+        elements=tuple(elements),
+        generator_indices=tuple(target[0].tolist()),
         name=name,
         tol=tol,
     )
 
 
+def _fixed(G: FiniteGroup, v: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the elements g with g v within eps_eq of v."""
+    return np.max(np.abs(G.stack @ v - v), axis=1, initial=0.0) <= tol.eps_eq
+
+
 def orbit(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> Orbit:
-    """All distinct images g v, deduped under the tolerance."""
+    """All distinct images g v, deduped under the tolerance, in element order.
+
+    The first element to reach a point witnesses it.
+    """
     v = as_vector(v, G.dim)
-    buckets = ToleranceBuckets(tol)
-    witnesses: list[int] = []
-    for i, g in enumerate(G.elements):
-        _, inserted = buckets.insert(g @ v)
-        if inserted:
-            witnesses.append(i)
-    points = np.array(buckets.items)
-    return Orbit(base=v, points=points, point_to_element=tuple(witnesses))
+    images = G.stack @ v
+    kept = distinct_rows(images, tol)
+    return Orbit(base=v, points=images[kept], point_to_element=tuple(kept.tolist()))
 
 
 def stabilizer(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> FiniteGroup:
     """The subgroup fixing v within the tolerance."""
     v = as_vector(v, G.dim)
-    fixed = [g for g in G.elements if close(g @ v, v, tol)]
+    fixed = tuple(G.elements[i] for i in np.flatnonzero(_fixed(G, v, tol)))
     return FiniteGroup(
         dim=G.dim,
-        elements=tuple(fixed),
+        elements=fixed,
         generator_indices=tuple(range(len(fixed))),
         name=f"{G.name or 'G'}_stab",
         tol=tol,
@@ -173,7 +301,7 @@ def stabilizer(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> FiniteGroup:
 
 def is_regular(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the stabilizer of v is trivial (faithful actions assumed)."""
-    return stabilizer(G, v, tol).order == 1
+    return int(np.count_nonzero(_fixed(G, as_vector(v, G.dim), tol))) == 1
 
 
 def find_regular(

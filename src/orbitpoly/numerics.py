@@ -144,6 +144,37 @@ def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(a - b), initial=0.0)) <= tol.eps_eq
 
 
+def row_keys(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[bytes]:
+    """The :func:`round_key` of every row of a 2-d array, rounded in one call."""
+    r = np.ascontiguousarray(np.round(rows, tol.round_digits) + 0.0)
+    return r.view(np.dtype((np.void, r.shape[1] * r.itemsize))).ravel().tolist()
+
+
+def distinct_rows(rows, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Indices of the rows of a 2-d array that a :class:`ToleranceBuckets` keeps.
+
+    Same result as inserting the rows in order: a row is matched to the
+    first kept row with its rounding key when it lies within eps_eq of it;
+    the rare row farther away is checked against every kept row with its
+    key, in order, and kept when none is within eps_eq.
+    """
+    rows = np.asarray(rows, dtype=float)
+    keys = row_keys(rows, tol)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    rep = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=len(keys))
+    kept = rep == np.arange(len(rows))
+    gap = np.abs(rows - rows[rep])
+    if gap.max(initial=0.0) <= tol.eps_eq:
+        return np.flatnonzero(kept)
+    buckets: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(gap.max(axis=1) > tol.eps_eq):
+        mates = buckets.setdefault(keys[i], [int(rep[i])])
+        if not any(close(rows[j], rows[i], tol) for j in mates):
+            mates.append(int(i))
+            kept[i] = True
+    return np.flatnonzero(kept)
+
+
 class ToleranceBuckets:
     """Append-only container that dedups arrays under the tolerance policy.
 

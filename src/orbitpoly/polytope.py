@@ -82,12 +82,17 @@ class SupportResult(NamedTuple):
     peak: "Polytope"
 
 
+_HIGHS_MIN_FEASIBILITY_TOL = 1e-10
+
+
 def _within_hull(point: np.ndarray, others: np.ndarray, eps: float) -> bool:
     """Is ``point`` within eps (max-norm) of the convex hull of ``others``?
 
     Feasibility LP over convex-combination weights.  Only the roundoff guard
     of :func:`_non_extreme` calls it, when the certified vertex candidates
-    do not span the hull's affine chart.
+    do not span the hull's affine chart.  HiGHS's own feasibility tolerance
+    (1e-7 by default) would widen eps by up to that much, so it is set to a
+    tenth of eps, but no lower than the smallest value HiGHS accepts.
     """
     k, n = others.shape
     A_ub = np.vstack([others.T, -others.T])
@@ -102,7 +107,10 @@ def _within_hull(point: np.ndarray, others: np.ndarray, eps: float) -> bool:
         b_eq=np.array([1.0]),
         bounds=[(0, None)] * k,
         method="highs",
-        options={"presolve": False},
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": max(_HIGHS_MIN_FEASIBILITY_TOL, eps / 10),
+        },
     )
     return res.status == 0
 

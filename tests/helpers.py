@@ -10,7 +10,9 @@ the Minkowski sum, reflection generation by closing the reflections, and
 the hull whose uncertified vertex candidates each cost an LP.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler and the three-operand conjugation einsum; so does the Cartan
-orthogonality check, as its per-point loop.
+orthogonality check, as its per-point loop.  The group layer's references
+are its per-element loops: the stack closure that inserts one product at a
+time, and orbits, stabilizers and reflections one element at a time.
 """
 
 import math
@@ -20,9 +22,9 @@ from scipy.stats import special_ortho_group
 
 from orbitpoly import polytope
 from orbitpoly.coxeter import detect_reflection
-from orbitpoly.errors import GeometryError
-from orbitpoly.group import close_generators, orbit
-from orbitpoly.numerics import DEFAULT_TOL
+from orbitpoly.errors import GeometryError, OrderExceededError
+from orbitpoly.group import MAX_ORDER_DEFAULT, FiniteGroup, Orbit, close_generators, orbit
+from orbitpoly.numerics import DEFAULT_TOL, ToleranceBuckets, close
 from orbitpoly.polar import _SYM_BASIS
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
@@ -100,6 +102,53 @@ def named_group(groups, name):
     return close_generators(NON_REFLECTION_GENERATORS[name], name=name)
 
 
+def close_generators_reference(gens, tol=DEFAULT_TOL, max_order=MAX_ORDER_DEFAULT, name=""):
+    """Stack closure one product at a time: pop the newest element, multiply
+    it by each generator, insert every product that matches no stored one."""
+    mats = [np.asarray(g, dtype=float) for g in gens]
+    dim = mats[0].shape[0]
+    buckets = ToleranceBuckets(tol)
+    buckets.insert(np.eye(dim))
+    queue = [0]
+    while queue:
+        current = buckets.items[queue.pop()]
+        for g in mats:
+            idx, inserted = buckets.insert(current @ g)
+            if inserted:
+                if len(buckets) > max_order:
+                    raise OrderExceededError(f"closure exceeded max_order={max_order}")
+                queue.append(idx)
+    elements = tuple(buckets.items)
+    gen_indices = tuple(
+        next(j for j, e in enumerate(elements) if close(e, g, tol)) for g in mats
+    )
+    return FiniteGroup(dim=dim, elements=elements, generator_indices=gen_indices, name=name, tol=tol)
+
+
+def orbit_reference(G, v, tol=DEFAULT_TOL):
+    """Orbit by inserting g v for each element in turn."""
+    v = np.asarray(v, dtype=float)
+    buckets = ToleranceBuckets(tol)
+    witnesses = []
+    for i, g in enumerate(G.elements):
+        _, inserted = buckets.insert(g @ v)
+        if inserted:
+            witnesses.append(i)
+    return Orbit(base=v, points=np.array(buckets.items), point_to_element=tuple(witnesses))
+
+
+def stabilizer_order_reference(G, v, tol=DEFAULT_TOL):
+    """Number of elements fixing v, one element at a time."""
+    v = np.asarray(v, dtype=float)
+    return sum(close(g @ v, v, tol) for g in G.elements)
+
+
+def group_reflections_reference(G, tol=DEFAULT_TOL):
+    """Reflections found by one rank test per element."""
+    found = [detect_reflection(g, tol, element_index=i) for i, g in enumerate(G.elements)]
+    return [r for r in found if r is not None]
+
+
 def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
     """SP pair scan that builds hull(O_u) + hull(O_v) and compares vertex sets.
 
@@ -138,7 +187,7 @@ def hull_reference(points, tol=DEFAULT_TOL):
 
 
 def is_reflection_generated_reference(G, tol=DEFAULT_TOL):
-    """Close the group's reflections breadth first and compare orders."""
+    """Close the group's reflections and compare orders."""
     mirrors = [g for g in G.elements if detect_reflection(g, tol) is not None]
     if not mirrors:
         return G.order == 1

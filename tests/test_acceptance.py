@@ -267,3 +267,25 @@ def test_criterion_9_determinism(tmp_path):
         polar_outputs.append(out.read_bytes())
     same_polar = polar_outputs[0] == polar_outputs[1]
     _line(9, same_theorem2 and same_polar, "repeated seeded runs produce byte-identical reports")
+
+
+# Wall-time budget of theorem2 on F4 (order 1152): three times the 6.4 s
+# (median of 5.7, 6.4 and 7.0 s) this test took once the group layer was
+# batched; never to be loosened.
+F4_THEOREM2_BUDGET_S = 19.2
+
+
+def test_theorem2_f4_within_budget(tmp_path):
+    gens = helpers.reflection_generators("f4")
+    definition = {"name": "f4", "dim": 4, "generators": [g.tolist() for g in gens]}
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps(definition))
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["theorem2", "--input", str(path)], catch_exceptions=False)
+    elapsed = time.perf_counter() - start
+    report = json.loads(result.output)
+    assert result.exit_code == 0
+    assert report["verdict"] is True
+    assert all(c["passed"] for c in report["criteria"].values())
+    assert len(report["criteria"]) == 4
+    assert elapsed < F4_THEOREM2_BUDGET_S, f"theorem2 f4 took {elapsed:.1f}s"

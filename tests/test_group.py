@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from orbitpoly.errors import OrderExceededError, RegularNotFoundError
+from orbitpoly.catalog import CATALOG_NAMES, generator_matrices
+from orbitpoly.coxeter import group_reflections
+from orbitpoly.errors import GeometryError, OrderExceededError, RegularNotFoundError
 from orbitpoly.group import (
+    FiniteGroup,
     close_generators,
     find_regular,
     group_from_json_dict,
@@ -13,7 +16,7 @@ from orbitpoly.group import (
     orbit,
     stabilizer,
 )
-from orbitpoly.numerics import round_key
+from orbitpoly.numerics import Tolerance, round_key
 
 
 def _element_keys(G):
@@ -183,3 +186,135 @@ def test_group_from_json_roundtrip():
     G, tol = group_from_json_dict(data)
     assert G.order == 8
     assert G.name == "square"
+
+
+# Equality with the per-element loops of tests/helpers.py, bit for bit.
+
+REFERENCE_GROUPS = [
+    *CATALOG_NAMES,
+    *helpers.SIMPLE_ROOTS,
+    "chiral_t",
+    "chiral_o",
+    "minus_i3",
+]
+
+
+def _test_vectors(G, ref):
+    """Regular vectors at three seeds, scaled copies, one on a wall, and zero."""
+    vectors = [find_regular(G, seed) for seed in range(3)]
+    vectors += [1e-3 * vectors[0], 1e3 * vectors[0]]
+    mirrors = helpers.group_reflections_reference(ref)
+    if mirrors:
+        n = mirrors[0].normal
+        vectors.append(vectors[1] - (vectors[1] @ n) * n)
+    elif G.dim == 3 and G.order > 2:
+        # The chiral groups: the axis of the first generator, a rotation.
+        vectors.append(np.linalg.svd(np.eye(3) - G.generators[0])[2][-1])
+    vectors.append(np.zeros(G.dim))
+    return vectors
+
+
+def _assert_matches_reference(G, ref, tol):
+    assert np.array_equal(G.stack, np.array(ref.elements))
+    assert G.generator_indices == ref.generator_indices
+    for v in _test_vectors(G, ref):
+        orb, expected = orbit(G, v, tol), helpers.orbit_reference(ref, v, tol)
+        assert np.array_equal(orb.points, expected.points)
+        assert orb.point_to_element == expected.point_to_element
+        assert stabilizer(G, v, tol).order == helpers.stabilizer_order_reference(ref, v, tol)
+        assert is_regular(G, v, tol) == (helpers.stabilizer_order_reference(ref, v, tol) == 1)
+    got, expected = group_reflections(G, tol), helpers.group_reflections_reference(ref, tol)
+    assert [r.element_index for r in got] == [r.element_index for r in expected]
+    assert all(np.array_equal(a.normal, b.normal) for a, b in zip(got, expected))
+
+
+def _generators(name):
+    if name in CATALOG_NAMES:
+        return generator_matrices(name)
+    if name in helpers.SIMPLE_ROOTS:
+        return helpers.reflection_generators(name)
+    return helpers.NON_REFLECTION_GENERATORS[name]
+
+
+@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+def test_group_layer_matches_per_element_loops(name):
+    gens = _generators(name)
+    G = close_generators(gens, name=name)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, name=name), G.tol)
+
+
+@pytest.mark.parametrize("name", ["b2", "a3", "h3", "chiral_o"])
+def test_group_layer_matches_per_element_loops_loose_tolerance(name):
+    tol = Tolerance(eps_eq=1e-6)
+    gens = _generators(name)
+    G = close_generators(gens, tol=tol)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol), tol)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [helpers.rot2(2 * math.pi / 360)],
+        [helpers.rot2(2 * math.pi / 37), np.diag([1.0, -1.0])],
+        [helpers.rot3z(2 * math.pi / 7), helpers.rot3z(2 * math.pi / 5), np.diag([1.0, 1.0, -1.0])],
+    ],
+    ids=["c360", "i2_37", "c35_x_mirror"],
+)
+def test_long_cycles_match_per_element_loops(gens):
+    # Long generator cycles: the closure multiplies by generator powers.
+    G = close_generators(gens)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens), G.tol)
+
+
+def test_closure_keeps_key_mates_farther_than_eps():
+    # At eps_eq 1e-3 the rounding grid is 0.1, so neighbouring elements of
+    # C100 share rounding keys while lying farther apart than eps_eq.
+    tol = Tolerance(eps_eq=1e-3)
+    gens = [helpers.rot2(2 * math.pi / 100)]
+    G = close_generators(gens, tol=tol)
+    assert G.order == 100
+    assert len(_element_keys(G)) < 100
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol), tol)
+
+
+def test_orbit_keeps_key_mates_farther_than_eps():
+    # Rotations by 3e-9 and 6e-9 move (1, 0) within one rounding cell but
+    # farther than eps_eq from each other: three distinct points, one key.
+    G = FiniteGroup(
+        dim=2,
+        elements=(np.eye(2), helpers.rot2(3e-9), helpers.rot2(-3e-9), helpers.rot2(6e-9), helpers.rot2(1e-9)),
+        generator_indices=(1,),
+        name="cell",
+    )
+    v = np.array([1.0, 0.0])
+    orb, expected = orbit(G, v), helpers.orbit_reference(G, v)
+    assert orb.point_to_element == expected.point_to_element == (0, 1, 2, 3)
+    assert np.array_equal(orb.points, expected.points)
+    assert len({round_key(p, G.tol) for p in orb.points}) == 1
+    assert stabilizer(G, v).order == helpers.stabilizer_order_reference(G, v) == 2
+
+
+def test_closure_order_cap_matches_reference():
+    for closure in (close_generators, helpers.close_generators_reference):
+        with pytest.raises(OrderExceededError):
+            closure([helpers.rot2(1.0)], max_order=500)
+
+
+def test_replay_check_rejects_a_table_the_stack_closure_would_not_build():
+    from orbitpoly.group import _check_replay
+
+    G = close_generators([helpers.rot2(math.pi / 2)])
+    gens = np.stack(G.generators)
+    target = np.array([[1], [2], [3], [0]])  # elements in order I, r, r^2, r^3
+    _check_replay(G.stack, gens, target, G.tol)
+    with pytest.raises(GeometryError):
+        _check_replay(G.stack, gens, target[[0, 2, 1, 3]], G.tol)
+
+
+def test_stack_is_read_only(groups):
+    G = groups["b3"]
+    assert G.stack.shape == (48, 3, 3)
+    with pytest.raises(ValueError):
+        G.stack[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        G.elements[1][0, 0] = 2.0

@@ -491,3 +491,26 @@ def test_guard_solves_lps_when_certified_vertices_do_not_span(monkeypatch):
     assert len(lps) == 2
     assert P.n_vertices == 3
     assert _same_bytes(P, helpers.hull_reference(_TWIN_CORNERS))
+
+
+_TRIANGLE = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
+
+
+def test_within_hull_decides_at_eps():
+    # (0.3, h) is h away from the triangle's top edge in max-norm.  The LP
+    # answers at eps = 1e-9, not at HiGHS's default 1e-7 feasibility.
+    from orbitpoly import polytope
+
+    for h in (0.0, 5e-10, 1e-9):
+        assert polytope._within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
+    for h in (2e-9, 5e-9, 2e-8, 5e-8, 1e-7):
+        assert not polytope._within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
+
+
+def test_lp_certification_keeps_points_beyond_eps():
+    # Three points 1.5e-9 above the triangle's top edge: the LP reference may
+    # drop some of them, but only those within eps_eq of what it keeps.
+    points = np.vstack([_TRIANGLE, [[-0.5, 1.5e-9], [0.0, 1.5e-9 + 1e-13], [0.5, 1.5e-9]]])
+    for P in (hull(points), helpers.hull_reference(points)):
+        assert all(P.contains(p) for p in points)
+    assert hull(points).n_vertices == 5
