@@ -34,6 +34,7 @@ from .numerics import (
     round_key,
     row_keys,
 )
+from .polytope import MAX_AMBIENT_DIM
 
 MAX_ORDER_DEFAULT = 100000
 
@@ -334,8 +335,10 @@ def group_from_json_dict(data: dict, tol: Tolerance | None = None) -> tuple[Fini
     """Build a group from the definition-file schema.
 
     Schema: ``{"name": str, "dim": n, "generators": [[row...] x n, ...],
-    "tolerance": optional real}``.  Matrix entries may be reals or decimal
-    strings.  An explicit ``tol`` argument overrides the file tolerance.
+    "tolerance": optional real}`` with ``1 <= n <= MAX_AMBIENT_DIM``.  Matrix
+    entries may be reals or decimal strings.  An explicit ``tol`` argument
+    overrides the file tolerance.  Any malformed field raises
+    :class:`InputFormatError`.
     """
     if not isinstance(data, dict):
         raise InputFormatError("group definition must be a JSON object")
@@ -343,25 +346,34 @@ def group_from_json_dict(data: dict, tol: Tolerance | None = None) -> tuple[Fini
         name = str(data.get("name", ""))
         dim = int(data["dim"])
         raw_gens = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"group definition missing/invalid field: {exc}") from exc
     if dim < 1:
         raise InputFormatError(f"dim must be >= 1, got {dim}")
+    if dim > MAX_AMBIENT_DIM:
+        raise InputFormatError(
+            f"dimension {dim} exceeds the supported maximum of {MAX_AMBIENT_DIM}"
+        )
+    if not isinstance(raw_gens, list):
+        raise InputFormatError("generators must be a list of matrices")
 
     if tol is None:
         file_tol = data.get("tolerance")
-        tol = Tolerance(eps_eq=float(file_tol)) if file_tol is not None else DEFAULT_TOL
+        try:
+            tol = Tolerance(eps_eq=float(file_tol)) if file_tol is not None else DEFAULT_TOL
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(
+                f"tolerance must be a finite positive number, got {file_tol!r}"
+            ) from exc
 
     mats = []
     for k, raw in enumerate(raw_gens):
-        if len(raw) != dim:
-            raise InputFormatError(f"generator {k}: expected {dim} rows, got {len(raw)}")
+        if not isinstance(raw, list) or len(raw) != dim:
+            raise InputFormatError(f"generator {k}: expected a list of {dim} rows")
         rows = []
         for r, row in enumerate(raw):
-            if len(row) != dim:
-                raise InputFormatError(
-                    f"generator {k} row {r}: expected {dim} entries, got {len(row)}"
-                )
+            if not isinstance(row, list) or len(row) != dim:
+                raise InputFormatError(f"generator {k} row {r}: expected a list of {dim} entries")
             try:
                 rows.append([float(x) for x in row])
             except (TypeError, ValueError) as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -44,6 +45,7 @@ def test_theorem2_coxeter_group(runner, fixtures):
     assert set(report["criteria"]) == {"sp", "peak_i", "coxeter_ii", "local_cone_iii"}
     assert report["meta"]["seed"] == 42
     assert report["meta"]["tolerance"] == 1e-9
+    assert report["meta"]["samples"] is None  # theorem2 takes no --samples
 
 
 def test_theorem2_rotation_group_with_witnesses(runner, fixtures):
@@ -74,6 +76,29 @@ def test_nonorthogonal_generator_diagnostic(runner, tmp_path):
     assert "generator 0" in result.output
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": "x", "generators": [[[1.0]]]}',
+        '{"dim": null, "generators": [[[1.0]]]}',
+        '{"dim": 1e400, "generators": [[[1.0]]]}',
+        '{"dim": 1, "generators": 5}',
+        '{"dim": 1, "generators": [5]}',
+        '{"dim": 1, "generators": [[5]]}',
+        '{"dim": 1, "generators": [[[1.0]]], "tolerance": [1]}',
+        "\xff\xfe not UTF-8",
+    ],
+)
+def test_malformed_group_file_exit_code(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode("latin-1"))
+    result = CliRunner().invoke(main, ["theorem2", "--input", str(bad)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 def test_dimension_cap(runner, tmp_path):
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps({"name": "big", "dim": 7, "generators": []}))
@@ -85,6 +110,52 @@ def test_dimension_cap(runner, tmp_path):
 def test_missing_input_flag(runner):
     result = _run(runner, ["orbit"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["theorem2", "--bogus"], "No such option '--bogus'"),
+        (["theorem2", "--seed", "x"], "Invalid value for '--seed'"),
+        (["nosuch"], "No such command 'nosuch'"),
+        (["polar-verify"], "Missing option '--model'"),
+        # An option that belongs to another command.
+        (["hull", "--input", "g.json", "--model", "so3_standard"], "No such option '--model'"),
+        (["theorem2", "--input", "g.json", "--samples", "5"], "No such option '--samples'"),
+        (["polar-verify", "--model", "so3_standard", "--input", "g.json"], "No such option '--input'"),
+        (["catalog", "--export-off", "x.off"], "No such option '--export-off'"),
+    ],
+)
+def test_usage_error_exit_code(runner, args, message):
+    result = _run(runner, args)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: {message}")
+    assert result.output.count("\n") == 1
+
+
+GROUP_OPTIONS = {"--input", "--seed", "--tol", "--out"}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("orbit", GROUP_OPTIONS),
+        ("hull", GROUP_OPTIONS | {"--export-off"}),
+        ("minkowski", GROUP_OPTIONS | {"--export-off"}),
+        ("cone", GROUP_OPTIONS),
+        ("voronoi-check", GROUP_OPTIONS | {"--samples"}),
+        ("coxeter-check", GROUP_OPTIONS),
+        ("sp-check", GROUP_OPTIONS),
+        ("theorem2", GROUP_OPTIONS),
+        ("polar-verify", {"--model", "--seed", "--tol", "--samples", "--out"}),
+        ("catalog", {"--seed", "--tol", "--out"}),
+    ],
+)
+def test_help_lists_only_the_command_options(runner, command, options):
+    result = _run(runner, [command, "--help"])
+    assert result.exit_code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", result.output, flags=re.MULTILINE))
+    assert listed == options | {"--help"}
 
 
 def test_orbit_and_hull_commands(runner, fixtures):
@@ -122,6 +193,7 @@ def test_voronoi_and_coxeter_checks(runner, fixtures):
     result = _run(runner, ["voronoi-check", "--input", str(fixtures / "i2_5.json"), "--samples", "200"])
     assert result.exit_code == 0
     assert _report(result)["verdict"] is True
+    assert _report(result)["meta"]["samples"] == 200
 
     result = _run(runner, ["coxeter-check", "--input", str(fixtures / "i2_5.json")])
     report = _report(result)
