@@ -12,11 +12,16 @@ from .numerics import DEFAULT_TOL, Tolerance, inner, matrix_rank, orthogonal_mat
 from .group import (
     FiniteGroup,
     Orbit,
+    Reflection,
+    RootData,
     close_generators,
+    detect_reflection,
     find_regular,
     group_from_json_dict,
+    group_reflections,
     is_regular,
     orbit,
+    root_data,
     stabilizer,
 )
 from .polytope import (
@@ -40,14 +45,11 @@ from .cones import (
 )
 from .coxeter import (
     ChamberData,
-    Reflection,
     SPReport,
     chamber,
     chamber_representative,
     criterion_local_cone,
     criterion_peak,
-    detect_reflection,
-    group_reflections,
     hull_from_dual_cones,
     is_reflection_generated,
     sp_check_pair,
@@ -66,11 +68,16 @@ __all__ = [
     "orthogonal_matrix",
     "FiniteGroup",
     "Orbit",
+    "Reflection",
+    "RootData",
     "close_generators",
+    "detect_reflection",
     "find_regular",
     "group_from_json_dict",
+    "group_reflections",
     "is_regular",
     "orbit",
+    "root_data",
     "stabilizer",
     "Polytope",
     "export_off",
@@ -88,14 +95,11 @@ __all__ = [
     "orbit_cone",
     "voronoi_consistency",
     "ChamberData",
-    "Reflection",
     "SPReport",
     "chamber",
     "chamber_representative",
     "criterion_local_cone",
     "criterion_peak",
-    "detect_reflection",
-    "group_reflections",
     "hull_from_dual_cones",
     "is_reflection_generated",
     "sp_check_pair",

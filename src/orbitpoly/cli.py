@@ -111,6 +111,15 @@ _EXPORT_OFF = click.option("--export-off", "off_path", type=click.Path(),
 class _Main(click.Group):
     """Command group that maps usage errors to exit code 1 and orbitpoly errors to 2."""
 
+    def parse_args(self, ctx, args):
+        # The group's own options are parsed here, before invoke().
+        if not args and not ctx.resilient_parsing:
+            _fail(f"missing command; try '{ctx.command_path} --help'")
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, GeometryError, ZeroVectorError
-from .group import FiniteGroup, orbit
+from .group import FiniteGroup, orbit, root_data
 from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, distinct_rows
 from .polytope import _edge_neighbors
 
@@ -171,17 +171,23 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
 
     This is the normal cone of hull(O_v) at v, whose facets are exactly the
     hull edges at v: the irredundant normals are the unit rows v - w over
-    the hull-edge neighbors w of v
-    (:func:`~orbitpoly.polytope.hull_neighbors`), in orbit order, and no LP
-    is needed.  Only when Qhull leaves v out of every simplex (roundoff)
-    does the LP reduction pick the facets from all rows v - w.  The cone
-    always contains v.
+    the hull-edge neighbors w of v, in orbit order, and no LP is needed.
+    For a regular v of a group generated by reflections, the neighbors are
+    the images of v under the reflections in the walls of its chamber, read
+    off the group's root data (:meth:`~orbitpoly.group.RootData.walls`);
+    for any other v they come from Qhull
+    (:func:`~orbitpoly.polytope.hull_neighbors`).  Only when Qhull leaves v
+    out of every simplex (roundoff) does the LP reduction pick the facets
+    from all rows v - w.  The cone always contains v.
     """
     v = as_vector(v, G.dim)
     if np.linalg.norm(v) <= tol.eps_eq:
         raise ZeroVectorError("orbit cone is undefined for the zero vector")
     points = orbit(G, v, tol).points
-    neighbors = _edge_neighbors(points, 0, tol)
+    # A regular orbit lists g v at element index g, so a reflection's element
+    # index is also the orbit index of its image of v.
+    roots = root_data(G, tol) if len(points) == G.order else None
+    neighbors = _edge_neighbors(points, 0, tol) if roots is None else roots.walls(points)
     if neighbors is None:
         cone = cone_from_halfspaces(v - points[1:], dim=G.dim, tol=tol)
     else:

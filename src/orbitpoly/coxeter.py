@@ -1,4 +1,4 @@
-"""Reflection detection, chambers, and the semigroup-property verdict.
+"""Chambers, reflection generation, and the semigroup-property verdict.
 
 A finite orthogonal group satisfies the semigroup property (SP: Minkowski
 sums of orbit hulls are again orbit hulls) exactly when it is generated by
@@ -7,11 +7,32 @@ sampling, the peak criterion, reflection generation, and local cone
 stability - and cross-checks that they agree.
 
 None of the four solves an LP or builds a Minkowski sum: an SP pair is
-checked by support inequalities against the facets of one orbit hull,
+checked by support inequalities against the halfspaces of one orbit hull,
 reflection generation by counting the orbit points of a regular vector in
-its chamber, and orbit cones are read from hull edges.  An LP is left only
-in two roundoff guards: an orbit cone whose base point Qhull drops, and a
-hull whose certified vertices do not span its affine hull.
+its chamber, and orbit cones are read from hull edges.
+
+Which geometry comes from where:
+
+- A group generated by its reflections has root data
+  (:func:`~orbitpoly.group.root_data`).  The SP check reads each orbit
+  hull's halfspaces from it (the orbits of the fundamental coweights,
+  pinned along the fixed subspace), and orbit cones at regular vectors
+  read their hull edges from it (the reflections in the walls of the
+  vector's chamber), as do :func:`chamber` and
+  :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call.
+- Any other group, an orbit cone at a non-regular vector, and the
+  ``hull`` and ``minkowski`` commands keep Qhull
+  (:mod:`orbitpoly.polytope`).  An LP is left only in two roundoff guards:
+  an orbit cone whose base point Qhull drops, and a hull whose certified
+  vertices do not span its affine hull.
+
+The root data is read off once reflection generation (criterion ii) holds,
+so the SP criterion could inherit an error of that decision.  It stays
+independent in two ways.  The peak test that every SP candidate must pass
+first reads only orbit points: it is exact and makes no use of root data.
+And at ambient dimension up to 4, tests compare the root-data hull edges
+and halfspaces with Qhull's on every reflection group there, at 50 seeds
+and near mirrors.
 """
 
 from __future__ import annotations
@@ -23,35 +44,31 @@ import numpy as np
 
 from .cones import PolyhedralCone, cone_contains, cone_equal, orbit_cone
 from .errors import (
-    GeometryError,
     InconsistentCriteriaError,
     NotCoxeterError,
     NotInChamberError,
     NotRegularError,
 )
-from .group import FiniteGroup, find_regular, is_regular, orbit
+from .group import (  # Reflection, detect_reflection, group_reflections: also imported from here
+    FiniteGroup,
+    Reflection,
+    _mirror_normals,
+    _one_point_per_chamber,
+    detect_reflection,
+    find_regular,
+    group_reflections,
+    is_regular,
+    orbit,
+    root_data,
+)
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     ToleranceBuckets,
     as_vector,
-    distinct_rows,
-    matrix_rank,
     unit,
 )
 from .polytope import Polytope, hull, polytope_from_halfspaces
-
-
-@dataclass(frozen=True, eq=False)
-class Reflection:
-    """An orthogonal involution fixing a hyperplane pointwise.
-
-    ``element_index`` points into the owning group's element list and is -1
-    when the reflection was detected from a bare matrix.
-    """
-
-    element_index: int
-    normal: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,39 +122,6 @@ def _jsonable(value):
     return value
 
 
-def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) -> Reflection | None:
-    """Detect whether an orthogonal matrix is a hyperplane reflection.
-
-    Returns the unit normal of the fixed hyperplane (sign fixed so the first
-    coordinate above tolerance is positive) when ``I - g`` has rank one,
-    else None.
-    """
-    g = np.asarray(g, dtype=float)
-    defect = np.eye(g.shape[0]) - g
-    if matrix_rank(defect, tol) != 1:
-        return None
-    u_mat, _, _ = np.linalg.svd(defect)
-    normal = u_mat[:, 0]
-    for x in normal:
-        if abs(x) > tol.eps_eq:
-            if x < 0:
-                normal = -normal
-            break
-    return Reflection(element_index=element_index, normal=normal)
-
-
-def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Reflection]:
-    """All reflections in the group, in element order, indexed into its element list.
-
-    One batched SVD finds the elements whose ``I - g`` has rank one; only
-    those go through :func:`detect_reflection` for their normal.
-    """
-    svals = np.linalg.svd(np.eye(G.dim) - G.stack, compute_uv=False)
-    rank_one = np.flatnonzero(np.sum(svals > tol.eps_rank, axis=1) == 1)
-    found = (detect_reflection(G.elements[i], tol, element_index=int(i)) for i in rank_one)
-    return [r for r in found if r is not None]
-
-
 def is_reflection_generated(
     G: FiniteGroup, tol: Tolerance = DEFAULT_TOL, reflections: list[Reflection] | None = None
 ) -> bool:
@@ -153,53 +137,31 @@ def is_reflection_generated(
     """
     if reflections is None:
         reflections = group_reflections(G, tol)
-    normals = np.array([r.normal for r in reflections]).reshape(-1, G.dim)
-    v = find_regular(G, 0, tol)
-    margins = v @ normals.T
-    if np.min(np.abs(margins), initial=np.inf) <= tol.eps_eq:
-        raise GeometryError("regular vector lies on a mirror; chambers cannot be counted")
-    sides = (G.stack @ v) @ normals.T > 0
-    return int(np.sum(np.all(sides == (margins > 0), axis=1))) == 1
+    return _one_point_per_chamber(G, _mirror_normals(G, reflections), find_regular(G, 0, tol), tol)
+
+
+def _required_root_data(G: FiniteGroup, tol: Tolerance):
+    roots = root_data(G, tol)
+    if roots is None:
+        raise NotCoxeterError(f"group {G.name or ''} is not generated by reflections")
+    return roots
 
 
 def chamber(G: FiniteGroup, v_reg, tol: Tolerance = DEFAULT_TOL) -> ChamberData:
     """Chamber of a reflection-generated group, anchored at a regular vector.
 
-    The chamber is the orbit cone of ``v_reg``; its irredundant inward facet
-    normals are the simple normals and its extreme rays, reordered so ray k
-    pairs positively with normal k and annihilates the others, are the
-    fundamental rays.
+    Read off the group's root data: the simple normals are the unit normals
+    of the mirrors that are walls of ``v_reg``'s chamber, in element order
+    and pointing into it, and fundamental ray k is the unit ray of the dual
+    basis that pairs positively with normal k and annihilates the others.
+    The chamber equals the orbit cone of ``v_reg``.
     """
     v_reg = as_vector(v_reg, G.dim)
-    if not is_reflection_generated(G, tol):
-        raise NotCoxeterError(f"group {G.name or ''} is not generated by reflections")
+    roots = _required_root_data(G, tol)
     if not is_regular(G, v_reg, tol):
         raise NotRegularError("chamber base vector must have a trivial stabilizer")
-
-    cone = orbit_cone(G, v_reg, tol)
-    normals = cone.halfspace_normals
-    rays = cone.rays
-    if len(rays) != len(normals):
-        raise NotCoxeterError(
-            f"chamber of {G.name or 'group'} is not simplicial: "
-            f"{len(normals)} facets vs {len(rays)} rays"
-        )
-    pairing = rays @ normals.T
-    ordered = np.zeros_like(rays)
-    used = set()
-    for k in range(len(normals)):
-        candidates = [
-            j
-            for j in range(len(rays))
-            if j not in used
-            and pairing[j, k] > 1e-7
-            and np.all(np.abs(np.delete(pairing[j], k)) <= 1e-7)
-        ]
-        if len(candidates) != 1:
-            raise NotCoxeterError("chamber rays do not pair dually with its facet normals")
-        ordered[k] = rays[candidates[0]]
-        used.add(candidates[0])
-    return ChamberData(simple_normals=normals, fundamental_rays=ordered, base_regular=v_reg)
+    normals, rays = roots.chamber(orbit(G, v_reg, tol).points)
+    return ChamberData(simple_normals=normals, fundamental_rays=rays, base_regular=v_reg)
 
 
 def hull_from_dual_cones(
@@ -210,31 +172,19 @@ def hull_from_dual_cones(
     The hull is the intersection over all group elements g of the shifted
     dual chamber cone ``g(v - C*)``, i.e. the region
     ``<y, g ray_k> <= <v, ray_k>`` for every g and every fundamental ray,
-    pinned to the affine slice ``<y, g l> = <v, l>`` for the chamber's
-    lineality directions.  This path never looks at the orbit points, so it
-    can be cross-checked against the direct orbit hull.
+    pinned to v's coordinates along the lineality space.  The rows g ray_k
+    are the same for every chamber, so they come from the group's root data
+    (:meth:`~orbitpoly.group.RootData.support`), as in the SP check.
+    This path never looks at the orbit of v, so it can be cross-checked
+    against the direct orbit hull.
     """
     v = as_vector(v, G.dim)
     margins = ch.simple_normals @ v
     if len(margins) and np.min(margins) < -tol.eps_eq:
         raise NotInChamberError("vector lies outside the closed chamber")
-
-    rays = ch.fundamental_rays
-    rows = [(rays @ G.stack.transpose(0, 2, 1)).reshape(-1, G.dim)]
-    offs = [np.tile(rays @ v, G.order)]
-    # Non-essential actions leave a lineality subspace; pin its coordinates.
-    _, svals, vt = np.linalg.svd(ch.simple_normals, full_matrices=True)
-    rank = int(np.sum(svals > tol.eps_rank))
-    for l in vt[rank:]:
-        gl = G.stack @ l
-        rows.append(np.stack([gl, -gl], axis=1).reshape(-1, G.dim))
-        offs.append(np.tile([l @ v, -(l @ v)], G.order))
-
-    A = np.vstack(rows)
-    b = np.concatenate(offs)
-    keep = distinct_rows(np.column_stack([A, b]), tol)
+    roots = _required_root_data(G, tol)
     box = 2.0 * float(np.linalg.norm(v)) + 1.0
-    return polytope_from_halfspaces(A[keep], b[keep], tol, box=box)
+    return polytope_from_halfspaces(roots.rows, roots.support(v), tol, box=box)
 
 
 def criterion_peak(
@@ -292,23 +242,15 @@ def criterion_local_cone(
     return True, None
 
 
-def _support_bounded(O_u: np.ndarray, O_v: np.ndarray, P: Polytope, eps: float) -> bool:
-    """Does hull(O_u) + hull(O_v) lie in P, up to eps in every facet offset?
-
-    Support functions add under Minkowski sums, so this asks
-    ``max(O_u . n) + max(O_v . n) <= offset + eps`` for every facet normal
-    n of P, and for plus and minus every direction orthogonal to its affine
-    hull, whose offset is taken at the affine origin.
-    """
+def _hull_hrep(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Halfspaces ``A x <= b`` of a polytope: its facets, and plus and minus
+    every direction orthogonal to its affine hull, at the affine origin."""
     if P.affine_dim:
         across = np.linalg.svd(P.affine_basis)[2][P.affine_dim:]
     else:
         across = np.eye(P.ambient_dim)
-    rows = np.vstack([P.facet_normals, across, -across])
-    offsets = np.concatenate(
-        [P.facet_offsets, across @ P.affine_origin, -(across @ P.affine_origin)]
-    )
-    return bool(np.all((O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0) <= offsets + eps))
+    pins = across @ P.affine_origin
+    return np.vstack([P.facet_normals, across, -across]), np.concatenate([P.facet_offsets, pins, -pins])
 
 
 def sp_check_pair(
@@ -324,18 +266,27 @@ def sp_check_pair(
     successful representative maximizes that pairing; first hit wins.
 
     The sum is never built.  It always contains hull(O_w), w = u + v', so
-    equality holds iff the support inequalities of the sum stay within
-    hull(O_w)'s facets (:func:`_support_bounded`).  A cheap exact test
-    comes first: orbit points lie on a sphere, so along n = w / |w| the
-    orbit hull of w reaches only ``|w| = <u, n> + <v', n>``, and equality
-    needs u and v' each to peak on its orbit at n (u and v' in one
-    chamber).  A candidate failing that by more than eps builds no hull.
+    equality holds iff its support stays within eps of the offset of every
+    halfspace of hull(O_w): support functions add under Minkowski sums, so
+    that asks ``max(O_u . n) + max(O_v . n) <= offset + eps``.  A cheap
+    exact test comes first: orbit points lie on a sphere, so along
+    n = w / |w| the orbit hull of w reaches only ``|w| = <u, n> + <v', n>``,
+    and equality needs u and v' each to peak on its orbit at n (u and v' in
+    one chamber).  A candidate failing that by more than eps is skipped.
+
+    The halfspaces of hull(O_w) come from :func:`hull`, or from the root
+    data of a group generated by reflections, with no Qhull call: their
+    rows are the same for every w, and the supports of O_u and O_v along
+    them are read off the rows too (:meth:`~orbitpoly.group.RootData.support`).
     """
     u = as_vector(u, G.dim)
     v = as_vector(v, G.dim)
     eps = tol.eps_eq
     O_u = orbit(G, u, tol).points
     O_v = orbit(G, v, tol).points
+    roots = root_data(G, tol)
+    if roots is not None:
+        reach = roots.support(u) + roots.support(v)
     order = np.argsort(-(O_v @ u), kind="stable")
     for idx in order:
         v_prime = O_v[idx]
@@ -345,7 +296,12 @@ def sp_check_pair(
             n = w / norm_w
             if np.max(O_u @ n) - u @ n > eps or np.max(O_v @ n) - v_prime @ n > eps:
                 continue
-        if _support_bounded(O_u, O_v, hull(orbit(G, w, tol).points, tol), eps):
+        if roots is None:
+            A, offsets = _hull_hrep(hull(orbit(G, w, tol).points, tol))
+            reach = (O_u @ A.T).max(axis=0) + (O_v @ A.T).max(axis=0)
+        else:
+            offsets = roots.support(w)
+        if np.all(reach <= offsets + eps):
             return True, v_prime
     return False, None
 

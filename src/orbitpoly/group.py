@@ -7,6 +7,11 @@ multiplication by the generators with tolerant dedup, batched; its element
 order is that of a stack closure (newest element expanded first), see
 :func:`close_generators`.  No permutation-group machinery is needed at
 catalog scale.
+
+A group generated by its reflections also gets its root data
+(:func:`root_data`): the mirrors, and the halfspace rows that all of its
+orbit hulls share.  Orbit cones and SP checks read these instead of
+calling Qhull.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .numerics import (
     close,
     distinct_rows,
     is_orthogonal,
+    matrix_rank,
     round_key,
     row_keys,
 )
@@ -73,6 +79,11 @@ class FiniteGroup:
         stack = np.array(self.elements, dtype=float).reshape(self.order, self.dim, self.dim)
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def _root_data(self) -> dict:
+        """Tolerance -> root data or None, filled by :func:`root_data`."""
+        return {}
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -331,23 +342,224 @@ def find_regular(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Reflection:
+    """An orthogonal involution fixing a hyperplane pointwise.
+
+    ``element_index`` points into the owning group's element list and is -1
+    when the reflection was detected from a bare matrix.
+    """
+
+    element_index: int
+    normal: np.ndarray
+
+
+def _mirror_normals_of(defects: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Unit normals of reflections from their rank-one ``I - g``, one SVD each.
+
+    The normal is the first left singular vector, its sign fixed so that
+    its first coordinate above tolerance is positive.
+    """
+    normals = np.linalg.svd(defects)[0][:, :, 0]
+    big = np.abs(normals) > tol.eps_eq
+    first = normals[np.arange(len(normals)), np.argmax(big, axis=1)]
+    return np.where((first < 0)[:, None], -normals, normals)
+
+
+def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) -> Reflection | None:
+    """Detect whether an orthogonal matrix is a hyperplane reflection.
+
+    Returns the unit normal of the fixed hyperplane (sign fixed so the first
+    coordinate above tolerance is positive) when ``I - g`` has rank one,
+    else None.
+    """
+    defect = np.eye(len(g)) - np.asarray(g, dtype=float)
+    if matrix_rank(defect, tol) != 1:
+        return None
+    return Reflection(element_index=element_index, normal=_mirror_normals_of(defect[None], tol)[0])
+
+
+def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Reflection]:
+    """All reflections in the group, in element order, indexed into its element list.
+
+    One batched SVD finds the elements whose ``I - g`` has rank one, and one
+    more gives their normals as :func:`detect_reflection` would.  The rank
+    test runs only on the elements with ``trace(I - g)`` near 2: for an
+    orthogonal g that is the sum of ``1 - Re(lambda)`` over its eigenvalues,
+    which is about 2 when one eigenvalue is -1 and the rest are 1.
+    """
+    defects = np.eye(G.dim) - G.stack
+    near_two = np.flatnonzero(np.abs(np.trace(defects, axis1=1, axis2=2) - 2.0) < 0.5)
+    svals = np.linalg.svd(defects[near_two], compute_uv=False)
+    rank_one = near_two[np.sum(svals > tol.eps_rank, axis=1) == 1]
+    normals = _mirror_normals_of(defects[rank_one], tol)
+    return [Reflection(element_index=int(i), normal=n) for i, n in zip(rank_one, normals)]
+
+
+def _mirror_normals(G: FiniteGroup, reflections: list[Reflection]) -> np.ndarray:
+    return np.array([r.normal for r in reflections]).reshape(-1, G.dim)
+
+
+def _one_point_per_chamber(G: FiniteGroup, normals: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
+    """Is v the only point of its orbit on its own side of every mirror?
+
+    See :func:`~orbitpoly.coxeter.is_reflection_generated`; v must lie off
+    every mirror.
+    """
+    margins = v @ normals.T
+    if np.min(np.abs(margins), initial=np.inf) <= tol.eps_eq:
+        raise GeometryError("regular vector lies on a mirror; chambers cannot be counted")
+    sides = (G.stack @ v) @ normals.T > 0
+    return int(np.sum(np.all(sides == (margins > 0), axis=1))) == 1
+
+
+def _walls(mirror_elements: np.ndarray, normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the mirrors that are walls of the chamber of ``points[0]``.
+
+    ``points`` is a regular orbit in element order, so the reflection with
+    element index e maps ``points[0]`` to ``points[e]``.  Two chambers
+    share a wall exactly when one mirror separates them, so the mirror of s
+    is a wall iff s v lies on v's side of every other mirror.  Only signs
+    are read.
+    """
+    here = normals @ points[0] > 0
+    there = points[mirror_elements] @ normals.T > 0
+    return np.sum(there != here, axis=1) == 1
+
+
+def _chamber(mirror_elements: np.ndarray, normals: np.ndarray, points: np.ndarray):
+    """Inward unit wall normals of the chamber of ``points[0]``, and its unit rays.
+
+    The walls come in element order; ray j lies in their span and pairs to
+    zero with every wall but wall j (the dual basis, normalised).
+    """
+    walls = normals[_walls(mirror_elements, normals, points)]
+    walls = walls * np.where(walls @ points[0] > 0, 1.0, -1.0)[:, None]
+    rays = np.linalg.pinv(walls).T
+    return walls, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+@dataclass(frozen=True, eq=False)
+class RootData:
+    """The mirrors of a reflection-generated group and the halfspace rows of its orbit hulls.
+
+    Mirror i has unit normal ``normals[i]`` and is fixed by the reflection
+    with element index ``mirror_elements[i]``, in element order.
+    ``coweights`` are the unit fundamental coweights ω_k of one chamber and
+    ``fixed`` an orthonormal basis of the subspace that every element fixes
+    (the orthogonal complement of the mirror normals).  The halfspace rows
+    are built on first use, from the group's stacked elements.
+    """
+
+    mirror_elements: np.ndarray  # (N,) element indices, ascending
+    normals: np.ndarray          # (N, dim) unit mirror normals
+    coweights: np.ndarray        # (rank, dim) unit rows
+    fixed: np.ndarray            # (dim - rank, dim) orthonormal rows
+    stack: np.ndarray            # the group's elements, (order, dim, dim)
+    tol: Tolerance
+
+    @property
+    def rank(self) -> int:
+        return len(self.coweights)
+
+    @cached_property
+    def _coweight_orbits(self) -> list[np.ndarray]:
+        images = self.stack @ self.coweights.T  # [g, :, k] = g ω_k
+        return [images[:, :, k][distinct_rows(images[:, :, k], self.tol)] for k in range(self.rank)]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The distinct unit rows g ω_k grouped by k, then ``fixed`` and ``-fixed``."""
+        return np.vstack([*self._coweight_orbits, self.fixed, -self.fixed])
+
+    @cached_property
+    def row_coweight(self) -> np.ndarray:
+        """The k of each row g ω_k."""
+        return np.repeat(np.arange(self.rank), [len(o) for o in self._coweight_orbits])
+
+    def walls(self, points: np.ndarray) -> np.ndarray:
+        """Element indices of the reflections in the walls of the chamber of ``points[0]``.
+
+        ``points`` is a regular orbit in element order (see :func:`_walls`);
+        the result is ascending.
+        """
+        return self.mirror_elements[_walls(self.mirror_elements, self.normals, points)]
+
+    def chamber(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walls and rays of the chamber of ``points[0]``; see :func:`_chamber`."""
+        return _chamber(self.mirror_elements, self.normals, points)
+
+    def support(self, w) -> np.ndarray:
+        """The largest ``<x, row>`` over the orbit of w, for every row.
+
+        These are the offsets b of the orbit hull ``{x : rows x <= b}``: for
+        w in the closed chamber of the coweights, hull(O_w) is the
+        intersection over g of ``<x, g ω_k> <= <w, ω_k>``, pinned to w's
+        coordinates along the fixed subspace.  By symmetry the support of
+        O_w along g ω_k is the largest ``<w, h ω_k>`` over the group, so it
+        is read off the rows, and w may lie in any chamber.
+        """
+        values = self.rows @ np.asarray(w, dtype=float)
+        m = len(self.row_coweight)
+        top = np.full(self.rank, -np.inf)
+        np.maximum.at(top, self.row_coweight, values[:m])
+        values[:m] = top[self.row_coweight]
+        return values
+
+
+def root_data(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> RootData | None:
+    """Root data of a group generated by its reflections, None for any other group.
+
+    Decided as :func:`~orbitpoly.coxeter.is_reflection_generated` decides
+    it, with the regular vector of seed 0, and computed once per group and
+    tolerance; the group keeps it.  The coweights are the unit rays dual to
+    that vector's chamber walls.
+    """
+    cache = G._root_data
+    if tol not in cache:
+        cache[tol] = _build_root_data(G, tol)
+    return cache[tol]
+
+
+def _build_root_data(G: FiniteGroup, tol: Tolerance) -> RootData | None:
+    reflections = group_reflections(G, tol)
+    normals = _mirror_normals(G, reflections)
+    rho = find_regular(G, 0, tol)
+    if not _one_point_per_chamber(G, normals, rho, tol):
+        return None
+    mirror_elements = np.array([r.element_index for r in reflections], dtype=np.intp)
+    walls, coweights = _chamber(mirror_elements, normals, G.stack @ rho)
+    # The walls are a basis of the mirror normals' span; the rest is fixed.
+    fixed = np.linalg.svd(walls, full_matrices=True)[2][len(walls):]
+    return RootData(
+        mirror_elements=mirror_elements,
+        normals=normals,
+        coweights=coweights,
+        fixed=fixed,
+        stack=G.stack,
+        tol=tol,
+    )
+
+
 def group_from_json_dict(data: dict, tol: Tolerance | None = None) -> tuple[FiniteGroup, Tolerance]:
     """Build a group from the definition-file schema.
 
     Schema: ``{"name": str, "dim": n, "generators": [[row...] x n, ...],
-    "tolerance": optional real}`` with ``1 <= n <= MAX_AMBIENT_DIM``.  Matrix
-    entries may be reals or decimal strings.  An explicit ``tol`` argument
-    overrides the file tolerance.  Any malformed field raises
-    :class:`InputFormatError`.
+    "tolerance": optional real}`` with an integer (not boolean) ``1 <= n <=
+    MAX_AMBIENT_DIM``.  Matrix entries may be reals or decimal strings.  An
+    explicit ``tol`` argument overrides the file tolerance.  Any malformed
+    field raises :class:`InputFormatError`.
     """
     if not isinstance(data, dict):
         raise InputFormatError("group definition must be a JSON object")
     try:
         name = str(data.get("name", ""))
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw_gens = data["generators"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise InputFormatError(f"group definition missing/invalid field: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise InputFormatError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise InputFormatError(f"dim must be >= 1, got {dim}")
     if dim > MAX_AMBIENT_DIM:

@@ -1,9 +1,10 @@
 """Independent oracles used to derive expected values.
 
 Extreme points come from support sweeps, dihedral groups from the
-closed-form matrices, reflection groups of rank 3 and 4 from their simple
-roots, permutohedron membership from partial-sum majorization, and
-facet-row merging from the plain pairwise union-find; none of these touch
+closed-form matrices, reflection groups of rank 1 to 5 from their simple
+roots and H4 from its 120 roots (the unit icosians), permutohedron
+membership from partial-sum majorization, and facet-row merging from the
+plain pairwise union-find; none of these touch
 the production hull/cone code paths.  Two references replay slower
 production algorithms on top of the library: the SP pair scan that builds
 the Minkowski sum, reflection generation by closing the reflections, and
@@ -15,6 +16,7 @@ are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -55,10 +57,16 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 # Simple roots of reflection groups outside the built-in catalog.
 SIMPLE_ROOTS = {
+    "a1": ([1],),  # order 2
     "h3": ([1, 0, 0], [-GOLDEN, 1 / GOLDEN, -1], [0, 0, 1]),  # order 120
     "d4": ([1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]),  # order 192
     "b4": ([1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]),  # order 384
     "f4": ([0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [1, -1, -1, -1]),  # order 1152
+    "d5": ([1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1], [0, 0, 0, 1, 1]),  # order 1920
+    "b5": ([1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1], [0, 0, 0, 0, 1]),  # order 3840
+    # S6 permuting the coordinates of R^6: it fixes (1, ..., 1), so it is
+    # not essential.  Order 720.
+    "a5": tuple(np.eye(6)[i] - np.eye(6)[i + 1] for i in range(5)),
 }
 
 
@@ -74,6 +82,27 @@ def reflection_generators(name):
     return [reflection(r) for r in SIMPLE_ROOTS[name]]
 
 
+def icosians():
+    """The 120 unit icosians, the roots of H4: the 24 Hurwitz units and the
+    96 even permutations of (0, +-1, +-1/phi, +-phi) / 2."""
+    units = [s * np.eye(4)[i] for i in range(4) for s in (1, -1)]
+    units += [0.5 * np.array(signs) for signs in itertools.product((1, -1), repeat=4)]
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        if inversions % 2 == 0:
+            for signs in itertools.product((1, -1), repeat=3):
+                root = np.empty(4)
+                root[list(perm)] = np.array([0.0, signs[0], signs[1] / GOLDEN, signs[2] * GOLDEN]) / 2
+                units.append(root)
+    return np.array(units)
+
+
+def h4_group():
+    """H4 (order 14400), closed from the reflections in its 60 mirrors."""
+    mirrors = [r for r in icosians() if r[np.flatnonzero(np.abs(r) > 1e-9)[0]] > 0]
+    return close_generators([reflection(r) for r in mirrors], name="h4")
+
+
 def rot3z(theta):
     """Rotation of 3-space about the z axis."""
     return np.block([[rot2(theta), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
@@ -81,15 +110,18 @@ def rot3z(theta):
 
 _CYCLE3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 _MIRROR_Z = np.diag([1.0, 1.0, -1.0])
+_B4 = reflection_generators("b4")
 
-# Finite groups of 3-space that are not generated by reflections.  The last
-# two contain a reflection (z -> -z), so reflections alone do not decide it.
+# Finite groups that are not generated by reflections.  c3h and c4_x_mirror
+# contain a reflection (z -> -z), so reflections alone do not decide it.
 NON_REFLECTION_GENERATORS = {
     "chiral_t": [_CYCLE3, np.diag([1.0, -1.0, -1.0])],  # rotations of the tetrahedron, order 12
     "chiral_o": [_CYCLE3, rot3z(math.pi / 2)],  # rotations of the cube, order 24
     "minus_i3": [-np.eye(3)],  # order 2
     "c3h": [rot3z(2 * math.pi / 3), _MIRROR_Z],  # order 6
     "c4_x_mirror": [rot3z(math.pi / 2), _MIRROR_Z],  # order 8
+    # The rotations in B4, generated by s1 s2, s1 s3, s1 s4; order 192.
+    "b4_rotations": [_B4[0] @ s for s in _B4[1:]],
 }
 
 

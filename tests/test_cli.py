@@ -87,6 +87,10 @@ def test_nonorthogonal_generator_diagnostic(runner, tmp_path):
         '{"dim": 1, "generators": [[5]]}',
         '{"dim": 1, "generators": [[[1.0]]], "tolerance": [1]}',
         "\xff\xfe not UTF-8",
+        # Not an integer: neither truncated to 2 nor read as 1.
+        '{"dim": 2.5, "generators": [[[1.0, 0.0], [0.0, 1.0]]]}',
+        '{"dim": true, "generators": [[[1.0]]]}',
+        '{"dim": "1", "generators": [[[1.0]]]}',
     ],
 )
 def test_malformed_group_file_exit_code(tmp_path, text):
@@ -124,6 +128,9 @@ def test_missing_input_flag(runner):
         (["theorem2", "--input", "g.json", "--samples", "5"], "No such option '--samples'"),
         (["polar-verify", "--model", "so3_standard", "--input", "g.json"], "No such option '--input'"),
         (["catalog", "--export-off", "x.off"], "No such option '--export-off'"),
+        # Options of the top-level group, and no command at all.
+        (["--bogus"], "No such option '--bogus'"),
+        ([], "missing command"),
     ],
 )
 def test_usage_error_exit_code(runner, args, message):

@@ -336,10 +336,11 @@ def test_orbit_cone_reads_facets_from_hull_edges_without_lp(groups, monkeypatch)
 
 def test_orbit_cone_without_incidence_falls_back_to_lp(groups, monkeypatch):
     # Qhull can leave a point out of every simplex by roundoff; then the LP
-    # reduction picks the facets from all rows v - w.
+    # reduction picks the facets from all rows v - w.  A regular cone of a
+    # reflection group never asks Qhull, so a rotation group is used.
     from orbitpoly import cones
 
-    G = groups["b3"]
+    G = close_generators(helpers.NON_REFLECTION_GENERATORS["chiral_o"], name="chiral_o")
     v = find_regular(G, 5)
     want = orbit_cone(G, v)
     calls = _count_lps(monkeypatch)
