@@ -8,8 +8,9 @@ work counters rather than wall-clock times.
 
 Each command takes only the options it reads.  Exit codes: 0 verdict
 computed (regardless of true/false), 1 input error (including an unknown or
-invalid option), 2 internal inconsistency (any orbitpoly error raised after
-the input has loaded).  Errors are reported as one ``error:`` line.
+invalid option, and an output path that cannot be written), 2 internal
+inconsistency (any orbitpoly error raised after the input has loaded).
+Errors are reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def _load_group(input_path, tol):
         _fail(f"{input_path}: {exc}")
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
+
+
 def _emit(fields: dict, out, *, command, name, seed, tol, samples=None):
     """Write one report: ``meta`` from the invocation, the rest from ``fields``."""
     report = {
@@ -74,7 +82,7 @@ def _emit(fields: dict, out, *, command, name, seed, tol, samples=None):
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is not None:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -164,7 +172,7 @@ def _export_off(poly, tol, off_path, data):
     if off_path is not None:
         if poly.ambient_dim != 3 or poly.affine_dim != 3:
             _fail("--export-off needs a full-dimensional hull in R^3")
-        Path(off_path).write_text(export_off(poly, tol))
+        _write(off_path, export_off(poly, tol))
         data["off_file"] = str(off_path)
 
 
@@ -343,7 +351,10 @@ def cmd_catalog(seed, tol, out_path):
         "models": sorted(polar.MODEL_BUILDERS),
     }
     if out_path is not None:
-        data["files"] = catalog.write_fixtures(out_path)
+        try:
+            data["files"] = catalog.write_fixtures(out_path)
+        except OSError as exc:
+            _fail(f"cannot write {out_path}: {exc}")
     # Fixture files land in --out when it is given; the report goes to stdout.
     _emit({"timings": {"groups": len(catalog.CATALOG_NAMES)}, "data": data}, None,
           command="catalog", name="catalog", seed=seed, tol=tol or Tolerance())

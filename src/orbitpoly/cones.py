@@ -12,12 +12,20 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, GeometryError, ZeroVectorError
 from .group import FiniteGroup, orbit, root_data
-from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, distinct_rows
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    ToleranceBuckets,
+    as_vector,
+    distinct_rows,
+    lazy_import,
+)
 from .polytope import _edge_neighbors
+
+linprog = lazy_import("scipy.optimize", "linprog")
 
 # An essential halfspace admits a point that violates it while satisfying the
 # others; inside the unit box that violation is O(0.1) for the geometry

@@ -9,6 +9,7 @@ dedup keys used for hashing noisy coordinates.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -173,6 +174,27 @@ def distinct_rows(rows, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             mates.append(int(i))
             kept[i] = True
     return np.flatnonzero(kept)
+
+
+def lazy_import(module: str, name: str):
+    """A function that calls ``module.name``, importing ``module`` on its first call.
+
+    Keeps scipy's Qhull, k-d tree and HiGHS wrappers off the import path of
+    code that never calls them.  The returned function is an ordinary
+    module attribute where it is bound, so it can be replaced like one.
+    It is made here, outside the modules that perfbench/tracing.py wraps
+    function by function, so the tracer sees it only under its scipy span
+    name (``polytope.qhull``, ``cones.linprog``, ...).
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module), name)
+        return target(*args, **kwargs)
+
+    return call
 
 
 class ToleranceBuckets:

@@ -5,6 +5,13 @@ affine hull, so lower-dimensional bodies (segments, polygons floating in a
 bigger space) carry exact facet data within their own affine hull.  The
 facet convention is ``{x : <normal, x> <= offset}`` with outward unit
 normals expressed in ambient coordinates.
+
+The scipy entry points (``ConvexHull``, ``HalfspaceIntersection``,
+``cKDTree``, ``linprog``) are module attributes made by
+:func:`~orbitpoly.numerics.lazy_import`: each imports ``scipy.spatial`` or
+``scipy.optimize`` on its first call.  Reflection-group verdicts read their
+geometry from root data and never call them, so their processes never load
+either module.
 """
 
 from __future__ import annotations
@@ -13,15 +20,25 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
 from .errors import (
     DimensionMismatchError,
     DimensionTooHighError,
     GeometryError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, ToleranceBuckets, as_vector, matrix_rank
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    ToleranceBuckets,
+    as_vector,
+    lazy_import,
+    matrix_rank,
+)
+
+linprog = lazy_import("scipy.optimize", "linprog")
+ConvexHull = lazy_import("scipy.spatial", "ConvexHull")
+HalfspaceIntersection = lazy_import("scipy.spatial", "HalfspaceIntersection")
+cKDTree = lazy_import("scipy.spatial", "cKDTree")
 
 MAX_AMBIENT_DIM = 6
 
@@ -136,8 +153,12 @@ def _merge_facet_rows(rows: np.ndarray, eps: float) -> np.ndarray:
         np.minimum.at(labels, j, low)
         labels = labels[labels]
     order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.array([rows[members].mean(axis=0) for members in np.split(order, starts)])
+    group = np.cumsum(np.r_[False, np.diff(labels[order]) != 0])
+    # Summed from zero in index order, as np.mean sums, so the means match
+    # it bit for bit (np.add.reduceat does not).
+    sums = np.zeros((group[-1] + 1, rows.shape[1]))
+    np.add.at(sums, group, rows[order])
+    return sums / np.bincount(group)[:, None]
 
 
 def _validate(poly: Polytope, tol: Tolerance) -> Polytope:
@@ -177,7 +198,9 @@ def _affine_chart(pts: np.ndarray, tol: Tolerance):
     return origin, basis, centered @ basis.T
 
 
-def _qhull(chart: np.ndarray) -> ConvexHull:
+def _qhull(chart: np.ndarray):
+    from scipy.spatial import QhullError
+
     try:
         return ConvexHull(chart)
     except QhullError as exc:
@@ -452,6 +475,8 @@ def _hrep_vertices(A: np.ndarray, b: np.ndarray, tol: Tolerance, box: float) -> 
         raise GeometryError("halfspace system is infeasible")
 
     if radius > 1e-7:
+        from scipy.spatial import QhullError
+
         try:
             points = HalfspaceIntersection(np.c_[A, -b], center).intersections
         except QhullError as exc:

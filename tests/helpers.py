@@ -64,6 +64,8 @@ SIMPLE_ROOTS = {
     "f4": ([0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [1, -1, -1, -1]),  # order 1152
     "d5": ([1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1], [0, 0, 0, 1, 1]),  # order 1920
     "b5": ([1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1], [0, 0, 0, 0, 1]),  # order 3840
+    # S5 permuting the coordinates of R^5, fixing (1, ..., 1).  Order 120.
+    "a4": tuple(np.eye(5)[i] - np.eye(5)[i + 1] for i in range(4)),
     # S6 permuting the coordinates of R^6: it fixes (1, ..., 1), so it is
     # not essential.  Order 720.
     "a5": tuple(np.eye(6)[i] - np.eye(6)[i + 1] for i in range(5)),

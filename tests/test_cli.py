@@ -258,6 +258,28 @@ def test_catalog_lists_and_writes(runner, tmp_path):
     assert isinstance(payload["generators"][0][0][0], str)
 
 
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        # A report into a directory that does not exist.
+        (["theorem2", "--input", "{fx}/a3.json", "--out", "{tmp}/missing/r.json"], "{tmp}/missing/r.json"),
+        # An OFF file into a directory that does not exist.
+        (["hull", "--input", "{fx}/a3.json", "--export-off", "{tmp}/missing/h.off"], "{tmp}/missing/h.off"),
+        # Fixture files into a path that is a file.
+        (["catalog", "--out", "{tmp}/file"], "{tmp}/file"),
+    ],
+    ids=["report", "off", "catalog"],
+)
+def test_unwritable_output_exit_code(tmp_path, fixtures, args, target):
+    (tmp_path / "file").write_text("")
+    fill = {"fx": fixtures, "tmp": tmp_path}
+    result = CliRunner().invoke(main, [a.format(**fill) for a in args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: cannot write {target.format(**fill)}: ")
+    assert result.output.count("\n") == 1
+
+
 def test_polar_verify_models(runner):
     result = _run(runner, ["polar-verify", "--model", "sym3_traceless", "--samples", "500"])
     assert result.exit_code == 0
@@ -408,20 +430,68 @@ _COLD_START = textwrap.dedent(
 )
 
 
-def test_cold_start_leaves_scipy_stats_unloaded(tmp_path):
-    # A fresh interpreter: this test process already holds scipy.stats.
+def _fresh_python(script, *args):
+    """Last stdout line, as JSON, of ``script`` run in a fresh interpreter on this checkout."""
     src = str(Path(orbitpoly.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_leaves_scipy_stats_unloaded(tmp_path):
+    # A fresh interpreter: this test process already holds scipy.stats.
+    result = _fresh_python(_COLD_START, tmp_path)
     assert result["codes"] == [0, 0, 0]
     assert not result["stats_loaded"]
     assert result["tracer_lookup"]
     assert result["missing_raises"]
     assert json.loads((tmp_path / "theorem2.json").read_text())["verdict"] is True
     assert json.loads((tmp_path / "polar.json").read_text())["verdict"] is True
+
+
+_SCIPY_LOADS = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    import orbitpoly.cli
+
+    out = sys.argv[1]
+    group = ["--input", out + "/b3.json", "--out", out + "/report.json"]
+    commands = [
+        ["catalog", "--out", out],
+        *([name, *group] for name in
+          ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
+        ["polar-verify", "--model", "so3_standard", "--out", out + "/report.json"],
+        ["hull", *group],
+    ]
+    loaded = []
+    for args in commands:
+        try:
+            orbitpoly.cli.main(args)
+        except SystemExit as exc:
+            assert exc.code == 0, (args, exc.code)
+        loaded.append([args[0], sorted(m for m in ("scipy.optimize", "scipy.spatial")
+                                       if m in sys.modules)])
+    print(json.dumps(loaded))
+    """
+)
+
+
+def test_scipy_loads_only_on_the_commands_that_call_it(tmp_path):
+    # Reflection-group verdicts are read from root data: no Qhull, k-d tree
+    # or LP, so their processes never import scipy.spatial or
+    # scipy.optimize.  hull calls Qhull and the k-d tree, but no LP.
+    loaded = _fresh_python(_SCIPY_LOADS, tmp_path)
+    assert loaded == [
+        ["catalog", []],
+        *([name, []] for name in
+          ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
+        ["polar-verify", []],
+        ["hull", ["scipy.spatial"]],
+    ]

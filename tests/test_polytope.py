@@ -313,6 +313,15 @@ def test_merge_facet_rows_matches_reference(case):
     assert len(merged) == n_groups
 
 
+def test_merge_facet_rows_keeps_signed_zeros():
+    # np.mean sums from +0.0, so a -0.0 comes out as +0.0 even in a
+    # singleton group; array_equal cannot see that, so compare bytes.
+    rows = np.array([[-0.0, 1.0, 0.5], [1.0, -0.0, -0.0], [1.0 + 1e-12, -0.0, 1e-13]])
+    merged = _merge_facet_rows(rows, EPS)
+    assert len(merged) == 2
+    assert merged.tobytes() == helpers.merge_facet_rows_reference(rows, EPS).tobytes()
+
+
 def test_merge_facet_rows_on_qhull_equations(groups):
     for name in ("a3", "b3"):
         G = groups[name]

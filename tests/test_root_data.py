@@ -57,7 +57,7 @@ def test_chamber_walls_are_the_qhull_hull_edges(groups, name):
 # k-gon's group.
 FACETS = {
     "a1": 2, "a2": 6, "b2": 8, "g2": 12, "i2_5": 10, "a3": 14, "b3": 26, "h3": 62,
-    "d4": 48, "b4": 80, "f4": 240, "a5": 62, "d5": 162, "b5": 242,
+    "d4": 48, "b4": 80, "f4": 240, "a4": 30, "a5": 62, "d5": 162, "b5": 242,
 }
 
 # Regular seeds on which hull() itself fails: on F4 at seed 35 Qhull raises
@@ -137,6 +137,18 @@ def test_theorem2_rank_five_and_a_rotation_control(groups, name, want):
     rep = sp_equivalence_report(G, seed=42)
     assert rep.verdict == want
     assert [passed for passed, _ in rep.criterion_results.values()] == [want] * 4
+
+
+def test_a4_known_answers(groups):
+    # S5 permuting R^5: rank 4, 2^5 - 2 coweight rows plus the two pins
+    # along (1, ..., 1), and SP with all four criteria true.
+    G = helpers.named_group(groups, "a4")
+    roots = root_data(G)
+    assert (G.order, roots.rank, len(roots.row_coweight)) == (120, 4, FACETS["a4"])
+    assert len(roots.rows) == FACETS["a4"] + 2
+    rep = sp_equivalence_report(G, seed=42)
+    assert rep.verdict is True
+    assert [passed for passed, _ in rep.criterion_results.values()] == [True] * 4
 
 
 def test_a5_pins_the_fixed_direction(groups):
