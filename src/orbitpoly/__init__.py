@@ -30,7 +30,6 @@ from .polytope import (
     hull,
     minkowski_sum,
     polytope_equal,
-    polytope_from_halfspaces,
     support,
 )
 from .cones import (
@@ -84,7 +83,6 @@ __all__ = [
     "hull",
     "minkowski_sum",
     "polytope_equal",
-    "polytope_from_halfspaces",
     "support",
     "PolyhedralCone",
     "cone_contains",

@@ -44,6 +44,7 @@ import numpy as np
 
 from .cones import PolyhedralCone, cone_contains, cone_equal, orbit_cone
 from .errors import (
+    GeometryError,
     InconsistentCriteriaError,
     NotCoxeterError,
     NotInChamberError,
@@ -68,7 +69,7 @@ from .numerics import (
     as_vector,
     unit,
 )
-from .polytope import Polytope, hull, polytope_from_halfspaces
+from .polytope import Polytope, hull
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,18 +174,31 @@ def hull_from_dual_cones(
     dual chamber cone ``g(v - C*)``, i.e. the region
     ``<y, g ray_k> <= <v, ray_k>`` for every g and every fundamental ray,
     pinned to v's coordinates along the lineality space.  The rows g ray_k
-    are the same for every chamber, so they come from the group's root data
+    and their offsets come from the group's root data
     (:meth:`~orbitpoly.group.RootData.support`), as in the SP check.
-    This path never looks at the orbit of v, so it can be cross-checked
-    against the direct orbit hull.
+
+    The vertex x0 in the chamber of the root-data coweights is where the
+    coweight rows and the pins are tight: one d x d solve.  x0 is checked
+    against every row, and since the halfspaces are G-invariant, the vertex
+    of chamber gC is g x0; the hull is that of the distinct images.  So the
+    vertices come from the halfspaces, not from the orbit of v, and can be
+    cross-checked against the direct orbit hull.
     """
     v = as_vector(v, G.dim)
     margins = ch.simple_normals @ v
     if len(margins) and np.min(margins) < -tol.eps_eq:
         raise NotInChamberError("vector lies outside the closed chamber")
     roots = _required_root_data(G, tol)
-    box = 2.0 * float(np.linalg.norm(v)) + 1.0
-    return polytope_from_halfspaces(roots.rows, roots.support(v), tol, box=box)
+    offsets = roots.support(v)
+    m = len(roots.row_coweight)
+    # Every row g ω_k has the offset of ω_k, so read it at the first row of block k.
+    top = offsets[np.searchsorted(roots.row_coweight, np.arange(roots.rank))]
+    x0 = np.linalg.solve(
+        np.vstack([roots.coweights, roots.fixed]), np.r_[top, offsets[m : m + len(roots.fixed)]]
+    )
+    if np.any(roots.rows @ x0 > offsets + tol.eps_eq):
+        raise GeometryError("the chamber vertex of the dual-cone halfspaces violates one of them")
+    return hull(orbit(G, x0, tol).points, tol)
 
 
 def criterion_peak(

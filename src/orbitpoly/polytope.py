@@ -6,10 +6,9 @@ bigger space) carry exact facet data within their own affine hull.  The
 facet convention is ``{x : <normal, x> <= offset}`` with outward unit
 normals expressed in ambient coordinates.
 
-The scipy entry points (``ConvexHull``, ``HalfspaceIntersection``,
-``cKDTree``, ``linprog``) are module attributes made by
-:func:`~orbitpoly.numerics.lazy_import`: each imports ``scipy.spatial`` or
-``scipy.optimize`` on its first call.  Reflection-group verdicts read their
+The scipy entry points (``ConvexHull``, ``cKDTree``, ``linprog``) are
+module attributes made by :func:`~orbitpoly.numerics.lazy_import`: each
+imports ``scipy.spatial`` or ``scipy.optimize`` on its first call.  Reflection-group verdicts read their
 geometry from root data and never call them, so their processes never load
 either module.
 """
@@ -29,7 +28,6 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    ToleranceBuckets,
     as_vector,
     lazy_import,
     matrix_rank,
@@ -37,6 +35,8 @@ from .numerics import (
 
 linprog = lazy_import("scipy.optimize", "linprog")
 ConvexHull = lazy_import("scipy.spatial", "ConvexHull")
+# Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
+# up with getattr at install.  It goes in the next perfbench/-only change.
 HalfspaceIntersection = lazy_import("scipy.spatial", "HalfspaceIntersection")
 cKDTree = lazy_import("scipy.spatial", "cKDTree")
 
@@ -431,112 +431,6 @@ def polytope_equal(P: Polytope, Q: Polytope, tol: Tolerance = DEFAULT_TOL) -> bo
             return False
         used[j] = True
     return bool(used.all())
-
-
-def _chebyshev_center(A: np.ndarray, b: np.ndarray, box: float):
-    """Largest inscribed-ball center of {x : A x <= b}; A rows are unit."""
-    m, n = A.shape
-    res = linprog(
-        c=np.r_[np.zeros(n), -1.0],
-        A_ub=np.c_[A, np.ones(m)],
-        b_ub=b,
-        bounds=[(-box, box)] * n + [(0, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        return None, -np.inf
-    return res.x[:n], float(res.x[n])
-
-
-def _hrep_vertices(A: np.ndarray, b: np.ndarray, tol: Tolerance, box: float) -> np.ndarray:
-    """Vertices of the bounded region {x : A x <= b}, any affine dimension."""
-    n = A.shape[1]
-    norms = np.linalg.norm(A, axis=1)
-    trivial = norms <= tol.eps_eq
-    if np.any(b[trivial] < -tol.eps_eq):
-        raise GeometryError("halfspace system is infeasible (0 <= negative)")
-    A, b, norms = A[~trivial], b[~trivial], norms[~trivial]
-    A = A / norms[:, None]
-    b = b / norms
-    if A.shape[0] == 0:
-        raise GeometryError("halfspace system is unbounded (no constraints)")
-
-    if n == 1:
-        hi = np.min(b[A[:, 0] > 0] / A[A[:, 0] > 0, 0]) if np.any(A[:, 0] > 0) else box
-        lo = np.max(b[A[:, 0] < 0] / A[A[:, 0] < 0, 0]) if np.any(A[:, 0] < 0) else -box
-        if lo > hi + tol.eps_eq:
-            raise GeometryError("halfspace system is infeasible")
-        if abs(hi - lo) <= tol.eps_eq:
-            return np.array([[0.5 * (lo + hi)]])
-        return np.array([[lo], [hi]])
-
-    center, radius = _chebyshev_center(A, b, box)
-    if center is None:
-        raise GeometryError("halfspace system is infeasible")
-
-    if radius > 1e-7:
-        from scipy.spatial import QhullError
-
-        try:
-            points = HalfspaceIntersection(np.c_[A, -b], center).intersections
-        except QhullError as exc:
-            raise GeometryError(
-                f"Qhull failed on {len(A)} halfspaces in dim {n}: {exc}"
-            ) from exc
-        buckets = ToleranceBuckets(tol)
-        for p in points:
-            if np.all(np.isfinite(p)):
-                buckets.insert(p)
-        return np.array(buckets.items)
-
-    # Degenerate body: find implicit equalities by minimizing each constraint.
-    eq_mask = np.zeros(len(A), dtype=bool)
-    for i in range(len(A)):
-        res = linprog(
-            c=A[i], A_ub=A, b_ub=b, bounds=[(-box, box)] * n, method="highs"
-        )
-        if res.status != 0:
-            raise GeometryError("halfspace system is infeasible")
-        if res.fun >= b[i] - 1e-8:
-            eq_mask[i] = True
-    if not np.any(eq_mask):
-        raise GeometryError("degenerate halfspace system without detectable equalities")
-
-    A_eq, b_eq = A[eq_mask], b[eq_mask]
-    x0, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
-    if np.max(np.abs(A_eq @ x0 - b_eq)) > 1e-7:
-        raise GeometryError("halfspace system is infeasible on its equality set")
-    _, svals, vt = np.linalg.svd(A_eq, full_matrices=True)
-    rank = int(np.sum(svals > tol.eps_rank))
-    Z = vt[rank:]
-    if Z.shape[0] == 0:
-        return x0[None, :]
-    A_sub = A[~eq_mask] @ Z.T
-    b_sub = b[~eq_mask] - A[~eq_mask] @ x0
-    if A_sub.shape[0] == 0:
-        raise GeometryError("halfspace system is unbounded inside its equality set")
-    t_verts = _hrep_vertices(A_sub, b_sub, tol, box)
-    return x0[None, :] + t_verts @ Z
-
-
-def polytope_from_halfspaces(
-    normals,
-    offsets,
-    tol: Tolerance = DEFAULT_TOL,
-    box: float = 1e6,
-) -> Polytope:
-    """Vertex-enumerate the bounded region {x : <normal_i, x> <= offset_i}.
-
-    Handles bodies of any affine dimension by peeling off implicit equality
-    constraints before handing the full-dimensional core to Qhull.  ``box``
-    bounds the LP search region and must exceed the body's radius.
-    """
-    A = np.atleast_2d(np.asarray(normals, dtype=float))
-    b = np.asarray(offsets, dtype=float).reshape(-1)
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("normals and offsets must have matching lengths")
-    verts = _hrep_vertices(A, b, tol, box)
-    return hull(verts, tol)
 
 
 def export_off(P: Polytope, tol: Tolerance = DEFAULT_TOL) -> str:

@@ -347,8 +347,13 @@ def test_sp_report_and_chamber_make_no_lp(groups, monkeypatch):
 
     monkeypatch.setattr(cones, "linprog", forbidden)
     monkeypatch.setattr(polytope, "linprog", forbidden)
+    monkeypatch.setattr(polytope, "HalfspaceIntersection", forbidden)
     for name in ("b2", "c4", "a3"):
         G = groups[name]
         sp_equivalence_report(G, seed=42)
         sp_check_pair(G, find_regular(G, 1), find_regular(G, 2))
-    chamber(groups["b3"], find_regular(groups["b3"], 3))
+    b3 = groups["b3"]
+    v = find_regular(b3, 3)
+    ch = chamber(b3, v)
+    assert hull_from_dual_cones(b3, v, ch).n_vertices == 48
+    assert hull_from_dual_cones(b3, ch.fundamental_rays[0], ch).n_vertices == 8

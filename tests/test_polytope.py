@@ -19,7 +19,6 @@ from orbitpoly.polytope import (
     hull_neighbors,
     minkowski_sum,
     polytope_equal,
-    polytope_from_halfspaces,
     support,
 )
 
@@ -211,29 +210,6 @@ def test_facet_vertex_incidence(groups):
             assert np.sum(np.abs(P.vertices @ n - b) <= 1e-9) >= P.affine_dim
 
 
-def test_halfspaces_unit_square():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    b = np.array([1.0, 0.0, 1.0, 0.0])
-    P = polytope_from_halfspaces(A, b)
-    assert helpers.match_point_sets(P.vertices, [[0, 0], [1, 0], [0, 1], [1, 1]])
-
-
-def test_halfspaces_degenerate_segment():
-    # y is pinned to zero by opposing halfspaces; the body is a segment.
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    b = np.array([1.0, 1.0, 0.0, 0.0])
-    P = polytope_from_halfspaces(A, b)
-    assert P.affine_dim == 1
-    assert helpers.match_point_sets(P.vertices, [[-1, 0], [1, 0]])
-
-
-def test_halfspaces_infeasible():
-    A = np.array([[1.0], [-1.0]])
-    b = np.array([-1.0, -1.0])
-    with pytest.raises(GeometryError):
-        polytope_from_halfspaces(A, b)
-
-
 def test_export_off_cube():
     cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
     P = hull(cube)
@@ -375,20 +351,6 @@ def test_qhull_failure_raises_geometry_error(monkeypatch):
     for call in (lambda: hull(SQUARE), lambda: hull_neighbors(SQUARE, 0)):
         with pytest.raises(GeometryError, match="Qhull failed"):
             call()
-
-
-def test_halfspace_qhull_failure_raises_geometry_error(monkeypatch):
-    from scipy.spatial import QhullError
-
-    from orbitpoly import polytope
-
-    def fail(halfspaces, interior_point):
-        raise QhullError("QH6023 feasible point is not clearly inside halfspace (forced)")
-
-    monkeypatch.setattr(polytope, "HalfspaceIntersection", fail)
-    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    with pytest.raises(GeometryError, match="Qhull failed on 4 halfspaces"):
-        polytope.polytope_from_halfspaces(normals, np.ones(4))
 
 
 def _orbit_hull(G, seed):

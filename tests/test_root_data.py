@@ -18,7 +18,7 @@ import pytest
 
 import helpers
 from orbitpoly import polytope
-from orbitpoly.coxeter import sp_equivalence_report
+from orbitpoly.coxeter import chamber, hull_from_dual_cones, sp_equivalence_report
 from orbitpoly.errors import GeometryError
 from orbitpoly.group import find_regular, group_reflections, orbit, root_data
 from orbitpoly.numerics import DEFAULT_TOL
@@ -149,6 +149,14 @@ def test_a4_known_answers(groups):
     rep = sp_equivalence_report(G, seed=42)
     assert rep.verdict is True
     assert [passed for passed, _ in rep.criterion_results.values()] == [True] * 4
+    # Hulls rebuilt from the halfspaces, at rank 4 with a fixed direction:
+    # the four fundamental rays, then the regular vector.
+    v = find_regular(G, 42)
+    ch = chamber(G, v)
+    for x, want in zip([*ch.fundamental_rays, v], (10, 5, 5, 10, 120)):
+        P = hull_from_dual_cones(G, x, ch)
+        assert P.n_vertices == want
+        assert helpers.match_point_sets(P.vertices, orbit(G, x).points)
 
 
 def test_a5_pins_the_fixed_direction(groups):
