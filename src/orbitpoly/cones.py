@@ -4,6 +4,10 @@ The central object is the cone attached to an orbit point v, bounded by the
 halfspaces ``<u, v - gv> >= 0`` over the orbit of v.  For orbits of a finite
 orthogonal group these cones tile the space as the Dirichlet-Voronoi cells
 of the orbit points, which is what :func:`voronoi_consistency` checks.
+
+No LP is solved here: irredundant normals come from hull incidence at the
+cone's apex (one Qhull call) or from ray enumeration.  The library's one LP
+left is the roundoff guard of :func:`orbitpoly.polytope.hull`.
 """
 
 from __future__ import annotations
@@ -25,12 +29,9 @@ from .numerics import (
 )
 from .polytope import _edge_neighbors
 
+# Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
+# up with getattr at install, like polytope.HalfspaceIntersection.
 linprog = lazy_import("scipy.optimize", "linprog")
-
-# An essential halfspace admits a point that violates it while satisfying the
-# others; inside the unit box that violation is O(0.1) for the geometry
-# handled here, so this LP threshold separates it cleanly from noise.
-_LP_ESSENTIAL_EPS = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,34 +76,24 @@ def _distinct_unit_rows(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
 def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Drop normals whose halfspace is implied by the rest.
 
-    A normal n is essential iff the cone of the other constraints meets
-    ``<., n> < 0``; that feasibility question is decided by a small LP over
-    the unit box.  Removing a redundant constraint never changes the cone,
-    so constraints are dropped as they are found.
+    A normal is essential iff it spans an extreme ray of the cone the
+    normals generate.  When that cone is pointed, its apex 0 is a vertex of
+    the hull P of 0 and the distinct unit normals, and the essential normals
+    are the hull-edge neighbours of 0 in P, in input order.  When Qhull
+    gives 0 no incidence (the normals' cone is not pointed, or roundoff),
+    the rays and +-lineality of the dual of ``{u : N u >= 0}`` describe the
+    same cone irredundantly.
     """
     normals = _distinct_unit_rows(normals, tol)
     if len(normals) == 0:
         return normals
-    current = list(normals)
-    i = 0
-    while i < len(current):
-        others = current[:i] + current[i + 1:]
-        if not others:
-            break
-        res = linprog(
-            c=current[i],
-            A_ub=-np.array(others),
-            b_ub=np.zeros(len(others)),
-            bounds=[(-1, 1)] * len(current[i]),
-            method="highs",
-        )
-        if res.status != 0:
-            raise GeometryError(f"feasibility LP failed during cone reduction: {res.message}")
-        if res.fun < -_LP_ESSENTIAL_EPS:
-            i += 1
-        else:
-            current.pop(i)
-    return np.array(current) if current else np.zeros((0, normals.shape[1]))
+    dim = normals.shape[1]
+    neighbors = _edge_neighbors(np.vstack([np.zeros(dim), normals]), 0, tol)
+    if neighbors is not None:
+        return normals[neighbors - 1]
+    rays, lineality = _rays_and_lineality(normals, dim, tol)
+    rays, lineality = _rays_and_lineality(np.vstack([rays, lineality, -lineality]), dim, tol)
+    return np.vstack([rays, lineality, -lineality])
 
 
 def _rays_and_lineality(normals: np.ndarray, dim: int, tol: Tolerance):
@@ -178,15 +169,12 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
     """Cone of directions for which v beats every other point of its orbit.
 
     This is the normal cone of hull(O_v) at v, whose facets are exactly the
-    hull edges at v: the irredundant normals are the unit rows v - w over
-    the hull-edge neighbors w of v, in orbit order, and no LP is needed.
-    For a regular v of a group generated by reflections, the neighbors are
-    the images of v under the reflections in the walls of its chamber, read
-    off the group's root data (:meth:`~orbitpoly.group.RootData.walls`);
-    for any other v they come from Qhull
-    (:func:`~orbitpoly.polytope.hull_neighbors`).  Only when Qhull leaves v
-    out of every simplex (roundoff) does the LP reduction pick the facets
-    from all rows v - w.  The cone always contains v.
+    hull edges at v.  For a regular v of a group generated by reflections,
+    the facet normals are the unit rows v - w over the images w of v under
+    the reflections in the walls of its chamber, read off the group's root
+    data (:meth:`~orbitpoly.group.RootData.walls`).  For any other v they
+    are the irredundant rows v - w over the whole orbit
+    (:func:`cone_from_halfspaces`).  The cone always contains v.
     """
     v = as_vector(v, G.dim)
     if np.linalg.norm(v) <= tol.eps_eq:
@@ -195,11 +183,10 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
     # A regular orbit lists g v at element index g, so a reflection's element
     # index is also the orbit index of its image of v.
     roots = root_data(G, tol) if len(points) == G.order else None
-    neighbors = _edge_neighbors(points, 0, tol) if roots is None else roots.walls(points)
-    if neighbors is None:
+    if roots is None:
         cone = cone_from_halfspaces(v - points[1:], dim=G.dim, tol=tol)
     else:
-        cone = _cone(_distinct_unit_rows(v - points[neighbors], tol), G.dim, tol)
+        cone = _cone(_distinct_unit_rows(v - points[roots.walls(points)], tol), G.dim, tol)
     if len(cone.halfspace_normals) and np.min(cone.halfspace_normals @ v) < -tol.eps_eq:
         raise GeometryError("orbit cone does not contain its base vector")
     return cone

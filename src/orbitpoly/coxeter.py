@@ -22,9 +22,8 @@ Which geometry comes from where:
   :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call.
 - Any other group, an orbit cone at a non-regular vector, and the
   ``hull`` and ``minkowski`` commands keep Qhull
-  (:mod:`orbitpoly.polytope`).  An LP is left only in two roundoff guards:
-  an orbit cone whose base point Qhull drops, and a hull whose certified
-  vertices do not span its affine hull.
+  (:mod:`orbitpoly.polytope`).  An LP is left only in one roundoff guard:
+  a hull whose certified vertices do not span its affine hull.
 
 The root data is read off once reflection generation (criterion ii) holds,
 so the SP criterion could inherit an error of that decision.  It stays

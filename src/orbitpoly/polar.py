@@ -21,7 +21,7 @@ import numpy as np
 from . import coxeter
 from .errors import NoCartanDataError
 from .group import close_generators
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Tolerance, matrix_rank
 from .polytope import hull
 
 
@@ -629,12 +629,6 @@ def check_slice_support_match(
     )
 
 
-def _affine_rank(points: np.ndarray, tol: Tolerance) -> int:
-    centered = points - points.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(svals > tol.eps_rank))
-
-
 def sp_falsify_nonpolar(
     model: GroupModel,
     u=None,
@@ -663,13 +657,11 @@ def sp_falsify_nonpolar(
     orbit_u = mats @ u
     orbit_v = mats @ v
     sums = (orbit_u[:, None, :] + orbit_v[None, :, :]).reshape(-1, model.ambient_dim)
-    sum_dim = _affine_rank(sums, tol)
+    sum_dim = matrix_rank(sums - sums.mean(axis=0), tol)
 
     rng = np.random.default_rng(seed + 10)
-    orbit_dims = [_affine_rank(orbit_u, tol), _affine_rank(orbit_v, tol)]
-    for _ in range(4):
-        w = rng.standard_normal(model.ambient_dim)
-        orbit_dims.append(_affine_rank(mats @ w, tol))
+    orbits = [orbit_u, orbit_v] + [mats @ rng.standard_normal(model.ambient_dim) for _ in range(4)]
+    orbit_dims = [matrix_rank(o - o.mean(axis=0), tol) for o in orbits]
     max_orbit_dim = max(orbit_dims)
     sp_impossible = sum_dim > max_orbit_dim
 

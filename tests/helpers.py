@@ -5,10 +5,11 @@ closed-form matrices, reflection groups of rank 1 to 5 from their simple
 roots and H4 from its 120 roots (the unit icosians), permutohedron
 membership from partial-sum majorization, and facet-row merging from the
 plain pairwise union-find; none of these touch
-the production hull/cone code paths.  Two references replay slower
+the production hull/cone code paths.  Four references replay slower
 production algorithms on top of the library: the SP pair scan that builds
-the Minkowski sum, reflection generation by closing the reflections, and
-the hull whose uncertified vertex candidates each cost an LP.
+the Minkowski sum, reflection generation by closing the reflections, the
+hull whose uncertified vertex candidates each cost an LP, and the cone
+reduction that decides each halfspace by an LP.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler and the three-operand conjugation einsum; so does the Cartan
 orthogonality check, as its per-point loop.  The group layer's references
@@ -20,9 +21,10 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.stats import special_ortho_group
 
-from orbitpoly import polytope
+from orbitpoly import cones, polytope
 from orbitpoly.coxeter import detect_reflection
 from orbitpoly.errors import GeometryError, OrderExceededError
 from orbitpoly.group import MAX_ORDER_DEFAULT, FiniteGroup, Orbit, close_generators, orbit
@@ -218,6 +220,35 @@ def hull_reference(points, tol=DEFAULT_TOL):
     if removed.any():
         return hull_reference(candidates[~removed], tol)
     return polytope._chart_polytope(candidates, normals, origin, basis, tol)
+
+
+def irredundant_reference(normals, tol=DEFAULT_TOL):
+    """Greedy LP reduction of cone normals to an irredundant set, in input order.
+
+    A normal n is essential iff the cone of the other constraints meets
+    ``<., n> < 0``; a HiGHS LP over the unit box decides it at a 1e-7 cut.
+    Removing a redundant constraint never changes the cone, so constraints
+    are dropped as they are found.
+    """
+    normals = cones._distinct_unit_rows(np.atleast_2d(np.asarray(normals, dtype=float)), tol)
+    current = list(normals)
+    i = 0
+    while i < len(current) and len(current) > 1:
+        others = np.array(current[:i] + current[i + 1:])
+        res = linprog(
+            c=current[i],
+            A_ub=-others,
+            b_ub=np.zeros(len(others)),
+            bounds=[(-1, 1)] * len(current[i]),
+            method="highs",
+        )
+        if res.status != 0:
+            raise GeometryError(f"feasibility LP failed during cone reduction: {res.message}")
+        if res.fun < -1e-7:
+            i += 1
+        else:
+            current.pop(i)
+    return np.array(current) if current else np.zeros((0, normals.shape[1]))
 
 
 def is_reflection_generated_reference(G, tol=DEFAULT_TOL):
