@@ -5,15 +5,15 @@ halfspaces ``<u, v - gv> >= 0`` over the orbit of v.  For orbits of a finite
 orthogonal group these cones tile the space as the Dirichlet-Voronoi cells
 of the orbit points, which is what :func:`voronoi_consistency` checks.
 
-No LP is solved here: irredundant normals come from hull incidence at the
-cone's apex (one Qhull call) or from ray enumeration.  The library's one LP
-left is the roundoff guard of :func:`orbitpoly.polytope.hull`.
+No LP is solved and no subsets are enumerated here: irredundant normals
+come from hull incidence at the cone's apex (one Qhull call), extreme rays
+from the dual basis of independent normals or from one more Qhull call.
+The library's one LP left is the roundoff guard of :func:`orbitpoly.polytope.hull`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -22,12 +22,11 @@ from .group import FiniteGroup, orbit, root_data
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    ToleranceBuckets,
     as_vector,
     distinct_rows,
     lazy_import,
 )
-from .polytope import _edge_neighbors
+from .polytope import _FACET_MERGE_EPS, _edge_neighbors, _merge_facet_rows, _qhull
 
 # Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
 # up with getattr at install, like polytope.HalfspaceIntersection.
@@ -82,7 +81,7 @@ def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
     are the hull-edge neighbours of 0 in P, in input order.  When Qhull
     gives 0 no incidence (the normals' cone is not pointed, or roundoff),
     the rays and +-lineality of the dual of ``{u : N u >= 0}`` describe the
-    same cone irredundantly.
+    same cone irredundantly (two more Qhull calls at most).
     """
     normals = _distinct_unit_rows(normals, tol)
     if len(normals) == 0:
@@ -99,43 +98,34 @@ def _irredundant(normals: np.ndarray, tol: Tolerance) -> np.ndarray:
 def _rays_and_lineality(normals: np.ndarray, dim: int, tol: Tolerance):
     """Extreme rays and lineality space of ``{u : N u >= 0}``.
 
-    Works in the chart orthogonal to the lineality space, where the cone is
-    pointed, and enumerates (d-1)-subsets of normals whose common kernel
-    carries an extreme ray.
+    In the chart orthogonal to the lineality space the cone is pointed and
+    the normals span.  Independent normals give a simplicial cone whose rays
+    are the dual basis.  Otherwise the rays are the inward normals of the
+    facets through 0 of the hull of 0 and the normals (one Qhull call).
+    They come in lexicographic order of the normals each one is tight on.
     """
     if len(normals) == 0:
         return np.zeros((0, dim)), np.eye(dim)
 
     _, svals, vt = np.linalg.svd(normals, full_matrices=True)
-    rank = int(np.sum(svals > tol.eps_rank))
-    lineality = vt[rank:]
-    chart = vt[:rank]
-    d = rank
+    d = int(np.sum(svals > tol.eps_rank))
+    lineality, chart = vt[d:], vt[:d]
     if d == 0:
         return np.zeros((0, dim)), np.eye(dim)
 
     N = normals @ chart.T  # (m, d), pointed cone in the chart
-    ray_buckets = ToleranceBuckets(tol)
-
-    def consider(z):
-        if np.min(N @ z) >= -tol.eps_eq:
-            ray_buckets.insert(z)
-        elif np.min(N @ -z) >= -tol.eps_eq:
-            ray_buckets.insert(-z)
-
     if d == 1:
-        consider(np.array([1.0]))
+        rays = np.array([s for s in (1.0, -1.0) if np.min(s * N) >= -tol.eps_eq][:1]).reshape(-1, 1)
+    elif len(N) == d:
+        rays = np.linalg.inv(N).T
     else:
-        m = len(N)
-        for subset in combinations(range(m), d - 1):
-            M = N[list(subset)]
-            _, s, v = np.linalg.svd(M, full_matrices=True)
-            if int(np.sum(s > tol.eps_rank)) != d - 1:
-                continue
-            consider(v[d - 1])
-
-    rays = np.array(ray_buckets.items) if ray_buckets.items else np.zeros((0, d))
-    return rays @ chart, lineality
+        # Merge the triangulated copies of each (outward) facet equation.
+        rows = _merge_facet_rows(_qhull(np.vstack([np.zeros(d), N])).equations, _FACET_MERGE_EPS)
+        rays = -rows[np.abs(rows[:, -1]) <= tol.eps_eq, :-1]
+    rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    tight = np.abs(rays @ N.T) <= tol.eps_eq
+    order = sorted(range(len(rays)), key=lambda k: tuple(np.flatnonzero(tight[k])))
+    return rays[order] @ chart, lineality
 
 
 def _cone(normals: np.ndarray, dim: int, tol: Tolerance) -> PolyhedralCone:
@@ -227,11 +217,7 @@ def dual_cone(C: PolyhedralCone, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCone
     are C's rays together with equality constraints pinning it inside the
     orthogonal complement of C's lineality space.
     """
-    rows = [C.rays]
-    if C.lineality_dim:
-        rows.append(C.lineality_basis)
-        rows.append(-C.lineality_basis)
-    stacked = np.vstack([r for r in rows if len(r)]) if any(len(r) for r in rows) else np.zeros((0, C.ambient_dim))
+    stacked = np.vstack([C.rays, C.lineality_basis, -C.lineality_basis])
     return cone_from_halfspaces(stacked, dim=C.ambient_dim, tol=tol)
 
 

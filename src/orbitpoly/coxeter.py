@@ -6,10 +6,10 @@ reflections.  This module implements that verdict four ways - direct SP
 sampling, the peak criterion, reflection generation, and local cone
 stability - and cross-checks that they agree.
 
-None of the four solves an LP or builds a Minkowski sum: an SP pair is
-checked by support inequalities against the halfspaces of one orbit hull,
-reflection generation by counting the orbit points of a regular vector in
-its chamber, and orbit cones are read from hull edges.
+None of the four solves an LP or builds a Minkowski sum or orbit hull: an
+SP pair is checked by support inequalities along rows of root data or of
+one orbit cone, reflection generation by counting the orbit points of a
+regular vector in its chamber, and orbit cones are read from hull edges.
 
 Which geometry comes from where:
 
@@ -20,10 +20,11 @@ Which geometry comes from where:
   read their hull edges from it (the reflections in the walls of the
   vector's chamber), as do :func:`chamber` and
   :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call.
-- Any other group, an orbit cone at a non-regular vector, and the
-  ``hull`` and ``minkowski`` commands keep Qhull
-  (:mod:`orbitpoly.polytope`).  An LP is left only in one roundoff guard:
-  a hull whose certified vertices do not span its affine hull.
+- Any other group reads the SP rows from orbit cones.  They, orbit cones
+  at non-regular vectors, and the ``hull`` and ``minkowski`` commands
+  keep Qhull (:mod:`orbitpoly.cones`, :mod:`orbitpoly.polytope`).  An LP
+  is left only in one roundoff guard: a hull whose certified vertices do
+  not span its affine hull.
 
 The root data is read off once reflection generation (criterion ii) holds,
 so the SP criterion could inherit an error of that decision.  It stays
@@ -255,17 +256,6 @@ def criterion_local_cone(
     return True, None
 
 
-def _hull_hrep(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Halfspaces ``A x <= b`` of a polytope: its facets, and plus and minus
-    every direction orthogonal to its affine hull, at the affine origin."""
-    if P.affine_dim:
-        across = np.linalg.svd(P.affine_basis)[2][P.affine_dim:]
-    else:
-        across = np.eye(P.ambient_dim)
-    pins = across @ P.affine_origin
-    return np.vstack([P.facet_normals, across, -across]), np.concatenate([P.facet_offsets, pins, -pins])
-
-
 def sp_check_pair(
     G: FiniteGroup, u, v, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
@@ -287,10 +277,15 @@ def sp_check_pair(
     and equality needs u and v' each to peak on its orbit at n (u and v' in
     one chamber).  A candidate failing that by more than eps is skipped.
 
-    The halfspaces of hull(O_w) come from :func:`hull`, or from the root
-    data of a group generated by reflections, with no Qhull call: their
-    rows are the same for every w, and the supports of O_u and O_v along
-    them are read off the rows too (:meth:`~orbitpoly.group.RootData.support`).
+    A group generated by reflections reads the halfspaces of hull(O_w)
+    from root data, with no Qhull call: the rows are the same for every w,
+    and so are the supports of O_u and O_v along them
+    (:meth:`~orbitpoly.group.RootData.support`).  Any other group tests the
+    rays and +-lineality of the orbit cone of w, at offsets ``<row, w>``
+    (+-unit vectors when w = 0, as hull(O_0) = {0}).  That is exact: each
+    facet of hull(O_w) passes through some g w, so its normal is g r for a
+    ray r of that cone, whose lineality is normal to hull(O_w); and both
+    supports are G-invariant.
     """
     u = as_vector(u, G.dim)
     v = as_vector(v, G.dim)
@@ -310,8 +305,13 @@ def sp_check_pair(
             if np.max(O_u @ n) - u @ n > eps or np.max(O_v @ n) - v_prime @ n > eps:
                 continue
         if roots is None:
-            A, offsets = _hull_hrep(hull(orbit(G, w, tol).points, tol))
-            reach = (O_u @ A.T).max(axis=0) + (O_v @ A.T).max(axis=0)
+            if norm_w <= eps:
+                rows = np.vstack([np.eye(G.dim), -np.eye(G.dim)])
+            else:
+                C = orbit_cone(G, w, tol)
+                rows = np.vstack([C.rays, C.lineality_basis, -C.lineality_basis])
+            offsets = rows @ w
+            reach = (O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0)
         else:
             offsets = roots.support(w)
         if np.all(reach <= offsets + eps):
@@ -336,7 +336,7 @@ def _wall_midpoints(cone: PolyhedralCone, tol: Tolerance) -> list[np.ndarray]:
     """
     points = ToleranceBuckets(tol)
     for normal in cone.halfspace_normals:
-        on_wall = [r for r in cone.rays if abs(float(r @ normal)) <= 1e-9]
+        on_wall = [r for r in cone.rays if abs(float(r @ normal)) <= tol.eps_eq]
         if on_wall:
             points.insert(unit(np.sum(on_wall, axis=0)))
         elif cone.lineality_dim:

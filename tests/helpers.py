@@ -5,11 +5,12 @@ closed-form matrices, reflection groups of rank 1 to 5 from their simple
 roots and H4 from its 120 roots (the unit icosians), permutohedron
 membership from partial-sum majorization, and facet-row merging from the
 plain pairwise union-find; none of these touch
-the production hull/cone code paths.  Four references replay slower
+the production hull/cone code paths.  Five references replay slower
 production algorithms on top of the library: the SP pair scan that builds
 the Minkowski sum, reflection generation by closing the reflections, the
-hull whose uncertified vertex candidates each cost an LP, and the cone
-reduction that decides each halfspace by an LP.
+hull whose uncertified vertex candidates each cost an LP, the cone
+reduction that decides each halfspace by an LP, and the cone rays found
+by one SVD per (d - 1)-subset of normals.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler and the three-operand conjugation einsum; so does the Cartan
 orthogonality check, as its per-point loop.  The group layer's references
@@ -249,6 +250,45 @@ def irredundant_reference(normals, tol=DEFAULT_TOL):
         else:
             current.pop(i)
     return np.array(current) if current else np.zeros((0, normals.shape[1]))
+
+
+def rays_reference(normals, dim, tol=DEFAULT_TOL):
+    """Extreme rays and lineality of ``{u : N u >= 0}`` by subset enumeration.
+
+    Same SVD chart as the production rays.  In the chart the cone is
+    pointed, and each (d - 1)-subset of normals of rank d - 1 has a kernel
+    line; a direction on it that satisfies every normal is an extreme ray.
+    Subsets come in lexicographic order and the first copy of each ray is
+    kept: a ray within eps_eq of any kept one is dropped (compared with
+    every kept ray, not by rounding key, which can keep two copies 2e-10
+    apart).  One SVD per subset, C(m, d - 1) of them.
+    """
+    normals = np.atleast_2d(np.asarray(normals, dtype=float)).reshape(-1, dim)
+    if len(normals) == 0:
+        return np.zeros((0, dim)), np.eye(dim)
+    _, svals, vt = np.linalg.svd(normals, full_matrices=True)
+    d = int(np.sum(svals > tol.eps_rank))
+    lineality, chart = vt[d:], vt[:d]
+    if d == 0:
+        return np.zeros((0, dim)), np.eye(dim)
+    N = normals @ chart.T
+    found = []
+
+    def consider(z):
+        for ray in (z, -z):
+            if np.min(N @ ray) >= -tol.eps_eq:
+                if not any(close(ray, r, tol) for r in found):
+                    found.append(ray)
+                return
+
+    if d == 1:
+        consider(np.array([1.0]))
+    else:
+        for subset in itertools.combinations(range(len(N)), d - 1):
+            _, s, v = np.linalg.svd(N[list(subset)], full_matrices=True)
+            if int(np.sum(s > tol.eps_rank)) == d - 1:
+                consider(v[d - 1])
+    return np.array(found).reshape(-1, d) @ chart, lineality
 
 
 def is_reflection_generated_reference(G, tol=DEFAULT_TOL):

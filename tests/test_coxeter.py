@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from orbitpoly import coxeter
 from orbitpoly.cones import orbit_cone, cone_equal
 from orbitpoly.coxeter import (
     chamber,
@@ -292,7 +293,8 @@ def _sp_oracle_pairs(G, seed):
 
 
 @pytest.mark.parametrize(
-    "name", ["a2", "b2", "g2", "i2_5", "c3", "c4", "a3", "b3", "chiral_t", "minus_i3"]
+    "name",
+    ["a2", "b2", "g2", "i2_5", "c3", "c4", "a3", "b3", "chiral_t", "chiral_o", "minus_i3", "c3h", "c4_x_mirror"],
 )
 def test_sp_check_pair_matches_minkowski_scan(groups, name):
     G = helpers.named_group(groups, name)
@@ -302,6 +304,19 @@ def test_sp_check_pair_matches_minkowski_scan(groups, name):
             ref_ok, ref_rep = helpers.sp_check_pair_reference(G, u, v)
             assert ok == ref_ok
             assert (rep is None and ref_rep is None) or np.array_equal(rep, ref_rep)
+
+
+@pytest.mark.parametrize("name", ["chiral_o", "c3"])
+def test_sp_scan_without_root_data_builds_no_orbit_hull(groups, name, monkeypatch):
+    # The SP scan of a group without root data reads its halfspaces from
+    # orbit cones, so no orbit hull is built anywhere in the report.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the SP report built an orbit hull")
+
+    monkeypatch.setattr(coxeter, "hull", forbidden)
+    rep = sp_equivalence_report(helpers.named_group(groups, name), seed=7)
+    assert rep.verdict is False
+    assert not rep.criterion_results["sp"][0]
 
 
 def test_sp_check_pair_zero_sum_hits_on_fixed_points():
