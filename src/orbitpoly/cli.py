@@ -303,7 +303,7 @@ def cmd_theorem2(group, tol, seed):
         "verdict": body["verdict"],
         "criteria": body["criteria"],
         "witnesses": body["witnesses"],
-        "timings": {"criteria_run": len(body["criteria"])},
+        "timings": {"criteria_run": len(body["criteria"]), **body["timings"]},
     }
 
 

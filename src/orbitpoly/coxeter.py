@@ -4,7 +4,8 @@ A finite orthogonal group satisfies the semigroup property (SP: Minkowski
 sums of orbit hulls are again orbit hulls) exactly when it is generated by
 reflections.  This module implements that verdict four ways - direct SP
 sampling, the peak criterion, reflection generation, and local cone
-stability - and cross-checks that they agree.
+stability - and cross-checks that they agree.  The SP sample stops at its
+first failing pair, which is the witness of a false verdict.
 
 None of the four solves an LP or builds a Minkowski sum or orbit hull: an
 SP pair is checked by support inequalities along rows of root data or of
@@ -98,6 +99,7 @@ class SPReport:
     criterion_results: dict[str, tuple[bool, Any]]
     witnesses: dict[str, Any] = field(default_factory=dict)
     seed: int = 0
+    sp_pairs_checked: int = 0  # pairs passed to sp_check_pair, up to the first failure
 
     def to_dict(self) -> dict:
         return {
@@ -108,6 +110,7 @@ class SPReport:
                 for key, (passed, witness) in self.criterion_results.items()
             },
             "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
+            "timings": {"sp_pairs_checked": self.sp_pairs_checked},
         }
 
 
@@ -355,8 +358,13 @@ def sp_equivalence_report(
 
     The SP sample is structured around the places where the property can
     break: wall midpoints of the regular base's cone, its extreme rays, the
-    base itself, plus seeded random pairs.  A disagreement among the four
-    verdicts raises InconsistentCriteriaError.
+    base itself, plus seeded random pairs.  One pair whose summed hull is
+    not an orbit hull settles a false verdict, so the pair scan stops at the
+    first failing pair, which is the ``sp`` witness; a true verdict checks
+    every pair.  ``sp_pairs_checked`` counts the pairs checked.  The other
+    three criteria stop at their first witness too, and all four always
+    run: a disagreement among their verdicts raises
+    InconsistentCriteriaError.
     """
     rng = np.random.default_rng(seed)
     v_reg = find_regular(G, seed, tol)
@@ -374,12 +382,15 @@ def sp_equivalence_report(
     for _ in range(n_random_pairs):
         pairs.append((rng.standard_normal(G.dim), rng.standard_normal(G.dim)))
 
-    sp_failures = []
-    for a, b in pairs:
-        ok, _ = sp_check_pair(G, a, b, tol)
-        if not ok:
-            sp_failures.append({"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()})
-    sp_ok = not sp_failures
+    # Every random pair is drawn before the scan, which may stop early, so
+    # the peak points below get the same draws whatever the verdict.
+    sp_ok, sp_witness = True, f"no counterexample found ({len(pairs)} pairs)"
+    sp_pairs_checked = len(pairs)
+    for i, (a, b) in enumerate(pairs):
+        if not sp_check_pair(G, a, b, tol)[0]:
+            sp_ok, sp_pairs_checked = False, i + 1
+            sp_witness = {"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()}
+            break
 
     peak_points = probes + [rng.standard_normal(G.dim) for _ in range(n_random_pairs)]
     peak_ok, peak_witness = criterion_peak(G, v_reg, peak_points, tol)
@@ -391,7 +402,7 @@ def sp_equivalence_report(
     )
 
     results = {
-        "sp": (sp_ok, sp_failures[0] if sp_failures else f"no counterexample found ({len(pairs)} pairs)"),
+        "sp": (sp_ok, sp_witness),
         "peak_i": (
             peak_ok,
             peak_witness if peak_witness is not None else f"no counterexample found ({len(peak_points)} test points)",
@@ -413,4 +424,5 @@ def sp_equivalence_report(
         criterion_results=results,
         witnesses=witnesses,
         seed=seed,
+        sp_pairs_checked=sp_pairs_checked,
     )

@@ -56,6 +56,16 @@ def test_theorem2_rotation_group_with_witnesses(runner, fixtures):
     assert report["witnesses"]  # failing criteria exhibit witnesses
 
 
+def test_theorem2_reports_the_pairs_checked(runner, fixtures):
+    # A true verdict checks every SP pair; a false one stops at its witness.
+    report = _report(_run(runner, ["theorem2", "--input", str(fixtures / "b2.json")]))
+    n = report["timings"]["sp_pairs_checked"]
+    assert report["criteria"]["sp"]["witness"] == f"no counterexample found ({n} pairs)"
+    report = _report(_run(runner, ["theorem2", "--input", str(fixtures / "c4.json")]))
+    assert set(report["criteria"]["sp"]["witness"]) == {"u", "v"}
+    assert report["timings"]["sp_pairs_checked"] >= 1
+
+
 def test_malformed_json_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -319,6 +319,58 @@ def test_sp_scan_without_root_data_builds_no_orbit_hull(groups, name, monkeypatc
     assert not rep.criterion_results["sp"][0]
 
 
+def _record_sp_checks(monkeypatch):
+    """Wrap coxeter.sp_check_pair; return the list of (u, v, verdict) it is called with."""
+    calls = []
+    check = coxeter.sp_check_pair
+
+    def recorder(G, u, v, tol):
+        ok, rep = check(G, u, v, tol)
+        calls.append((np.asarray(u).tolist(), np.asarray(v).tolist(), ok))
+        return ok, rep
+
+    monkeypatch.setattr(coxeter, "sp_check_pair", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize(
+    "name", ["c3", "c4", "chiral_o", "minus_i3", "c3h", "c4_x_mirror", "b4_rotations"]
+)
+def test_sp_scan_stops_at_the_first_failing_pair(groups, name, seed, monkeypatch):
+    calls = _record_sp_checks(monkeypatch)
+    rep = sp_equivalence_report(helpers.named_group(groups, name), seed=seed)
+    assert rep.verdict is False
+    assert [ok for *_, ok in calls] == [True] * (len(calls) - 1) + [False]
+    u, v, _ = calls[-1]
+    assert rep.criterion_results["sp"] == (False, {"u": u, "v": v})
+    assert rep.witnesses["sp"] == {"u": u, "v": v}
+    assert rep.sp_pairs_checked == len(calls)
+    assert rep.to_dict()["timings"] == {"sp_pairs_checked": len(calls)}
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_sp_scan_checks_every_pair_on_a_true_verdict(groups, seed, monkeypatch):
+    calls = _record_sp_checks(monkeypatch)
+    rep = sp_equivalence_report(groups["b3"], seed=seed)
+    assert rep.verdict is True
+    assert all(ok for *_, ok in calls)
+    assert rep.criterion_results["sp"] == (True, f"no counterexample found ({len(calls)} pairs)")
+    assert rep.sp_pairs_checked == len(calls)
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3", "chiral_o", "c3h", "c4_x_mirror"])
+def test_sp_check_pair_verdict_is_scale_free(groups, name):
+    # The scan stops on one pair's verdict, so that verdict must not depend
+    # on the size of the input.
+    G = helpers.named_group(groups, name)
+    for seed in range(10):
+        u, v = np.random.default_rng(seed).standard_normal((2, G.dim))
+        want = sp_check_pair(G, u, v)[0]
+        for s in (1e-4, 1e4):
+            assert sp_check_pair(G, s * u, s * v)[0] == want, (seed, s)
+
+
 def test_sp_check_pair_zero_sum_hits_on_fixed_points():
     G = close_generators([np.eye(2)])
     ok, rep = sp_check_pair(G, [1.0, 2.0], [-1.0, -2.0])

@@ -192,3 +192,22 @@ def test_theorem2_h4_within_budget():
     assert rep.verdict
     assert all(passed for passed, _ in rep.criterion_results.values())
     assert elapsed < H4_THEOREM2_BUDGET_S, f"theorem2 h4 took {elapsed:.1f}s"
+
+
+# Wall-time budget of theorem2 on the B4 rotations (order 192, not generated
+# by reflections): about 20 times the 0.05 s it takes once the SP scan stops
+# at its first failing pair (about 5 s when it checked every pair); never to
+# be loosened.
+ROTATION_CONTROL_THEOREM2_BUDGET_S = 1.0
+
+
+def test_theorem2_rotation_control_within_budget():
+    G = helpers.named_group({}, "b4_rotations")
+    # Untimed: the first Qhull call loads scipy.spatial.
+    assert not sp_equivalence_report(G, seed=7).verdict
+    start = time.perf_counter()
+    rep = sp_equivalence_report(G, seed=42)
+    elapsed = time.perf_counter() - start
+    assert not rep.verdict
+    assert not any(passed for passed, _ in rep.criterion_results.values())
+    assert elapsed < ROTATION_CONTROL_THEOREM2_BUDGET_S, f"theorem2 b4_rotations took {elapsed:.2f}s"
