@@ -8,7 +8,7 @@ of the orbit points, which is what :func:`voronoi_consistency` checks.
 No LP is solved and no subsets are enumerated here: irredundant normals
 come from hull incidence at the cone's apex (one Qhull call), extreme rays
 from the dual basis of independent normals or from one more Qhull call.
-The library's one LP left is the roundoff guard of :func:`orbitpoly.polytope.hull`.
+The library solves no LP.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ Which geometry comes from where:
   :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call.
 - Any other group reads the SP rows from orbit cones.  They, orbit cones
   at non-regular vectors, and the ``hull`` and ``minkowski`` commands
-  keep Qhull (:mod:`orbitpoly.cones`, :mod:`orbitpoly.polytope`).  An LP
-  is left only in one roundoff guard: a hull whose certified vertices do
-  not span its affine hull.
+  keep Qhull (:mod:`orbitpoly.cones`, :mod:`orbitpoly.polytope`).  No
+  LP is solved anywhere.
 
 The root data is read off once reflection generation (criterion ii) holds,
 so the SP criterion could inherit an error of that decision.  It stays
@@ -66,8 +65,8 @@ from .group import (  # Reflection, detect_reflection, group_reflections: also i
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    ToleranceBuckets,
     as_vector,
+    distinct_rows,
     unit,
 )
 from .polytope import Polytope, hull
@@ -330,21 +329,22 @@ def chamber_representative(G: FiniteGroup, cone: PolyhedralCone, x, tol: Toleran
     raise NotInChamberError("no orbit representative found in the cone")
 
 
-def _wall_midpoints(cone: PolyhedralCone, tol: Tolerance) -> list[np.ndarray]:
-    """One relative-interior point per facet of the cone.
+def _wall_midpoints(cone: PolyhedralCone, tol: Tolerance) -> np.ndarray:
+    """One relative-interior point per facet of the cone, tolerant duplicates dropped.
 
     The sum of the extreme rays lying on a facet sits in its relative
     interior; facets carried entirely by the lineality space fall back to a
     lineality direction.
     """
-    points = ToleranceBuckets(tol)
+    points = []
     for normal in cone.halfspace_normals:
         on_wall = [r for r in cone.rays if abs(float(r @ normal)) <= tol.eps_eq]
         if on_wall:
-            points.insert(unit(np.sum(on_wall, axis=0)))
+            points.append(unit(np.sum(on_wall, axis=0)))
         elif cone.lineality_dim:
-            points.insert(cone.lineality_basis[0])
-    return list(points.items)
+            points.append(cone.lineality_basis[0])
+    points = np.array(points).reshape(-1, cone.ambient_dim)
+    return points[distinct_rows(points, tol)]
 
 
 def sp_equivalence_report(
@@ -370,13 +370,12 @@ def sp_equivalence_report(
     v_reg = find_regular(G, seed, tol)
     base_cone = orbit_cone(G, v_reg, tol)
 
-    structured = ToleranceBuckets(tol)
-    structured.insert(unit(v_reg))
-    for ray in base_cone.rays:
-        structured.insert(ray)
-    for w in _wall_midpoints(base_cone, tol):
-        structured.insert(w)
-    probes = list(structured.items)
+    # The midpoints are deduped among themselves first, so chains of
+    # near-duplicates resolve in that order.
+    structured = np.vstack(
+        [unit(v_reg), base_cone.rays.reshape(-1, G.dim), _wall_midpoints(base_cone, tol)]
+    )
+    probes = list(structured[distinct_rows(structured, tol)])
 
     pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i:]]
     for _ in range(n_random_pairs):

@@ -125,10 +125,10 @@ def _closure_table(gens: np.ndarray, tol: Tolerance, max_order: int) -> np.ndarr
 
     Representatives are numbered as found, the identity first, and expanded
     in that order; ``table[r, j]`` is the representative of ``rep_r @
-    gens[j]``.  The products are deduped as a :class:`ToleranceBuckets` fed
-    them in order would: matched to the first representative with their
-    rounding key when within eps_eq of it, else to the first key-mate
-    within eps_eq, else new.  Representatives are also multiplied by the
+    gens[j]``.  The products are deduped in order by the rule of
+    :func:`~orbitpoly.numerics.distinct_rows`: matched to the first
+    representative with their rounding key when within eps_eq of it, else
+    to the first key-mate within eps_eq, else new.  Representatives are also multiplied by the
     generators' powers (:func:`_powers`), which only finds elements sooner:
     a cyclic group then takes order / _POWERS batches instead of order.
     """

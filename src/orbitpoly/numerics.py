@@ -152,12 +152,14 @@ def row_keys(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[bytes]:
 
 
 def distinct_rows(rows, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Indices of the rows of a 2-d array that a :class:`ToleranceBuckets` keeps.
+    """Indices of the rows of a 2-d array kept by tolerant dedup, in row order.
 
-    Same result as inserting the rows in order: a row is matched to the
-    first kept row with its rounding key when it lies within eps_eq of it;
+    Rows are taken in order, and a row is kept unless it lies within eps_eq
+    (max-abs) of a kept row with the same :func:`round_key`.  A row is
+    matched to the first row with its key when it lies within eps_eq of it;
     the rare row farther away is checked against every kept row with its
-    key, in order, and kept when none is within eps_eq.
+    key, in order, and kept when none is within eps_eq.  So no two kept
+    rows with one key are within eps_eq of each other.
     """
     rows = np.asarray(rows, dtype=float)
     keys = row_keys(rows, tol)
@@ -179,7 +181,7 @@ def distinct_rows(rows, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def lazy_import(module: str, name: str):
     """A function that calls ``module.name``, importing ``module`` on its first call.
 
-    Keeps scipy's Qhull, k-d tree and HiGHS wrappers off the import path of
+    Keeps scipy's Qhull and k-d tree wrappers off the import path of
     code that never calls them.  The returned function is an ordinary
     module attribute where it is bound, so it can be replaced like one.
     It is made here, outside the modules that perfbench/tracing.py wraps
@@ -195,40 +197,4 @@ def lazy_import(module: str, name: str):
         return target(*args, **kwargs)
 
     return call
-
-
-class ToleranceBuckets:
-    """Append-only container that dedups arrays under the tolerance policy.
-
-    Lookup is by rounding key; same-key candidates are re-checked by exact
-    max-abs distance, so two stored items are never within eps_eq of each
-    other along the same key.
-    """
-
-    def __init__(self, tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
-        self.items: list[np.ndarray] = []
-        self._buckets: dict[bytes, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def find(self, arr) -> int | None:
-        key = round_key(arr, self.tol)
-        for idx in self._buckets.get(key, ()):
-            if close(self.items[idx], arr, self.tol):
-                return idx
-        return None
-
-    def insert(self, arr) -> tuple[int, bool]:
-        """Return (index, inserted). ``inserted`` is False on a tolerant match."""
-        found = self.find(arr)
-        if found is not None:
-            return found, False
-        arr = np.asarray(arr, dtype=float).copy()
-        arr.setflags(write=False)
-        idx = len(self.items)
-        self.items.append(arr)
-        self._buckets.setdefault(round_key(arr, self.tol), []).append(idx)
-        return idx, True
 

@@ -6,11 +6,16 @@ bigger space) carry exact facet data within their own affine hull.  The
 facet convention is ``{x : <normal, x> <= offset}`` with outward unit
 normals expressed in ambient coordinates.
 
-The scipy entry points (``ConvexHull``, ``cKDTree``, ``linprog``) are
-module attributes made by :func:`~orbitpoly.numerics.lazy_import`: each
-imports ``scipy.spatial`` or ``scipy.optimize`` on its first call.  Reflection-group verdicts read their
+No LP is solved here.  A hull's vertices are the Qhull vertices that a
+probe direction certifies extreme, grown by the ones that complete their
+span and by those that stick out of their hull; its facets are read from
+the last Qhull call.
+
+The scipy entry points (``ConvexHull``, ``cKDTree``) are module attributes
+made by :func:`~orbitpoly.numerics.lazy_import`: each imports
+``scipy.spatial`` on its first call.  Reflection-group verdicts read their
 geometry from root data and never call them, so their processes never load
-either module.
+it.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from .numerics import (
     matrix_rank,
 )
 
-linprog = lazy_import("scipy.optimize", "linprog")
 ConvexHull = lazy_import("scipy.spatial", "ConvexHull")
-# Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
-# up with getattr at install.  It goes in the next perfbench/-only change.
+# Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks these
+# names up with getattr at install.  They go in the next perfbench/-only change.
+linprog = lazy_import("scipy.optimize", "linprog")
 HalfspaceIntersection = lazy_import("scipy.spatial", "HalfspaceIntersection")
 cKDTree = lazy_import("scipy.spatial", "cKDTree")
 
@@ -97,39 +102,6 @@ class Polytope:
 class SupportResult(NamedTuple):
     mu: float
     peak: "Polytope"
-
-
-_HIGHS_MIN_FEASIBILITY_TOL = 1e-10
-
-
-def _within_hull(point: np.ndarray, others: np.ndarray, eps: float) -> bool:
-    """Is ``point`` within eps (max-norm) of the convex hull of ``others``?
-
-    Feasibility LP over convex-combination weights.  Only the roundoff guard
-    of :func:`_non_extreme` calls it, when the certified vertex candidates
-    do not span the hull's affine chart.  HiGHS's own feasibility tolerance
-    (1e-7 by default) would widen eps by up to that much, so it is set to a
-    tenth of eps, but no lower than the smallest value HiGHS accepts.
-    """
-    k, n = others.shape
-    A_ub = np.vstack([others.T, -others.T])
-    b_ub = np.concatenate([point + eps, -(point - eps)])
-    # presolve mishandles feasibility boxes this tight (declares feasible
-    # problems infeasible), so it is disabled here.
-    res = linprog(
-        c=np.zeros(k),
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, k)),
-        b_eq=np.array([1.0]),
-        bounds=[(0, None)] * k,
-        method="highs",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": max(_HIGHS_MIN_FEASIBILITY_TOL, eps / 10),
-        },
-    )
-    return res.status == 0
 
 
 def _merge_facet_rows(rows: np.ndarray, eps: float) -> np.ndarray:
@@ -278,6 +250,30 @@ def _chart_polytope(verts, normals, origin, basis, tol: Tolerance) -> Polytope:
     return _validate(poly, tol)
 
 
+def _facet_normals(qh, chart: np.ndarray, basis: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Merged outward unit facet normals, in ambient coordinates, of ``qh = _qhull(chart)``.
+
+    Qhull emits one (triangulated) equation per simplex; coplanar simplices
+    produce near-identical rows that merge into true facets here.  A simplex
+    whose edges have rank below d - 1 at eps_rank is flat, and its equation
+    is arbitrary (Qhull's triangulation leaves such simplices on hulls in a
+    rotated basis), so it is dropped before the merge.
+    """
+    corners = chart[qh.simplices]
+    edges = corners[:, 1:] - corners[:, :1]
+    # |det [edges; unit normal]| is at most the product of the edges'
+    # singular values, so a simplex whose determinant clears eps_rank times
+    # the edges' norm to the power d - 2 (twice over, for roundoff) is not
+    # flat.  Only the rest need their singular values.
+    volume = np.abs(np.linalg.det(np.concatenate([edges, qh.equations[:, None, :-1]], axis=1)))
+    flat = volume <= 2 * tol.eps_rank * np.linalg.norm(edges, axis=(1, 2)) ** (chart.shape[1] - 2)
+    if flat.any():
+        flat[flat] = np.linalg.svd(edges[flat], compute_uv=False)[:, -1] <= tol.eps_rank
+    merged = _merge_facet_rows(qh.equations[~flat], _FACET_MERGE_EPS)
+    chart_normals = merged[:, :-1]
+    return (chart_normals / np.linalg.norm(chart_normals, axis=1, keepdims=True)) @ basis
+
+
 def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: Tolerance):
     """Qhull of the chart, its merged facet normals, and probe-certified candidates.
 
@@ -289,12 +285,7 @@ def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: To
     """
     qh = _qhull(chart)
     candidates = pts[qh.vertices]
-    # Qhull emits one (triangulated) equation per simplex; coplanar simplices
-    # produce near-identical rows that merge into true facets here.
-    merged = _merge_facet_rows(qh.equations, _FACET_MERGE_EPS)
-    chart_normals = merged[:, :-1]
-    chart_normals = chart_normals / np.linalg.norm(chart_normals, axis=1, keepdims=True)
-    normals = chart_normals @ basis
+    normals = _facet_normals(qh, chart, basis, tol)
     offsets = (candidates @ normals.T).max(axis=0)
 
     eps = max(tol.eps_eq, 1e-10)
@@ -311,49 +302,28 @@ def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: To
     return qh, normals, np.maximum(*gap_by_probe) >= tol.eps_eq
 
 
-def _lp_non_extreme(candidates: np.ndarray, certified: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Mask of the uncertified candidates within eps_eq of the hull of the rest.
+def _spanning(at: np.ndarray, certified: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the certified candidates, grown until they span the chart.
 
-    One :func:`_within_hull` LP per uncertified candidate, in candidate
-    order, against the candidates not removed so far.
+    ``at`` holds the candidates' chart coordinates, which span the chart's
+    dimension d.  While the kept candidates lie in a proper affine subspace,
+    the candidates that minimize and maximize a direction normal to it join
+    them: each is extreme up to ties, and one of them lies off the subspace.
+    So every round raises the rank, and at most d rounds run.
     """
-    removed = np.zeros(len(candidates), dtype=bool)
-    for j in np.flatnonzero(~certified):
-        others = candidates[~removed & (np.arange(len(candidates)) != j)]
-        if len(others) and _within_hull(candidates[j], others, tol.eps_eq):
-            removed[j] = True
-    return removed
-
-
-def _non_extreme(
-    candidates: np.ndarray, chart: np.ndarray, certified: np.ndarray, tol: Tolerance
-) -> np.ndarray:
-    """Mask of the uncertified candidates that are not extreme.
-
-    ``chart`` holds the candidates' chart coordinates.  The certified
-    candidates K are extreme.  One Qhull call gives the facets of hull(K),
-    and an uncertified candidate whose largest slack over them is at most
-    eps_eq is not extreme.  The candidate farthest beyond a facet maximizes
-    the facet's normal over all candidates, so it is extreme up to ties: it
-    joins K and the test repeats, and K grows until nothing sticks out.
-    Only when K does not span the chart does :func:`_lp_non_extreme` decide
-    instead, as a roundoff guard.
-    """
-    d = chart.shape[1]
-    keep = certified.copy()
-    while not keep.all():
-        known = chart[keep]
-        if len(known) <= d or matrix_rank(known - known.mean(axis=0), tol) < d:
-            return _lp_non_extreme(candidates, certified, tol)
-        equations = _qhull(known).equations
-        rest = np.flatnonzero(~keep)
-        slack = chart[rest] @ equations[:, :-1].T + equations[:, -1]  # [candidate, facet]
-        beyond = slack > tol.eps_eq
-        if not beyond.any():
-            break
-        farthest = np.argmax(np.where(beyond, slack, -np.inf), axis=0)
-        keep[rest[farthest[beyond.any(axis=0)]]] = True
-    return ~keep
+    d = at.shape[1]
+    keep, rank = certified.copy(), -1
+    while rank < d:
+        known = at[keep]
+        centered = known - known.mean(axis=0) if len(known) else np.zeros((1, d))
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        last, rank = rank, int(np.sum(svals > tol.eps_rank))
+        if rank <= last:
+            raise GeometryError("hull construction inconsistent: extreme candidates do not span")
+        if rank < d:
+            values = at @ vt[rank]
+            keep[[np.argmin(values), np.argmax(values)]] = True
+    return keep
 
 
 def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
@@ -379,18 +349,26 @@ def hull(points, tol: Tolerance = DEFAULT_TOL) -> Polytope:
     # Minkowski vertex sums) can survive Qhull by roundoff and also spawn
     # degenerate sliver facets.  A candidate is kept only when it is
     # genuinely extreme at the working tolerance: certified by a probe
-    # direction, or sticking out of the hull of the certified candidates by
-    # more than eps_eq (one more Qhull call, no LP unless the certified
-    # candidates do not span the chart).  Removing candidates moves the
-    # chart's centroid, so the survivors are hulled afresh.
+    # direction, extreme along a direction that completes the certified
+    # candidates' span, or sticking out of the hull of those by more than
+    # eps_eq.  The candidate farthest beyond a facet maximizes the facet's
+    # normal over all candidates, so it is extreme up to ties: it joins
+    # them, and the kept set grows until nothing sticks out.  The facets
+    # come from the last Qhull call, of all candidates or of the kept ones.
     qh, normals, certified = _probe_facets(pts, chart, basis, tol)
-    candidates = pts[qh.vertices]
-    removed = _non_extreme(candidates, chart[qh.vertices], certified, tol)
-    if removed.all():
-        raise GeometryError("hull construction inconsistent: no vertex survived filtering")
-    if removed.any():
-        return hull(candidates[~removed], tol)
-    return _chart_polytope(candidates, normals, origin, basis, tol)
+    candidates, at = pts[qh.vertices], chart[qh.vertices]
+    keep = certified if certified.all() else _spanning(at, certified, tol)
+    while not keep.all():
+        qh = _qhull(at[keep])
+        rest = np.flatnonzero(~keep)
+        slack = at[rest] @ qh.equations[:, :-1].T + qh.equations[:, -1]  # [candidate, facet]
+        beyond = slack > tol.eps_eq
+        if not beyond.any():
+            normals = _facet_normals(qh, at[keep], basis, tol)
+            break
+        farthest = np.argmax(np.where(beyond, slack, -np.inf), axis=0)
+        keep[rest[farthest[beyond.any(axis=0)]]] = True
+    return _chart_polytope(candidates[keep], normals, origin, basis, tol)
 
 
 def support(P: Polytope, v, tol: Tolerance = DEFAULT_TOL) -> SupportResult:

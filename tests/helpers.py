@@ -15,7 +15,8 @@ The polar sampler primitives have references too: scipy's QR-based Haar
 sampler and the three-operand conjugation einsum; so does the Cartan
 orthogonality check, as its per-point loop.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
-time, and orbits, stabilizers and reflections one element at a time.
+time, and orbits, stabilizers and reflections one element at a time.  The
+tolerant dedup's reference inserts one row at a time (ToleranceBuckets).
 """
 
 import itertools
@@ -29,7 +30,7 @@ from orbitpoly import cones, polytope
 from orbitpoly.coxeter import detect_reflection
 from orbitpoly.errors import GeometryError, OrderExceededError
 from orbitpoly.group import MAX_ORDER_DEFAULT, FiniteGroup, Orbit, close_generators, orbit
-from orbitpoly.numerics import DEFAULT_TOL, ToleranceBuckets, close
+from orbitpoly.numerics import DEFAULT_TOL, close, round_key
 from orbitpoly.polar import _SYM_BASIS
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
@@ -139,6 +140,43 @@ def named_group(groups, name):
     return close_generators(NON_REFLECTION_GENERATORS[name], name=name)
 
 
+class ToleranceBuckets:
+    """Append-only container that dedups arrays under the tolerance policy.
+
+    Lookup is by rounding key; same-key candidates are re-checked by exact
+    max-abs distance, so two stored items are never within eps_eq of each
+    other along the same key.  One insert at a time, the reference for
+    :func:`orbitpoly.numerics.distinct_rows`.
+    """
+
+    def __init__(self, tol=DEFAULT_TOL):
+        self.tol = tol
+        self.items = []
+        self._buckets = {}
+
+    def __len__(self):
+        return len(self.items)
+
+    def find(self, arr):
+        key = round_key(arr, self.tol)
+        for idx in self._buckets.get(key, ()):
+            if close(self.items[idx], arr, self.tol):
+                return idx
+        return None
+
+    def insert(self, arr):
+        """Return (index, inserted). ``inserted`` is False on a tolerant match."""
+        found = self.find(arr)
+        if found is not None:
+            return found, False
+        arr = np.asarray(arr, dtype=float).copy()
+        arr.setflags(write=False)
+        idx = len(self.items)
+        self.items.append(arr)
+        self._buckets.setdefault(round_key(arr, self.tol), []).append(idx)
+        return idx, True
+
+
 def close_generators_reference(gens, tol=DEFAULT_TOL, max_order=MAX_ORDER_DEFAULT, name=""):
     """Stack closure one product at a time: pop the newest element, multiply
     it by each generator, insert every product that matches no stored one."""
@@ -201,26 +239,61 @@ def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
     return False, None
 
 
+_HIGHS_MIN_FEASIBILITY_TOL = 1e-10
+
+
+def within_hull(point, others, eps):
+    """Is ``point`` within eps (max-norm) of the convex hull of ``others``?
+
+    Feasibility LP over convex-combination weights.  HiGHS's own feasibility
+    tolerance (1e-7 by default) would widen eps by up to that much, so it is
+    set to a tenth of eps, but no lower than the smallest value HiGHS accepts.
+    """
+    k, n = others.shape
+    A_ub = np.vstack([others.T, -others.T])
+    b_ub = np.concatenate([point + eps, -(point - eps)])
+    # presolve mishandles feasibility boxes this tight (declares feasible
+    # problems infeasible), so it is disabled here.
+    res = linprog(
+        c=np.zeros(k),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=np.ones((1, k)),
+        b_eq=np.array([1.0]),
+        bounds=[(0, None)] * k,
+        method="highs",
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": max(_HIGHS_MIN_FEASIBILITY_TOL, eps / 10),
+        },
+    )
+    return res.status == 0
+
+
 def hull_reference(points, tol=DEFAULT_TOL):
     """Hull that tests every uncertified vertex candidate by its own LP.
 
     Same Qhull, facet merge and probe certification as the production hull;
-    each candidate no probe certifies is then removed when an LP finds it
-    within eps_eq of the hull of the candidates not removed so far, in
-    candidate order, and the survivors are hulled afresh.
+    each candidate no probe certifies is then removed when :func:`within_hull`
+    finds it within eps_eq of the hull of the candidates not removed so far,
+    in candidate order.  When one is removed, the survivors' facets come
+    from one Qhull of their chart coordinates, as in production.
     """
     pts = polytope._hull_points(points)
     origin, basis, chart = polytope._affine_chart(pts, tol)
     if len(basis) <= 1:
         return hull(pts, tol)  # no candidate to certify
     qh, normals, certified = polytope._probe_facets(pts, chart, basis, tol)
-    candidates = pts[qh.vertices]
-    removed = polytope._lp_non_extreme(candidates, certified, tol)
-    if removed.all():
-        raise GeometryError("hull construction inconsistent: no vertex survived filtering")
+    candidates, at = pts[qh.vertices], chart[qh.vertices]
+    removed = np.zeros(len(candidates), dtype=bool)
+    for j in np.flatnonzero(~certified):
+        others = candidates[~removed & (np.arange(len(candidates)) != j)]
+        if len(others) and within_hull(candidates[j], others, tol.eps_eq):
+            removed[j] = True
     if removed.any():
-        return hull_reference(candidates[~removed], tol)
-    return polytope._chart_polytope(candidates, normals, origin, basis, tol)
+        kept = at[~removed]
+        normals = polytope._facet_normals(polytope._qhull(kept), kept, basis, tol)
+    return polytope._chart_polytope(candidates[~removed], normals, origin, basis, tol)
 
 
 def irredundant_reference(normals, tol=DEFAULT_TOL):

@@ -478,6 +478,7 @@ _SCIPY_LOADS = textwrap.dedent(
         *([name, *group] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
         ["polar-verify", "--model", "so3_standard", "--out", out + "/report.json"],
+        ["minkowski", *group],
         ["hull", *group],
     ]
     loaded = []
@@ -494,14 +495,16 @@ _SCIPY_LOADS = textwrap.dedent(
 
 
 def test_scipy_loads_only_on_the_commands_that_call_it(tmp_path):
-    # Reflection-group verdicts are read from root data: no Qhull, k-d tree
-    # or LP, so their processes never import scipy.spatial or
-    # scipy.optimize.  hull calls Qhull and the k-d tree, but no LP.
+    # Reflection-group verdicts are read from root data: no Qhull or k-d
+    # tree, so their processes never import scipy.spatial.  minkowski and
+    # hull call Qhull and the k-d tree.  No command solves an LP, so none
+    # imports scipy.optimize.
     loaded = _fresh_python(_SCIPY_LOADS, tmp_path)
     assert loaded == [
         ["catalog", []],
         *([name, []] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
         ["polar-verify", []],
+        ["minkowski", ["scipy.spatial"]],
         ["hull", ["scipy.spatial"]],
     ]

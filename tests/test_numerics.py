@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from orbitpoly.errors import DimensionMismatchError
 from orbitpoly.numerics import (
     DEFAULT_TOL,
     Tolerance,
-    ToleranceBuckets,
+    distinct_rows,
     inner,
     is_orthogonal,
     matrix_rank,
@@ -103,10 +104,22 @@ def test_round_key_negative_zero_stable():
 
 
 def test_buckets_merge_close_vectors():
-    buckets = ToleranceBuckets(DEFAULT_TOL)
+    buckets = helpers.ToleranceBuckets(DEFAULT_TOL)
     i, new = buckets.insert([1.0, 2.0])
     assert new and i == 0
     j, new = buckets.insert([1.0 + 1e-11, 2.0 - 1e-11])
     assert not new and j == 0
     k, new = buckets.insert([1.0 + 1e-6, 2.0])
     assert new and k == 1
+
+
+def test_distinct_rows_keeps_what_one_insert_at_a_time_keeps():
+    # Chains of rows 0.6 eps_eq apart: a row can be close to a kept row but
+    # not to the first row with its key, or close to a row that was dropped.
+    rng = np.random.default_rng(3)
+    steps = rng.integers(-1, 2, size=(400, 3)) * 0.6 * DEFAULT_TOL.eps_eq
+    rows = np.cumsum(steps, axis=0)[rng.permutation(400)] + rng.integers(0, 2, size=(400, 1))
+    buckets = helpers.ToleranceBuckets(DEFAULT_TOL)
+    kept = [i for i, row in enumerate(rows) if buckets.insert(row)[1]]
+    assert distinct_rows(rows).tolist() == kept
+    assert 2 < len(kept) < len(rows)

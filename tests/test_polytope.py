@@ -11,7 +11,7 @@ from orbitpoly.catalog import CATALOG_NAMES
 from orbitpoly.cones import orbit_cone
 from orbitpoly.errors import DimensionMismatchError, DimensionTooHighError, GeometryError
 from orbitpoly.group import close_generators, find_regular, orbit
-from orbitpoly.numerics import Tolerance
+from orbitpoly.numerics import Tolerance, matrix_rank
 from orbitpoly.polytope import (
     _merge_facet_rows,
     export_off,
@@ -362,29 +362,22 @@ def _pairwise_sums(P, Q):
 
 
 def _forbid_lp(monkeypatch):
-    from orbitpoly import polytope
+    from orbitpoly import cones, polytope
 
     def forbidden(*args, **kwargs):
         raise AssertionError("LP called")
 
-    monkeypatch.setattr(polytope, "linprog", forbidden)
-
-
-def _count_lps(monkeypatch):
-    """List that gains one entry per LP solved from now on."""
-    from orbitpoly import polytope
-
-    lps = []
-    real = polytope.linprog
-    monkeypatch.setattr(polytope, "linprog", lambda *a, **k: lps.append(1) or real(*a, **k))
-    return lps
+    for module in (polytope, cones):
+        monkeypatch.setattr(module, "linprog", forbidden)
 
 
 def test_regular_orbit_hulls_and_sums_make_no_lp(groups, monkeypatch):
     # On the a3 sum the probes leave candidates uncertified: the reference
     # spends LPs on them.
     G = groups["a3"]
-    lps = _count_lps(monkeypatch)
+    lps = []
+    real = helpers.linprog
+    monkeypatch.setattr(helpers, "linprog", lambda *a, **k: lps.append(1) or real(*a, **k))
     helpers.hull_reference(_pairwise_sums(_orbit_hull(G, 1001), _orbit_hull(G, 1002)))
     assert len(lps) > 0
 
@@ -398,6 +391,71 @@ def test_regular_orbit_hulls_and_sums_make_no_lp(groups, monkeypatch):
         for seed in range(1001, 1005):
             total = minkowski_sum(_orbit_hull(G, seed), _orbit_hull(G, seed + 1))
             assert total.n_vertices % G.order == 0
+
+
+def test_sum_with_uncertified_candidates_makes_no_nested_hull(groups, monkeypatch):
+    # The a3 sum at seeds 1001/1002 drops uncertified candidates, and its
+    # facets come from the Qhull call that dropped them, not from a second hull.
+    from orbitpoly import polytope
+
+    G = groups["a3"]
+    P, Q = _orbit_hull(G, 1001), _orbit_hull(G, 1002)
+    depth, nested = [0], []
+    real = polytope.hull
+
+    def counted(*args, **kwargs):
+        nested.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polytope, "hull", counted)
+    sums = _pairwise_sums(P, Q)
+    total = polytope.hull(sums)
+    assert nested == [0]
+    assert (total.n_vertices, len(total.facet_normals)) == (24, 14)
+    assert len(polytope._hull_points(sums)) > total.n_vertices
+
+
+def _rotation(seed, dim):
+    """Seeded orthogonal matrix: QR of a Gaussian, R's diagonal signs folded into Q."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize(
+    "name, facets", [("d4", 48), ("f4", 240), ("b3", 26), ("h3", 62), ("a3", 14), ("chiral_o", None)]
+)
+def test_hull_counts_hold_in_a_rotated_basis(groups, name, facets):
+    # Conjugating the group by Q rotates its orbit hulls and their sums.  In
+    # a rotated basis Qhull's triangulation holds flat simplices whose
+    # equations are arbitrary; they must not become facets.  a3 and chiral_o
+    # check sums, and each body is compared with its rotation back.
+    G = helpers.named_group(groups, name)
+    for seed in range(4):
+        Q = _rotation(seed, G.dim)
+        rotated = close_generators([Q @ G.elements[i] @ Q.T for i in G.generator_indices])
+        P = _orbit_hull(rotated, seed)
+        if name in ("a3", "chiral_o"):
+            P = minkowski_sum(P, _orbit_hull(rotated, seed + 1))
+        back = hull(P.vertices @ Q)
+        assert (P.n_vertices, len(P.facet_normals)) == (back.n_vertices, len(back.facet_normals))
+        if facets is not None:
+            assert len(P.facet_normals) == facets
+
+
+def test_a5_permutohedron_in_the_basis_of_its_simple_roots():
+    # S6 on the sum-zero R^5: a regular orbit hull is the permutohedron of
+    # order 6, with 2^6 - 2 facets.  Seeds 0 to 4 end in a Qhull topology
+    # error in this basis, so they are left out.
+    Q, _ = np.linalg.qr(np.array(helpers.SIMPLE_ROOTS["a5"]).T)
+    G = close_generators([Q.T @ g @ Q for g in helpers.reflection_generators("a5")])
+    assert (G.order, G.dim) == (720, 5)
+    for seed in (5, 42):
+        P = _orbit_hull(G, seed)
+        assert (P.n_vertices, len(P.facet_normals)) == (720, 62)
 
 
 def _same_bytes(P, Q):
@@ -454,14 +512,34 @@ def test_uncertified_corner_joins_certified_vertices(monkeypatch):
     assert np.sum(P.vertices[:, 1] == 1e-6) == 1
 
 
-def test_guard_solves_lps_when_certified_vertices_do_not_span(monkeypatch):
+def test_certified_vertices_that_do_not_span_grow_without_lp(monkeypatch):
     # Only the segment's ends are certified, two points in the plane: the
-    # twins are tested by LP, as in the reference.
-    lps = _count_lps(monkeypatch)
+    # highest twin joins them, and the other lies within eps_eq of their
+    # triangle.  The LP reference keeps the other twin, equally well.
+    _forbid_lp(monkeypatch)
     P = hull(_TWIN_CORNERS)
-    assert len(lps) == 2
     assert P.n_vertices == 3
-    assert _same_bytes(P, helpers.hull_reference(_TWIN_CORNERS))
+    assert all(P.contains(p) for p in _TWIN_CORNERS)
+
+
+def test_coplanar_certified_vertices_grow_without_lp(monkeypatch):
+    # A square with the twin corners 1e-6 above its middle: the probes
+    # certify the square's corners, which span only a plane.
+    from orbitpoly import polytope
+
+    _forbid_lp(monkeypatch)
+    square = np.array([[-1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+    points = np.vstack([square, [[-1e-4, 0.0, 1e-6], [1e-4, 0.0, 1e-6]]])
+    pts = polytope._hull_points(points)
+    _, basis, chart = polytope._affine_chart(pts, Tolerance())
+    qh, _, certified = polytope._probe_facets(pts, chart, basis, Tolerance())
+    known = chart[qh.vertices][certified]
+    assert len(basis) == 3
+    assert helpers.match_point_sets(pts[qh.vertices][certified], square)
+    assert matrix_rank(known - known[0]) == 2
+    P = hull(points)
+    assert (P.n_vertices, len(P.facet_normals)) == (5, 5)
+    assert all(P.contains(p) for p in points)
 
 
 _TRIANGLE = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
@@ -470,12 +548,10 @@ _TRIANGLE = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
 def test_within_hull_decides_at_eps():
     # (0.3, h) is h away from the triangle's top edge in max-norm.  The LP
     # answers at eps = 1e-9, not at HiGHS's default 1e-7 feasibility.
-    from orbitpoly import polytope
-
     for h in (0.0, 5e-10, 1e-9):
-        assert polytope._within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
+        assert helpers.within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
     for h in (2e-9, 5e-9, 2e-8, 5e-8, 1e-7):
-        assert not polytope._within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
+        assert not helpers.within_hull(np.array([0.3, h]), _TRIANGLE, 1e-9)
 
 
 def test_lp_certification_keeps_points_beyond_eps():
