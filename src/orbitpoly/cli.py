@@ -107,7 +107,7 @@ _INPUT = click.option("--input", "input_path", required=True, type=click.Path(),
                       help="Group definition JSON file.")
 _SEED = click.option("--seed", default=42, show_default=True, type=int)
 _TOL = click.option("--tol", type=float, callback=_parse_tol,
-                    help="Coordinate equality tolerance (default 1e-9).")
+                    help="Equality tolerance eps_eq (default 1e-9); the rank cut is 10 x eps_eq.")
 _SAMPLES = click.option("--samples", default=1000, show_default=True, type=int,
                         callback=_check_samples)
 _OUT = click.option("--out", "out_path", type=click.Path(),

@@ -26,7 +26,7 @@ from .numerics import (
     distinct_rows,
     lazy_import,
 )
-from .polytope import _FACET_MERGE_EPS, _edge_neighbors, _merge_facet_rows, _qhull
+from .polytope import _edge_neighbors, _merge_facet_rows, _qhull
 
 # Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
 # up with getattr at install, like polytope.HalfspaceIntersection.
@@ -120,7 +120,7 @@ def _rays_and_lineality(normals: np.ndarray, dim: int, tol: Tolerance):
         rays = np.linalg.inv(N).T
     else:
         # Merge the triangulated copies of each (outward) facet equation.
-        rows = _merge_facet_rows(_qhull(np.vstack([np.zeros(d), N])).equations, _FACET_MERGE_EPS)
+        rows = _merge_facet_rows(_qhull(np.vstack([np.zeros(d), N])).equations, tol.eps_eq)
         rays = -rows[np.abs(rows[:, -1]) <= tol.eps_eq, :-1]
     rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
     tight = np.abs(rays @ N.T) <= tol.eps_eq

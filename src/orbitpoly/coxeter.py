@@ -71,6 +71,11 @@ from .numerics import (
 )
 from .polytope import Polytope, hull
 
+# Seeded random SP pairs (and as many extra peak test points) per report,
+# and the samples of the local cone criterion.
+_N_RANDOM_PAIRS = 25
+_N_LOCAL_SAMPLES = 25
+
 
 @dataclass(frozen=True, eq=False)
 class ChamberData:
@@ -227,29 +232,22 @@ def criterion_peak(
 
 
 def criterion_local_cone(
-    G: FiniteGroup,
-    v_reg,
-    radius: float | None = None,
-    n_samples: int = 25,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    G: FiniteGroup, v_reg, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, np.ndarray | None]:
     """Local cone stability: orbit cones are constant near a regular vector.
 
-    The default radius is a quarter of the distance from ``v_reg`` to the
-    nearest wall of its own cone, which keeps the probe scale-free.
+    The seeded samples lie within a quarter of the distance from ``v_reg``
+    to the nearest wall of its own cone (a quarter of |v_reg| when the cone
+    is the whole space), which keeps the probe scale-free.
     """
     v_reg = as_vector(v_reg, G.dim)
     if not is_regular(G, v_reg, tol):
         raise NotRegularError("local cone criterion requires a regular base vector")
     base = orbit_cone(G, v_reg, tol)
-    if radius is None:
-        if len(base.halfspace_normals):
-            radius = 0.25 * float(np.min(base.halfspace_normals @ v_reg))
-        else:
-            radius = 0.25 * float(np.linalg.norm(v_reg))
+    walls = base.halfspace_normals @ v_reg
+    radius = 0.25 * float(np.min(walls) if len(walls) else np.linalg.norm(v_reg))
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
+    for _ in range(_N_LOCAL_SAMPLES):
         x = rng.standard_normal(G.dim)
         x /= np.linalg.norm(x)
         u = v_reg + x * radius * rng.uniform() ** (1.0 / G.dim)
@@ -347,13 +345,7 @@ def _wall_midpoints(cone: PolyhedralCone, tol: Tolerance) -> np.ndarray:
     return points[distinct_rows(points, tol)]
 
 
-def sp_equivalence_report(
-    G: FiniteGroup,
-    seed: int = 42,
-    tol: Tolerance = DEFAULT_TOL,
-    n_random_pairs: int = 25,
-    n_local_samples: int = 25,
-) -> SPReport:
+def sp_equivalence_report(G: FiniteGroup, seed: int = 42, tol: Tolerance = DEFAULT_TOL) -> SPReport:
     """Run the SP check and its three equivalent criteria; demand agreement.
 
     The SP sample is structured around the places where the property can
@@ -378,7 +370,7 @@ def sp_equivalence_report(
     probes = list(structured[distinct_rows(structured, tol)])
 
     pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i:]]
-    for _ in range(n_random_pairs):
+    for _ in range(_N_RANDOM_PAIRS):
         pairs.append((rng.standard_normal(G.dim), rng.standard_normal(G.dim)))
 
     # Every random pair is drawn before the scan, which may stop early, so
@@ -391,14 +383,12 @@ def sp_equivalence_report(
             sp_witness = {"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()}
             break
 
-    peak_points = probes + [rng.standard_normal(G.dim) for _ in range(n_random_pairs)]
+    peak_points = probes + [rng.standard_normal(G.dim) for _ in range(_N_RANDOM_PAIRS)]
     peak_ok, peak_witness = criterion_peak(G, v_reg, peak_points, tol)
 
     coxeter_ok = is_reflection_generated(G, tol)
 
-    local_ok, local_witness = criterion_local_cone(
-        G, v_reg, n_samples=n_local_samples, seed=seed + 1, tol=tol
-    )
+    local_ok, local_witness = criterion_local_cone(G, v_reg, seed=seed + 1, tol=tol)
 
     results = {
         "sp": (sp_ok, sp_witness),

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    MAX_AMBIENT_DIM,
     Tolerance,
     as_vector,
     close,
@@ -40,7 +41,6 @@ from .numerics import (
     round_key,
     row_keys,
 )
-from .polytope import MAX_AMBIENT_DIM
 
 MAX_ORDER_DEFAULT = 100000
 
@@ -49,6 +49,8 @@ MAX_ORDER_DEFAULT = 100000
 _CLOSURE_CHUNK = 1024
 # Highest generator power multiplied in while closing (see _closure_table).
 _POWERS = 16
+# Gaussian draws find_regular tries before it gives up.
+_REGULAR_TRIES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,29 +318,24 @@ def is_regular(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> bool:
     return int(np.count_nonzero(_fixed(G, as_vector(v, G.dim), tol))) == 1
 
 
-def find_regular(
-    G: FiniteGroup,
-    seed: int,
-    tol: Tolerance = DEFAULT_TOL,
-    max_tries: int = 64,
-) -> np.ndarray:
+def find_regular(G: FiniteGroup, seed: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Deterministic pseudo-random unit vector with trivial stabilizer.
 
     Draws are seeded so reports that embed this vector are reproducible.
-    Raises RegularNotFoundError after the retry budget, which signals a
+    Raises RegularNotFoundError after _REGULAR_TRIES draws, which signals a
     non-faithful or otherwise degenerate action.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         x = rng.standard_normal(G.dim)
         n = np.linalg.norm(x)
-        if n < 1e-12:
+        if n == 0.0:
             continue
         x = x / n
         if is_regular(G, x, tol):
             return x
     raise RegularNotFoundError(
-        f"no regular vector found in {max_tries} draws; is the action faithful?"
+        f"no regular vector found in {_REGULAR_TRIES} draws; is the action faithful?"
     )
 
 

@@ -17,24 +17,29 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
+# Largest ambient dimension of a group, and of a hull's input points.
+MAX_AMBIENT_DIM = 6
+
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Equality and rank thresholds.
+    """The tolerance policy, with one knob.
 
-    eps_eq is the absolute threshold for scalar and coordinate equality;
-    eps_rank is the absolute singular-value threshold for rank decisions.
+    eps_eq is the absolute threshold for coordinate equality and facet-row
+    merges; eps_rank = 10 * eps_eq, for rank decisions, is read from it.
     All catalog data is O(1)-scaled, so absolute thresholds are appropriate.
     """
 
     eps_eq: float = 1e-9
-    eps_rank: float = 1e-8
 
     def __post_init__(self):
-        for field in ("eps_eq", "eps_rank"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be a finite positive real, got {value!r}")
+        value = self.eps_eq
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            raise ValueError(f"eps_eq must be a finite positive real, got {value!r}")
+
+    @property
+    def eps_rank(self) -> float:
+        return 10 * self.eps_eq
 
     @property
     def round_digits(self) -> int:

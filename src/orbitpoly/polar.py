@@ -24,6 +24,14 @@ from .group import close_generators
 from .numerics import DEFAULT_TOL, Tolerance, matrix_rank
 from .polytope import hull
 
+# Fixed pass criteria of the sampled checks, each reported as its ``threshold``.
+_ORTHOGONALITY_THRESHOLD = 1e-8
+_MEET_THRESHOLD = 1e-3
+_WEYL_HULL_THRESHOLD = 1e-8
+_SUPPORT_THRESHOLD = 1e-6
+_SLICE_NEAR, _SLICE_MATCH = 1e-6, 1e-5  # distance to the slice; to a Weyl image
+_REALIZATION_TOL = 1e-10  # error of the exact Weyl-vertex realizations
+
 
 def __getattr__(name: str):
     # Nothing here uses scipy.stats, and importing it costs ~0.5 s of every
@@ -60,7 +68,6 @@ class GroupModel:
     weyl_elements: Optional[np.ndarray] = None
     weyl_witnesses: Optional[np.ndarray] = None
     align_to_cartan: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    is_polar_expected: bool = True
     falsify_pair: Optional[tuple] = None
 
     def chart(self, x) -> np.ndarray:
@@ -227,7 +234,6 @@ def so3_standard() -> GroupModel:
         weyl_elements=np.array([[[1.0]], [[-1.0]]]),
         weyl_witnesses=np.array([np.eye(3), np.diag([-1.0, 1.0, -1.0])]),
         align_to_cartan=_rotation_onto_e1,
-        is_polar_expected=True,
     )
 
 
@@ -282,7 +288,6 @@ def sym3_traceless() -> GroupModel:
         weyl_elements=elements,
         weyl_witnesses=witnesses,
         align_to_cartan=_sym3_align,
-        is_polar_expected=True,
     )
 
 
@@ -354,7 +359,6 @@ def hopf_circle() -> GroupModel:
         weyl_elements=None,
         weyl_witnesses=None,
         align_to_cartan=_hopf_align,
-        is_polar_expected=False,
         falsify_pair=(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])),
     )
 
@@ -402,7 +406,7 @@ def _require_weyl(model: GroupModel):
 
 
 def check_cartan_orthogonality(
-    model: GroupModel, n_samples: int = 200, seed: int = 0, threshold: float = 1e-8
+    model: GroupModel, n_samples: int = 200, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PolarCheckReport:
     """Orbit tangents at candidate-subspace points must be orthogonal to it.
 
@@ -418,15 +422,15 @@ def check_cartan_orthogonality(
     )
     tangents = np.einsum("si,itj->stj", points, unit_tangents)
     norms = np.linalg.norm(tangents, axis=2)
-    keep = norms > 1e-12
+    keep = norms > tol.eps_eq
     overlaps = np.abs(tangents[keep] @ basis.T) / norms[keep][:, None]
     worst = float(overlaps.max()) if overlaps.size else 0.0
     return PolarCheckReport(
         check="cartan_orthogonality",
         model=model.name,
-        passed=worst < threshold,
+        passed=worst < _ORTHOGONALITY_THRESHOLD,
         max_violation=worst,
-        threshold=threshold,
+        threshold=_ORTHOGONALITY_THRESHOLD,
         n_samples=n_samples,
         seed=seed,
         details={},
@@ -438,9 +442,8 @@ def check_orbits_meet_cartan(
     n_vectors: int = 25,
     seed: int = 0,
     n_group_samples: int = 2000,
-    threshold: float = 1e-3,
 ) -> PolarCheckReport:
-    """Every sampled orbit must come within ``threshold`` of the candidate subspace.
+    """Every sampled orbit must come within _MEET_THRESHOLD of the candidate subspace.
 
     Falsification-only when driven by sampling alone; models with an
     alignment witness contribute an exact meeting point as well.
@@ -461,9 +464,9 @@ def check_orbits_meet_cartan(
     return PolarCheckReport(
         check="orbits_meet_cartan",
         model=model.name,
-        passed=worst < threshold,
+        passed=worst < _MEET_THRESHOLD,
         max_violation=worst,
-        threshold=threshold,
+        threshold=_MEET_THRESHOLD,
         n_samples=n_vectors * n_group_samples,
         seed=seed,
         details={"used_witness": model.align_to_cartan is not None},
@@ -475,7 +478,6 @@ def check_projection_matches_weyl_hull(
     a=None,
     n_samples: int = 1000,
     seed: int = 0,
-    threshold: float = 1e-8,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PolarCheckReport:
     """Projected orbit points land inside the hull of the Weyl orbit.
@@ -518,9 +520,9 @@ def check_projection_matches_weyl_hull(
     return PolarCheckReport(
         check="projection_matches_weyl_hull",
         model=model.name,
-        passed=(violation <= threshold) and (realization <= 1e-10),
+        passed=(violation <= _WEYL_HULL_THRESHOLD) and (realization <= _REALIZATION_TOL),
         max_violation=violation,
-        threshold=threshold,
+        threshold=_WEYL_HULL_THRESHOLD,
         n_samples=n_samples,
         seed=seed,
         details={
@@ -535,8 +537,6 @@ def check_cartan_slice_is_weyl_orbit(
     a=None,
     n_group_samples: int = 2000,
     seed: int = 0,
-    near_tol: float = 1e-6,
-    match_tol: float = 1e-5,
 ) -> PolarCheckReport:
     """Orbit points found inside the candidate subspace must be Weyl images.
 
@@ -554,7 +554,7 @@ def check_cartan_slice_is_weyl_orbit(
     mats = np.concatenate([model.sampler(seed + 1, n_group_samples), model.weyl_witnesses])
     images = mats @ a
     off = images - (images @ model.cartan_basis.T) @ model.cartan_basis
-    near = np.linalg.norm(off, axis=1) <= near_tol
+    near = np.linalg.norm(off, axis=1) <= _SLICE_NEAR
 
     worst = 0.0
     n_violations = 0
@@ -562,7 +562,7 @@ def check_cartan_slice_is_weyl_orbit(
     for p in chart_pts:
         gap = float(np.linalg.norm(weyl_points - p, axis=1).min())
         worst = max(worst, gap)
-        if gap > match_tol:
+        if gap > _SLICE_MATCH:
             n_violations += 1
 
     return PolarCheckReport(
@@ -570,7 +570,7 @@ def check_cartan_slice_is_weyl_orbit(
         model=model.name,
         passed=n_violations == 0,
         max_violation=worst,
-        threshold=match_tol,
+        threshold=_SLICE_MATCH,
         n_samples=len(mats),
         seed=seed,
         details={"n_points_in_slice": int(near.sum())},
@@ -583,7 +583,6 @@ def check_slice_support_match(
     b=None,
     n_dirs: int = 200,
     seed: int = 0,
-    threshold: float = 1e-6,
     n_group_samples: int = 500,
 ) -> PolarCheckReport:
     """Support functions: slice of the orbit-hull sum vs sum of Weyl hulls.
@@ -620,9 +619,9 @@ def check_slice_support_match(
     return PolarCheckReport(
         check="slice_support_match",
         model=model.name,
-        passed=worst < threshold,
+        passed=worst < _SUPPORT_THRESHOLD,
         max_violation=worst,
-        threshold=threshold,
+        threshold=_SUPPORT_THRESHOLD,
         n_samples=n_dirs,
         seed=seed,
         details={"n_group_samples": n_group_samples},
@@ -701,7 +700,7 @@ def run_battery(
     hulls form a Minkowski semigroup).
     """
     reports: dict[str, object] = {}
-    reports["cartan_orthogonality"] = check_cartan_orthogonality(model, 200, seed)
+    reports["cartan_orthogonality"] = check_cartan_orthogonality(model, 200, seed, tol)
     reports["orbits_meet_cartan"] = check_orbits_meet_cartan(
         model, 25, seed, n_group_samples=min(samples, 2000)
     )

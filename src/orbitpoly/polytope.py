@@ -11,6 +11,10 @@ probe direction certifies extreme, grown by the ones that complete their
 span and by those that stick out of their hull; its facets are read from
 the last Qhull call.
 
+Every cut reads the given :class:`~orbitpoly.numerics.Tolerance`: equality,
+facet incidence and the facet-row merge at eps_eq, chart rank and flat
+simplices at eps_rank.  A failed Qhull call is retried once without ``Qz``.
+
 The scipy entry points (``ConvexHull``, ``cKDTree``) are module attributes
 made by :func:`~orbitpoly.numerics.lazy_import`: each imports
 ``scipy.spatial`` on its first call.  Reflection-group verdicts read their
@@ -32,6 +36,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    MAX_AMBIENT_DIM,
     Tolerance,
     as_vector,
     lazy_import,
@@ -44,14 +49,6 @@ ConvexHull = lazy_import("scipy.spatial", "ConvexHull")
 linprog = lazy_import("scipy.optimize", "linprog")
 HalfspaceIntersection = lazy_import("scipy.spatial", "HalfspaceIntersection")
 cKDTree = lazy_import("scipy.spatial", "cKDTree")
-
-MAX_AMBIENT_DIM = 6
-
-# Qhull equation noise is ~1e-12 for O(1) inputs, while genuinely distinct
-# facets can sit as close as ~1e-8 apart (Minkowski sums of orbits of
-# near-wall points produce near-parallel facet pairs); the merge width must
-# separate the two regimes.
-_FACET_MERGE_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +141,7 @@ def _validate(poly: Polytope, tol: Tolerance) -> Polytope:
         raise GeometryError(
             f"hull construction inconsistent: vertex violates a facet by {np.max(slack):.3e}"
         )
-    on_facet = np.abs(slack) <= max(tol.eps_eq, 1e-10)
+    on_facet = np.abs(slack) <= tol.eps_eq
     per_facet = on_facet.sum(axis=0)
     if np.any(per_facet < d):
         raise GeometryError("hull construction inconsistent: facet supports too few vertices")
@@ -171,10 +168,19 @@ def _affine_chart(pts: np.ndarray, tol: Tolerance):
 
 
 def _qhull(chart: np.ndarray):
+    """Qhull of the chart; on a QhullError, once more without scipy's ``Qz``.
+
+    ``Qz`` ends in topology errors on some nearly cospherical orbits (A5 in
+    chart dimension 5); dropping it everywhere would change other hulls' bits.
+    """
     from scipy.spatial import QhullError
 
     try:
         return ConvexHull(chart)
+    except QhullError:
+        pass
+    try:
+        return ConvexHull(chart, qhull_options="Qc Q12")
     except QhullError as exc:
         raise GeometryError(
             f"Qhull failed on {len(chart)} points in chart dim {chart.shape[1]}: {exc}"
@@ -269,7 +275,9 @@ def _facet_normals(qh, chart: np.ndarray, basis: np.ndarray, tol: Tolerance) -> 
     flat = volume <= 2 * tol.eps_rank * np.linalg.norm(edges, axis=(1, 2)) ** (chart.shape[1] - 2)
     if flat.any():
         flat[flat] = np.linalg.svd(edges[flat], compute_uv=False)[:, -1] <= tol.eps_rank
-    merged = _merge_facet_rows(qh.equations[~flat], _FACET_MERGE_EPS)
+    # One facet's simplices carry equations up to ~1e-9 apart on near-mirror
+    # orbits, distinct facets of sums near walls ~1e-8: the default splits them.
+    merged = _merge_facet_rows(qh.equations[~flat], tol.eps_eq)
     chart_normals = merged[:, :-1]
     return (chart_normals / np.linalg.norm(chart_normals, axis=1, keepdims=True)) @ basis
 
@@ -288,13 +296,12 @@ def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: To
     normals = _facet_normals(qh, chart, basis, tol)
     offsets = (candidates @ normals.T).max(axis=0)
 
-    eps = max(tol.eps_eq, 1e-10)
-    on_facet = np.abs(candidates @ normals.T - offsets[None, :]) <= eps
+    on_facet = np.abs(candidates @ normals.T - offsets[None, :]) <= tol.eps_eq
     probes = [on_facet.astype(float) @ normals, candidates - candidates.mean(axis=0)]
     gap_by_probe = []
     for probe in probes:
         lengths = np.linalg.norm(probe, axis=1)
-        lengths[lengths < 1e-12] = 1.0
+        lengths[lengths < tol.eps_eq] = 1.0
         vals = candidates @ (probe / lengths[:, None]).T  # [i, j] = <cand_i, dir_j>
         gaps = vals[np.arange(len(candidates)), np.arange(len(candidates))] - vals
         gaps[np.arange(len(candidates)), np.arange(len(candidates))] = np.inf
@@ -421,9 +428,8 @@ def export_off(P: Polytope, tol: Tolerance = DEFAULT_TOL) -> str:
     lines = ["OFF", f"{P.n_vertices} {len(P.facet_normals)} 0"]
     for v in P.vertices:
         lines.append(" ".join(f"{x:.17g}" for x in v))
-    eps = max(tol.eps_eq, 1e-10)
     for normal, offset in zip(P.facet_normals, P.facet_offsets):
-        on = np.where(np.abs(P.vertices @ normal - offset) <= eps)[0]
+        on = np.where(np.abs(P.vertices @ normal - offset) <= tol.eps_eq)[0]
         face_pts = P.vertices[on]
         center = face_pts.mean(axis=0)
         t1 = face_pts[0] - center

@@ -6,11 +6,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import orbitpoly
-from orbitpoly.catalog import write_fixtures
+from orbitpoly.catalog import fixture_dict, write_fixtures
 from orbitpoly.cli import main
 
 REPORT_KEYS = {"meta", "verdict", "criteria", "witnesses", "timings"}
@@ -397,6 +398,28 @@ def test_tol_flag_propagates(runner, fixtures):
         runner, ["coxeter-check", "--input", str(fixtures / "a2.json"), "--tol", "1e-7"]
     )
     assert _report(result)["meta"]["tolerance"] == 1e-7
+
+
+@pytest.mark.parametrize("name, order, n_reflections", [("a3", 24, 6), ("b3", 48, 9)])
+def test_tol_flag_sets_the_rank_cut(runner, tmp_path, name, order, n_reflections):
+    # Generator k turned by 1e-7 in the plane of axes (k, k + 1) mod n.  At
+    # --tol 1e-6, I - g of each reflection is within 1e-7 of rank one, below
+    # the rank cut of 10 x 1e-6 read from the tolerance.
+    data = fixture_dict(name)
+    n = data["dim"]
+    generators = []
+    for k, g in enumerate(data["generators"]):
+        i, j = k % n, (k + 1) % n
+        turn = np.eye(n)
+        turn[[i, j], [i, j]] = np.cos(1e-7)
+        turn[i, j], turn[j, i] = -np.sin(1e-7), np.sin(1e-7)
+        generators.append((turn @ np.array(g, dtype=float)).tolist())
+    path = tmp_path / f"{name}_turned.json"
+    path.write_text(json.dumps({"name": f"{name}_turned", "dim": n, "generators": generators}))
+    report = _report(_run(runner, ["coxeter-check", "--input", str(path), "--tol", "1e-6"]))
+    assert report["verdict"] is True
+    criterion = report["criteria"]["reflection_generated"]
+    assert (criterion["group_order"], criterion["n_reflections"]) == (order, n_reflections)
 
 
 _COLD_START = textwrap.dedent(

@@ -18,7 +18,7 @@ from orbitpoly.cones import (
     voronoi_consistency,
 )
 from orbitpoly.coxeter import group_reflections
-from orbitpoly.errors import GeometryError, OrbitPolyError, ZeroVectorError
+from orbitpoly.errors import OrbitPolyError, ZeroVectorError
 from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import DEFAULT_TOL, unit
 from orbitpoly.polytope import hull, support
@@ -390,13 +390,6 @@ RAY_GROUPS = (
 )
 
 
-# Qhull stops with a wide-merge topology error on the 359 unit rows v - w
-# of this on-mirror vector of S6 on R^6, in the apex hull that reduces the
-# normals, before any ray is read.  Other mirrors of A5 fail at other seeds
-# (ROADMAP item 6).  Pinned here so that a fix shows.
-QHULL_FAILS_ON_MIRROR = {("a5", 2)}
-
-
 def _assert_rays_match_enumeration(C):
     rays, lineality = helpers.rays_reference(C.halfspace_normals, C.ambient_dim)
     assert C.rays.shape == rays.shape
@@ -416,13 +409,7 @@ def test_cone_rays_match_enumeration(groups, name):
         C = orbit_cone(G, v)
         n = reflections[0].normal if reflections else C.halfspace_normals[0]
         on_wall = v - (v @ n) * n
-        if (name, seed) in QHULL_FAILS_ON_MIRROR:
-            with pytest.raises(GeometryError, match="Qhull failed"):
-                orbit_cone(G, on_wall)
-            vectors = (v, on_wall + 1e-4 * n)
-        else:
-            vectors = (v, on_wall, on_wall + 1e-4 * n)
-        for x in vectors:
+        for x in (v, on_wall, on_wall + 1e-4 * n):
             C = orbit_cone(G, x)
             _assert_rays_match_enumeration(C)
             _assert_rays_match_enumeration(dual_cone(C))

@@ -424,3 +424,21 @@ def test_sp_report_and_chamber_make_no_lp(groups, monkeypatch):
     ch = chamber(b3, v)
     assert hull_from_dual_cones(b3, v, ch).n_vertices == 48
     assert hull_from_dual_cones(b3, ch.fundamental_rays[0], ch).n_vertices == 8
+
+
+@pytest.mark.parametrize(
+    "name", [*CATALOG_NAMES, "h3", "d4", "chiral_t", "chiral_o", "minus_i3", "c3h", "c4_x_mirror"]
+)
+def test_verdict_and_reflections_hold_in_a_rotated_basis(groups, name):
+    # Conjugating the group by an orthogonal Q is a change of basis: the
+    # theorem2 verdict and the number of reflections must not move.
+    G = helpers.named_group(groups, name)
+    verdict = sp_equivalence_report(G, seed=7).verdict
+    n_reflections = len(group_reflections(G))
+    for basis_seed in range(3):
+        q, r = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((G.dim, G.dim)))
+        Q = q * np.sign(np.diag(r))
+        rotated = close_generators([Q @ G.elements[i] @ Q.T for i in G.generator_indices])
+        assert len(group_reflections(rotated)) == n_reflections
+        for seed in (7, 42):
+            assert sp_equivalence_report(rotated, seed=seed).verdict is verdict

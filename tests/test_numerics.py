@@ -89,8 +89,10 @@ def test_orthogonal_matrix_rejects_small_defect():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eps_eq=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(eps_rank=-1e-9)
+    # The rank cut is read from eps_eq, not passed.
+    assert Tolerance(eps_eq=1e-6).eps_rank == pytest.approx(1e-5, rel=1e-15)
+    with pytest.raises(TypeError):
+        Tolerance(eps_rank=1e-8)
     with pytest.raises(ValueError):
         Tolerance(eps_eq=float("nan"))
 
