@@ -367,11 +367,12 @@ def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) 
     """Detect whether an orthogonal matrix is a hyperplane reflection.
 
     Returns the unit normal of the fixed hyperplane (sign fixed so the first
-    coordinate above tolerance is positive) when ``I - g`` has rank one,
-    else None.
+    coordinate above tolerance is positive) when ``I - g`` has rank one and
+    ``g @ g`` equals I at eps_eq, else None.
     """
-    defect = np.eye(len(g)) - np.asarray(g, dtype=float)
-    if matrix_rank(defect, tol) != 1:
+    g = np.asarray(g, dtype=float)
+    defect = np.eye(len(g)) - g
+    if matrix_rank(defect, tol) != 1 or not close(g @ g, np.eye(len(g)), tol):
         return None
     return Reflection(element_index=element_index, normal=_mirror_normals_of(defect[None], tol)[0])
 
@@ -383,12 +384,15 @@ def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Refl
     more gives their normals as :func:`detect_reflection` would.  The rank
     test runs only on the elements with ``trace(I - g)`` near 2: for an
     orthogonal g that is the sum of ``1 - Re(lambda)`` over its eigenvalues,
-    which is about 2 when one eigenvalue is -1 and the rest are 1.
+    which is about 2 when one eigenvalue is -1 and the rest are 1.  They must
+    square to I at eps_eq too: a rotoreflection by an angle below eps_rank does not.
     """
     defects = np.eye(G.dim) - G.stack
     near_two = np.flatnonzero(np.abs(np.trace(defects, axis1=1, axis2=2) - 2.0) < 0.5)
     svals = np.linalg.svd(defects[near_two], compute_uv=False)
     rank_one = near_two[np.sum(svals > tol.eps_rank, axis=1) == 1]
+    squares = G.stack[rank_one] @ G.stack[rank_one]
+    rank_one = rank_one[np.all(np.abs(squares - np.eye(G.dim)) <= tol.eps_eq, axis=(1, 2))]
     normals = _mirror_normals_of(defects[rank_one], tol)
     return [Reflection(element_index=int(i), normal=n) for i, n in zip(rank_one, normals)]
 

@@ -26,7 +26,8 @@ class Tolerance:
     """The tolerance policy, with one knob.
 
     eps_eq is the absolute threshold for coordinate equality and facet-row
-    merges; eps_rank = 10 * eps_eq, for rank decisions, is read from it.
+    merges.  eps_rank = 10 * eps_eq is the rank cut: entries within eps_eq give
+    singular values at most MAX_AMBIENT_DIM * eps_eq, so rank never splits what eps_eq merges.
     All catalog data is O(1)-scaled, so absolute thresholds are appropriate.
     """
 

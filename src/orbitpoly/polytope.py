@@ -11,9 +11,8 @@ probe direction certifies extreme, grown by the ones that complete their
 span and by those that stick out of their hull; its facets are read from
 the last Qhull call.
 
-Every cut reads the given :class:`~orbitpoly.numerics.Tolerance`: equality,
-facet incidence and the facet-row merge at eps_eq, chart rank and flat
-simplices at eps_rank.  A failed Qhull call is retried once without ``Qz``.
+Cuts read the given :class:`~orbitpoly.numerics.Tolerance`: equality at eps_eq, ranks
+at eps_rank, facet merges and incidence at eps_eq but no finer than ``_QHULL_SPREAD``.
 
 The scipy entry points (``ConvexHull``, ``cKDTree``) are module attributes
 made by :func:`~orbitpoly.numerics.lazy_import`: each imports
@@ -49,6 +48,10 @@ ConvexHull = lazy_import("scipy.spatial", "ConvexHull")
 linprog = lazy_import("scipy.optimize", "linprog")
 HalfspaceIntersection = lazy_import("scipy.spatial", "HalfspaceIntersection")
 cKDTree = lazy_import("scipy.spatial", "cKDTree")
+
+# Qhull's noise: one facet's simplices carry equations up to ~1e-9 apart near mirrors
+# (distinct facets of sums near walls ~1e-8).  Facet merges and incidence cut no finer.
+_QHULL_SPREAD = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +107,15 @@ class SupportResult(NamedTuple):
 def _merge_facet_rows(rows: np.ndarray, eps: float) -> np.ndarray:
     """Merge near-identical (normal, offset) rows into their means.
 
-    Rows closer than eps in max-norm are linked, and linked rows merge
-    transitively (single linkage).  A k-d tree finds the linked pairs;
-    minimum-label propagation over those pairs, with pointer jumping,
+    Rows closer than max(eps, _QHULL_SPREAD) in max-norm are linked, and
+    linked rows merge transitively (single linkage).  A k-d tree finds the
+    linked pairs; minimum-label propagation over them, with pointer jumping,
     labels each group by its smallest member.  Groups come in that order
     and average their members in index order.
     """
-    # query_pairs keeps distances <= r; the float below eps keeps the test strict.
-    pairs = cKDTree(rows).query_pairs(np.nextafter(eps, 0), p=np.inf, output_type="ndarray")
+    # query_pairs keeps distances <= r; the float below the width keeps the test strict.
+    r = np.nextafter(max(eps, _QHULL_SPREAD), 0)
+    pairs = cKDTree(rows).query_pairs(r, p=np.inf, output_type="ndarray")
     if len(pairs) == 0:
         return rows
     i, j = pairs.T
@@ -141,7 +145,7 @@ def _validate(poly: Polytope, tol: Tolerance) -> Polytope:
         raise GeometryError(
             f"hull construction inconsistent: vertex violates a facet by {np.max(slack):.3e}"
         )
-    on_facet = np.abs(slack) <= tol.eps_eq
+    on_facet = np.abs(slack) <= max(tol.eps_eq, _QHULL_SPREAD)
     per_facet = on_facet.sum(axis=0)
     if np.any(per_facet < d):
         raise GeometryError("hull construction inconsistent: facet supports too few vertices")
@@ -168,19 +172,15 @@ def _affine_chart(pts: np.ndarray, tol: Tolerance):
 
 
 def _qhull(chart: np.ndarray):
-    """Qhull of the chart; on a QhullError, once more without scipy's ``Qz``.
+    """Qhull of the chart, with scipy's default options (``Qx`` above 4-d) and ``Q12``.
 
-    ``Qz`` ends in topology errors on some nearly cospherical orbits (A5 in
-    chart dimension 5); dropping it everywhere would change other hulls' bits.
+    ``Q12`` lets Qhull finish on the wide merges of nearly cospherical orbits
+    (A5 in chart dimension 5), where it otherwise stops with QH6271.
     """
     from scipy.spatial import QhullError
 
     try:
-        return ConvexHull(chart)
-    except QhullError:
-        pass
-    try:
-        return ConvexHull(chart, qhull_options="Qc Q12")
+        return ConvexHull(chart, qhull_options="Qx Q12" if chart.shape[1] > 4 else "Q12")
     except QhullError as exc:
         raise GeometryError(
             f"Qhull failed on {len(chart)} points in chart dim {chart.shape[1]}: {exc}"
@@ -275,8 +275,6 @@ def _facet_normals(qh, chart: np.ndarray, basis: np.ndarray, tol: Tolerance) -> 
     flat = volume <= 2 * tol.eps_rank * np.linalg.norm(edges, axis=(1, 2)) ** (chart.shape[1] - 2)
     if flat.any():
         flat[flat] = np.linalg.svd(edges[flat], compute_uv=False)[:, -1] <= tol.eps_rank
-    # One facet's simplices carry equations up to ~1e-9 apart on near-mirror
-    # orbits, distinct facets of sums near walls ~1e-8: the default splits them.
     merged = _merge_facet_rows(qh.equations[~flat], tol.eps_eq)
     chart_normals = merged[:, :-1]
     return (chart_normals / np.linalg.norm(chart_normals, axis=1, keepdims=True)) @ basis
@@ -296,7 +294,7 @@ def _probe_facets(pts: np.ndarray, chart: np.ndarray, basis: np.ndarray, tol: To
     normals = _facet_normals(qh, chart, basis, tol)
     offsets = (candidates @ normals.T).max(axis=0)
 
-    on_facet = np.abs(candidates @ normals.T - offsets[None, :]) <= tol.eps_eq
+    on_facet = np.abs(candidates @ normals.T - offsets[None, :]) <= max(tol.eps_eq, _QHULL_SPREAD)
     probes = [on_facet.astype(float) @ normals, candidates - candidates.mean(axis=0)]
     gap_by_probe = []
     for probe in probes:
@@ -429,7 +427,7 @@ def export_off(P: Polytope, tol: Tolerance = DEFAULT_TOL) -> str:
     for v in P.vertices:
         lines.append(" ".join(f"{x:.17g}" for x in v))
     for normal, offset in zip(P.facet_normals, P.facet_offsets):
-        on = np.where(np.abs(P.vertices @ normal - offset) <= tol.eps_eq)[0]
+        on = np.where(np.abs(P.vertices @ normal - offset) <= max(tol.eps_eq, _QHULL_SPREAD))[0]
         face_pts = P.vertices[on]
         center = face_pts.mean(axis=0)
         t1 = face_pts[0] - center

@@ -114,6 +114,19 @@ def rot3z(theta):
     return np.block([[rot2(theta), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
 
 
+def turned_generators(generators, angle=1e-7):
+    """Generator k turned by ``angle`` in the plane of axes (k, k + 1) mod n."""
+    turned = []
+    for k, g in enumerate(generators):
+        n = len(g)
+        i, j = k % n, (k + 1) % n
+        turn = np.eye(n)
+        turn[[i, j], [i, j]] = math.cos(angle)
+        turn[i, j], turn[j, i] = -math.sin(angle), math.sin(angle)
+        turned.append((turn @ np.array(g, dtype=float)).tolist())
+    return turned
+
+
 _CYCLE3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 _MIRROR_Z = np.diag([1.0, 1.0, -1.0])
 _B4 = reflection_generators("b4")

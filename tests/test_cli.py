@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import helpers
 import orbitpoly
-from orbitpoly.catalog import fixture_dict, write_fixtures
+from orbitpoly.catalog import CATALOG_NAMES, fixture_dict, write_fixtures
 from orbitpoly.cli import main
 
 REPORT_KEYS = {"meta", "verdict", "criteria", "witnesses", "timings"}
@@ -402,24 +403,48 @@ def test_tol_flag_propagates(runner, fixtures):
 
 @pytest.mark.parametrize("name, order, n_reflections", [("a3", 24, 6), ("b3", 48, 9)])
 def test_tol_flag_sets_the_rank_cut(runner, tmp_path, name, order, n_reflections):
-    # Generator k turned by 1e-7 in the plane of axes (k, k + 1) mod n.  At
-    # --tol 1e-6, I - g of each reflection is within 1e-7 of rank one, below
-    # the rank cut of 10 x 1e-6 read from the tolerance.
+    # Each generator turned by 1e-7 (helpers.turned_generators).  At --tol
+    # 1e-6, I - g of each reflection is within 1e-7 of rank one, below the
+    # rank cut of 10 x 1e-6 read from the tolerance.
     data = fixture_dict(name)
-    n = data["dim"]
-    generators = []
-    for k, g in enumerate(data["generators"]):
-        i, j = k % n, (k + 1) % n
-        turn = np.eye(n)
-        turn[[i, j], [i, j]] = np.cos(1e-7)
-        turn[i, j], turn[j, i] = -np.sin(1e-7), np.sin(1e-7)
-        generators.append((turn @ np.array(g, dtype=float)).tolist())
+    data["generators"] = helpers.turned_generators(data["generators"])
     path = tmp_path / f"{name}_turned.json"
-    path.write_text(json.dumps({"name": f"{name}_turned", "dim": n, "generators": generators}))
+    path.write_text(json.dumps(data))
     report = _report(_run(runner, ["coxeter-check", "--input", str(path), "--tol", "1e-6"]))
     assert report["verdict"] is True
     criterion = report["criteria"]["reflection_generated"]
     assert (criterion["group_order"], criterion["n_reflections"]) == (order, n_reflections)
+
+
+def test_coarse_tol_counts_no_rotoreflection_as_a_reflection(runner, tmp_path):
+    # C720 x C2: the rotations about z by 2 pi k / 720 and the mirror z -> -z.
+    # At --tol 1e-3 the mirror times a rotation by 2 pi / 720 (~8.7e-3) is a
+    # distinct element whose I - g is within the rank cut 1e-2 of rank one;
+    # it is no involution, so the mirror stays the only reflection.
+    rotation = helpers.rot3z(2 * np.pi / 720).tolist()
+    data = {"name": "c720_x_mirror", "dim": 3, "generators": [rotation, np.diag([1.0, 1.0, -1.0]).tolist()]}
+    path = tmp_path / "c720_x_mirror.json"
+    path.write_text(json.dumps(data))
+    report = _report(_run(runner, ["coxeter-check", "--input", str(path), "--tol", "1e-3"]))
+    criterion = report["criteria"]["reflection_generated"]
+    assert (criterion["group_order"], criterion["n_reflections"]) == (1440, 1)
+    assert report["verdict"] is False
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-11"])
+@pytest.mark.parametrize("name, facets", [("a3", 14), ("h3", 62)])
+def test_fine_tol_keeps_hull_facets(runner, tmp_path, tol, name, facets):
+    # At seed 7 the base vectors lie near a mirror, where Qhull's equations
+    # for one facet spread up to ~1e-9: facets merge at that spread however
+    # fine the tolerance.
+    if name in CATALOG_NAMES:
+        data = fixture_dict(name)
+    else:
+        data = {"name": name, "dim": 3, "generators": np.array(helpers.reflection_generators(name)).tolist()}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    report = _report(_run(runner, ["hull", "--input", str(path), "--seed", "7", "--tol", tol]))
+    assert len(report["data"]["facet_normals"]) == facets
 
 
 _COLD_START = textwrap.dedent(

@@ -448,9 +448,9 @@ def test_hull_counts_hold_in_a_rotated_basis(groups, name, facets):
 
 def test_a5_permutohedron_in_the_basis_of_its_simple_roots():
     # S6 on the sum-zero R^5: a regular orbit hull is the permutohedron of
-    # order 6, with 2^6 - 2 facets.  With scipy's default options (Qz) Qhull
-    # ends in a topology error at most seeds in this basis; its retry
-    # without Qz gets them.
+    # order 6, with 2^6 - 2 facets.  With scipy's default options alone
+    # Qhull ends in a wide-merge error (QH6271) at most seeds in this basis;
+    # Q12 lets it finish.
     Q, _ = np.linalg.qr(np.array(helpers.SIMPLE_ROOTS["a5"]).T)
     G = close_generators([Q.T @ g @ Q for g in helpers.reflection_generators("a5")])
     assert (G.order, G.dim) == (720, 5)
