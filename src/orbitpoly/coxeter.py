@@ -397,7 +397,10 @@ def sp_equivalence_report(G: FiniteGroup, seed: int = 42, tol: Tolerance = DEFAU
             peak_witness if peak_witness is not None else f"no counterexample found ({len(peak_points)} test points)",
         ),
         "coxeter_ii": (coxeter_ok, None),
-        "local_cone_iii": (local_ok, local_witness),
+        "local_cone_iii": (
+            local_ok,
+            local_witness if local_witness is not None else f"no counterexample found ({_N_LOCAL_SAMPLES} local samples)",
+        ),
     }
     verdicts = {key: passed for key, (passed, _) in results.items()}
     if len(set(verdicts.values())) != 1:

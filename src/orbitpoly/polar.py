@@ -1,13 +1,14 @@
 """Sampled compact-group models and numeric polar-structure checks.
 
-Continuous groups are represented only through seeded samplers plus
-analytic Cartan/Weyl data supplied per model; there is no general
-Lie-theory engine.  Checks that quantify over a whole group are sampled
-and labelled falsification-only: a pass corroborates, a fail refutes.
-Where a stated tolerance is unreachable by uniform sampling (meeting a
-codimension >= 2 subspace, exact support values), models carry analytic
-witness procedures - an aligning rotation, eigen-decomposition, the Weyl
-realizations - and the sampled estimate is combined with those witnesses.
+Continuous groups are represented only through seeded group images of
+points plus analytic Cartan/Weyl data supplied per model; there is no
+general Lie-theory engine.  Checks that quantify over a whole group are
+sampled and labelled falsification-only: a pass corroborates, a fail
+refutes.  Where a stated tolerance is unreachable by uniform sampling
+(meeting a codimension >= 2 subspace, exact support values), models carry
+analytic witness procedures - an aligning rotation, eigen-decomposition,
+the Weyl realizations - and the sampled estimate is combined with those
+witnesses.
 """
 
 from __future__ import annotations
@@ -50,19 +51,22 @@ def __getattr__(name: str):
 class GroupModel:
     """A sampled compact-group action with candidate Cartan data.
 
-    sampler(seed, count) yields orthogonal matrices acting on the ambient
-    space; tangent_basis_at(v) spans the orbit tangent space at v.  Its rows
-    X v, one per Lie algebra basis element X, are linear in v for any
-    linear action, so callers may read the map off at the unit vectors.
-    cartan_basis rows are an orthonormal basis of the candidate subspace;
-    weyl_elements act on its coordinates and weyl_witnesses are ambient
-    group elements realizing them.  align_to_cartan(v), when present,
-    returns a group element moving v into the candidate subspace.
+    images(seed, count, points) applies count seeded group elements g_s to
+    each row p of points and returns g_s p at [k, s] of a (len(points),
+    count, ambient_dim) array.  A seed draws the same g_s for every batch,
+    and row k depends only on points[k], bit for bit; no sampled element is
+    formed as a matrix.  tangent_basis_at(v) spans the orbit tangent space
+    at v.  Its rows X v, one per Lie algebra basis element X, are linear in
+    v for any linear action, so callers may read the map off at the unit
+    vectors.  cartan_basis rows are an orthonormal basis of the candidate
+    subspace; weyl_elements act on its coordinates and weyl_witnesses are
+    ambient group elements realizing them.  align_to_cartan(v), when
+    present, returns a group element moving v into the candidate subspace.
     """
 
     name: str
     ambient_dim: int
-    sampler: Callable[[int, int], np.ndarray]
+    images: Callable[[int, int, np.ndarray], np.ndarray]
     tangent_basis_at: Callable[[np.ndarray], np.ndarray]
     cartan_basis: Optional[np.ndarray]
     weyl_elements: Optional[np.ndarray] = None
@@ -128,7 +132,9 @@ def _sample_rotations(seed: int, count: int) -> np.ndarray:
     the Q of Z = QR with positive diag(R) column by column: Gram-Schmidt
     (the second column orthogonalized twice), the third column from the
     cross product with the sign of det Z, and row 0 flipped by that sign
-    so the result is a rotation.
+    so the result is a rotation.  The (count, 3, 3) result is a view of
+    storage with the sample axis last: ``.transpose(1, 2, 0)`` gives the
+    contiguous rs[a, c, s] = R_s[a, c] back without a copy.
     """
     z = np.random.default_rng(seed).normal(size=(count, 3, 3))
     a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, count)
@@ -136,15 +142,31 @@ def _sample_rotations(seed: int, count: int) -> np.ndarray:
     q1 = b - _dot(q0, b) * q0
     q1 -= _dot(q0, q1) * q0
     q1 /= np.sqrt(_dot(q1, q1))
-    sign = np.where(_dot(np.cross(a, b, axis=0), c) < 0.0, -1.0, 1.0)
-    q = np.stack([q0, q1, sign * np.cross(q0, q1, axis=0)])  # q[j, k, s] = Q_s[k, j]
-    q[:, 0] *= sign
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+    sign = np.where(_dot(_cross(a, b), c) < 0.0, -1.0, 1.0)
+    rs = np.stack([q0, q1, sign * _cross(q0, q1)], axis=1)  # rs[a, c, s] = R_s[a, c]
+    rs[0] *= sign
+    return rs.transpose(2, 0, 1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inner products of matching columns of two (3, count) arrays."""
     return np.einsum("ks,ks->s", x, y)
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross products of matching columns of two (3, count) arrays."""
+    return np.array(
+        [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+    )
+
+
+def _rotation_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
+    """Seeded Haar rotations applied to each row of points: (len(points), count, 3)."""
+    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
+    out = np.empty((len(points), count, 3))
+    for k, p in enumerate(np.asarray(points, dtype=float)):
+        out[k] = (p @ rs).T  # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
+    return out
 
 
 def _rotation_onto_e1(v: np.ndarray) -> np.ndarray:
@@ -196,17 +218,28 @@ def sym_mat(coords) -> np.ndarray:
     return np.einsum("i,iab->ab", np.asarray(coords, dtype=float), _SYM_BASIS)
 
 
+def _conjugated(rs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Coordinates of R_s A R_s^T for one symmetric 3x3 A, shape (5, count).
+
+    rs[a, c, s] = R_s[a, c] has the sample axis last, so each contraction
+    runs along contiguous rows.
+    """
+    # matrix @ rs holds R A (A is symmetric); contracting it with R gives R A R^T.
+    conjugated = np.einsum("acs,bcs->abs", rs, matrix @ rs)
+    return _SYM_BASIS.reshape(5, 9) @ conjugated.reshape(9, -1)
+
+
 def conjugation_action(rotations: np.ndarray) -> np.ndarray:
-    """5x5 matrices of A -> R A R^T on the symmetric traceless space, batched."""
+    """5x5 matrices of A -> R A R^T on the symmetric traceless space, batched.
+
+    For single elements (Weyl witnesses, alignments); sampled elements act
+    on points through ``_sym3_images`` and are never formed as matrices.
+    """
     rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
-    # Sample axis last, so each contraction below runs along contiguous rows.
     rs = np.ascontiguousarray(rotations.transpose(1, 2, 0))  # rs[a, c, s] = R_s[a, c]
-    flat_basis = _SYM_BASIS.reshape(5, 9)
     out = np.empty((len(rotations), 5, 5))
     for j, e in enumerate(_SYM_BASIS):
-        # e @ rs holds R E_j (E_j is symmetric); contracting it with R gives R E_j R^T.
-        conjugated = np.einsum("acs,bcs->abs", rs, e @ rs)
-        out[:, :, j] = (flat_basis @ conjugated.reshape(9, -1)).T
+        out[:, :, j] = _conjugated(rs, e).T
     return out
 
 
@@ -228,7 +261,7 @@ def so3_standard() -> GroupModel:
     return GroupModel(
         name="so3_standard",
         ambient_dim=3,
-        sampler=_sample_rotations,
+        images=_rotation_images,
         tangent_basis_at=tangent,
         cartan_basis=e1,
         weyl_elements=np.array([[[1.0]], [[-1.0]]]),
@@ -237,8 +270,13 @@ def so3_standard() -> GroupModel:
     )
 
 
-def _sym3_sampler(seed: int, count: int) -> np.ndarray:
-    return conjugation_action(_sample_rotations(seed, count))
+def _sym3_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
+    """Seeded rotations conjugating each row of points: (len(points), count, 5)."""
+    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
+    out = np.empty((len(points), count, 5))
+    for k, p in enumerate(np.asarray(points, dtype=float)):
+        out[k] = _conjugated(rs, sym_mat(p)).T
+    return out
 
 
 def _sym3_tangent(v) -> np.ndarray:
@@ -282,29 +320,13 @@ def sym3_traceless() -> GroupModel:
     return GroupModel(
         name="sym3_traceless",
         ambient_dim=5,
-        sampler=_sym3_sampler,
+        images=_sym3_images,
         tangent_basis_at=_sym3_tangent,
         cartan_basis=np.array([sym_vec(_SYM_BASIS[0]), sym_vec(_SYM_BASIS[1])]),
         weyl_elements=elements,
         weyl_witnesses=witnesses,
         align_to_cartan=_sym3_align,
     )
-
-
-def _hopf_sampler(seed: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, count)
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.zeros((count, 4, 4))
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
-    out[:, 2, 2] = c
-    out[:, 2, 3] = -s
-    out[:, 3, 2] = s
-    out[:, 3, 3] = c
-    return out
 
 
 _HOPF_J = np.array(
@@ -317,21 +339,25 @@ _HOPF_J = np.array(
 )
 
 
+def _hopf_turn(theta, points) -> np.ndarray:
+    """Rows of points turned by each cos(theta) I + sin(theta) J: (len(points), len(theta), 4)."""
+    theta = np.asarray(theta, dtype=float)[:, None]
+    points = np.asarray(points, dtype=float)
+    return np.cos(theta) * points[:, None, :] + np.sin(theta) * (points @ _HOPF_J.T)[:, None, :]
+
+
+def _hopf_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
+    return _hopf_turn(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count), points)
+
+
 def _hopf_align(v) -> np.ndarray:
     # Rotate the first complex coordinate onto the real axis; if it vanishes
     # the whole orbit already lies in the candidate subspace.
     v = np.asarray(v, dtype=float)
     theta = -np.arctan2(v[1], v[0]) if np.hypot(v[0], v[1]) > 1e-14 else 0.0
-    return _hopf_sampler_theta(theta)
-
-
-def _hopf_sampler_theta(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    block = np.array([[c, -s], [s, c]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = block
-    out[2:, 2:] = block
-    return out
+    # Row i of the turned unit vectors is g e_i, column i of g.  Copied to C
+    # order: on the transposed view, g @ v rounds differently in the last bit.
+    return np.ascontiguousarray(_hopf_turn([theta], np.eye(4))[:, 0].T)
 
 
 def hopf_circle() -> GroupModel:
@@ -353,7 +379,7 @@ def hopf_circle() -> GroupModel:
     return GroupModel(
         name="hopf_circle",
         ambient_dim=4,
-        sampler=_hopf_sampler,
+        images=_hopf_images,
         tangent_basis_at=tangent,
         cartan_basis=basis,
         weyl_elements=None,
@@ -450,17 +476,15 @@ def check_orbits_meet_cartan(
     """
     _require_cartan(model)
     basis = model.cartan_basis
-    mats = model.sampler(seed, n_group_samples)
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(n_vectors):
-        v = rng.standard_normal(model.ambient_dim)
-        images = mats @ v
-        if model.align_to_cartan is not None:
-            images = np.vstack([images, (model.align_to_cartan(v) @ v)[None, :]])
-        off = images - (images @ basis.T) @ basis
-        best = float(np.linalg.norm(off, axis=1).min())
-        worst = max(worst, best)
+    vectors = np.random.default_rng(seed + 1).standard_normal((n_vectors, model.ambient_dim))
+    images = model.images(seed, n_group_samples, vectors)
+    if model.align_to_cartan is not None:
+        aligned = np.reshape(
+            [model.align_to_cartan(v) @ v for v in vectors], (n_vectors, 1, model.ambient_dim)
+        )
+        images = np.concatenate([images, aligned], axis=1)
+    off = images - (images @ basis.T) @ basis
+    worst = float(np.linalg.norm(off, axis=2).min(axis=1).max(initial=0.0))
     return PolarCheckReport(
         check="orbits_meet_cartan",
         model=model.name,
@@ -494,8 +518,7 @@ def check_projection_matches_weyl_hull(
     weyl_points = np.array([w @ a_chart for w in model.weyl_elements])
     weyl_hull = hull(weyl_points, tol)
 
-    mats = model.sampler(seed + 1, n_samples)
-    chart_pts = (mats @ a) @ model.cartan_basis.T
+    chart_pts = model.images(seed + 1, n_samples, a[None])[0] @ model.cartan_basis.T
 
     centered = chart_pts - weyl_hull.affine_origin
     if weyl_hull.affine_dim < len(a_chart):
@@ -551,19 +574,16 @@ def check_cartan_slice_is_weyl_orbit(
     a_chart = model.chart(a)
     weyl_points = np.array([w @ a_chart for w in model.weyl_elements])
 
-    mats = np.concatenate([model.sampler(seed + 1, n_group_samples), model.weyl_witnesses])
-    images = mats @ a
+    images = np.concatenate(
+        [model.images(seed + 1, n_group_samples, a[None])[0], model.weyl_witnesses @ a]
+    )
     off = images - (images @ model.cartan_basis.T) @ model.cartan_basis
     near = np.linalg.norm(off, axis=1) <= _SLICE_NEAR
 
-    worst = 0.0
-    n_violations = 0
     chart_pts = images[near] @ model.cartan_basis.T
-    for p in chart_pts:
-        gap = float(np.linalg.norm(weyl_points - p, axis=1).min())
-        worst = max(worst, gap)
-        if gap > _SLICE_MATCH:
-            n_violations += 1
+    gaps = np.linalg.norm(chart_pts[:, None, :] - weyl_points[None, :, :], axis=2).min(axis=1)
+    worst = float(gaps.max(initial=0.0))
+    n_violations = int(np.count_nonzero(gaps > _SLICE_MATCH))
 
     return PolarCheckReport(
         check="cartan_slice_is_weyl_orbit",
@@ -571,7 +591,7 @@ def check_cartan_slice_is_weyl_orbit(
         passed=n_violations == 0,
         max_violation=worst,
         threshold=_SLICE_MATCH,
-        n_samples=len(mats),
+        n_samples=len(images),
         seed=seed,
         details={"n_points_in_slice": int(near.sum())},
     )
@@ -605,12 +625,11 @@ def check_slice_support_match(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     ambient_dirs = dirs @ model.cartan_basis
 
-    mats = np.concatenate([model.sampler(seed + 4, n_group_samples), model.weyl_witnesses])
-    worst = 0.0
+    sampled = model.images(seed + 4, n_group_samples, np.array([a, b]))
     lhs_total = np.zeros(n_dirs)
     rhs_total = np.zeros(n_dirs)
-    for point in (a, b):
-        images = mats @ point
+    for point, point_images in zip((a, b), sampled):
+        images = np.concatenate([point_images, model.weyl_witnesses @ point])
         lhs_total += (images @ ambient_dirs.T).max(axis=0)
         weyl_images = np.array([w @ model.chart(point) for w in model.weyl_elements])
         rhs_total += (weyl_images @ dirs.T).max(axis=0)
@@ -652,14 +671,16 @@ def sp_falsify_nonpolar(
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
 
-    mats = np.concatenate([model.sampler(seed, n_group_samples), np.eye(model.ambient_dim)[None]])
-    orbit_u = mats @ u
-    orbit_v = mats @ v
+    # u, v and four seeded points, each with its sampled images and itself.
+    rng = np.random.default_rng(seed + 10)
+    points = np.vstack([u, v, rng.standard_normal((4, model.ambient_dim))])
+    orbits = np.concatenate(
+        [model.images(seed, n_group_samples, points), points[:, None, :]], axis=1
+    )
+    orbit_u, orbit_v = orbits[0], orbits[1]
     sums = (orbit_u[:, None, :] + orbit_v[None, :, :]).reshape(-1, model.ambient_dim)
     sum_dim = matrix_rank(sums - sums.mean(axis=0), tol)
 
-    rng = np.random.default_rng(seed + 10)
-    orbits = [orbit_u, orbit_v] + [mats @ rng.standard_normal(model.ambient_dim) for _ in range(4)]
     orbit_dims = [matrix_rank(o - o.mean(axis=0), tol) for o in orbits]
     max_orbit_dim = max(orbit_dims)
     sp_impossible = sum_dim > max_orbit_dim

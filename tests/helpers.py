@@ -12,7 +12,8 @@ hull whose uncertified vertex candidates each cost an LP, the cone
 reduction that decides each halfspace by an LP, and the cone rays found
 by one SVD per (d - 1)-subset of normals.
 The polar sampler primitives have references too: scipy's QR-based Haar
-sampler and the three-operand conjugation einsum; so does the Cartan
+sampler, the three-operand conjugation einsum and the block matrices of the
+Hopf circle, each a batch of matrices to apply to points; so does the Cartan
 orthogonality check, as its per-point loop.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
@@ -397,6 +398,17 @@ def conjugation_action_reference(rotations):
     rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
     transformed = np.einsum("sac,jcd,sbd->sjab", rotations, _SYM_BASIS, rotations)
     return np.einsum("iab,sjab->sij", _SYM_BASIS, transformed)
+
+
+def hopf_rotations_reference(seed, count):
+    """4x4 matrices of the Hopf circle: one seeded angle turning planes (0, 1) and (2, 3)."""
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count)
+    c, s = np.cos(theta), np.sin(theta)
+    block = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+    out = np.zeros((count, 4, 4))
+    out[:, :2, :2] = block
+    out[:, 2:, 2:] = block
+    return out
 
 
 def check_cartan_orthogonality_reference(model, n_samples=200, seed=0):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import helpers
 import orbitpoly
+from orbitpoly import coxeter
 from orbitpoly.catalog import CATALOG_NAMES, fixture_dict, write_fixtures
 from orbitpoly.cli import main
 
@@ -66,6 +67,16 @@ def test_theorem2_reports_the_pairs_checked(runner, fixtures):
     report = _report(_run(runner, ["theorem2", "--input", str(fixtures / "c4.json")]))
     assert set(report["criteria"]["sp"]["witness"]) == {"u", "v"}
     assert report["timings"]["sp_pairs_checked"] >= 1
+
+
+def test_theorem2_local_cone_states_its_samples(runner, fixtures):
+    # A passing local-cone criterion names how many local samples it tried,
+    # as sp and peak_i name their pairs and test points.
+    report = _report(_run(runner, ["theorem2", "--input", str(fixtures / "b2.json")]))
+    assert report["criteria"]["local_cone_iii"] == {
+        "passed": True,
+        "witness": f"no counterexample found ({coxeter._N_LOCAL_SAMPLES} local samples)",
+    }
 
 
 def test_malformed_json_exit_code(runner, tmp_path):

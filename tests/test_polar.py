@@ -24,15 +24,57 @@ def hopf():
     return polar.hopf_circle()
 
 
+def _sampled_matrices(model, seed, count):
+    """The seeded elements g_s as matrices, read off as the images of the unit vectors."""
+    images = model.images(seed, count, np.eye(model.ambient_dim))  # [i, s] = g_s e_i
+    return images.transpose(1, 2, 0)  # [s, j, i] = g_s[j, i]
+
+
+def _reference_images(name, rotations=helpers.sample_rotations_reference):
+    """An images hook applying reference matrices of the seeded elements to each point.
+
+    Rotations of 3-space come from ``rotations(seed, count)`` and act on
+    sym3 through the reference conjugation einsum.
+    """
+
+    def images(seed, count, points):
+        if name == "so3_standard":
+            mats = rotations(seed, count)
+        elif name == "sym3_traceless":
+            mats = helpers.conjugation_action_reference(rotations(seed, count))
+        else:
+            mats = helpers.hopf_rotations_reference(seed, count)
+        return np.array([mats @ p for p in points])
+
+    return images
+
+
 def test_samplers_produce_orthogonal_matrices(so3, sym3, hopf):
     for model in (so3, sym3, hopf):
-        for m in model.sampler(0, 20):
+        for m in _sampled_matrices(model, 0, 20):
             assert is_orthogonal(m, Tolerance(eps_eq=1e-9))
 
 
 def test_samplers_deterministic(so3, sym3, hopf):
     for model in (so3, sym3, hopf):
-        assert np.array_equal(model.sampler(7, 5), model.sampler(7, 5))
+        assert np.array_equal(_sampled_matrices(model, 7, 5), _sampled_matrices(model, 7, 5))
+
+
+@pytest.mark.parametrize("count", [1, 7, 10_000])
+@pytest.mark.parametrize("seed", [0, 42, 1001])
+@pytest.mark.parametrize("name", sorted(polar.MODEL_BUILDERS))
+def test_images_match_sampled_matrices(name, seed, count):
+    model = polar.get_model(name)
+    points = np.random.default_rng(seed + 1).standard_normal((4, model.ambient_dim))
+    images = model.images(seed, count, points)
+    assert images.shape == (4, count, model.ambient_dim)
+    # The rotations match scipy's to 1e-12 (test_rotations_match_scipy_sampler);
+    # this compares the action on points, so both sides use the same rotations.
+    expected = _reference_images(name, polar._sample_rotations)(seed, count, points)
+    assert np.max(np.abs(images - expected)) <= 1e-14
+    # Row k depends on points[k] alone: batching changes no bit.
+    for k in range(len(points)):
+        assert np.array_equal(model.images(seed, count, points[k : k + 1])[0], images[k])
 
 
 @pytest.mark.parametrize("count", [1, 7, 10_000])
@@ -184,8 +226,7 @@ def test_projection_hull_sym3_with_majorization_oracle(sym3):
     assert report.passed
     assert report.details["hull_vertices"] == 6  # hexagon of the 6 permutations
 
-    mats = sym3.sampler(23, 500)
-    for img in mats @ a:
+    for img in sym3.images(23, 500, a[None])[0]:
         diag = np.diag(polar.sym_mat((img @ sym3.cartan_basis.T) @ sym3.cartan_basis))
         assert helpers.in_permutohedron(diag, [1.0, 0.0, -1.0], eps=1e-8)
 
@@ -203,6 +244,20 @@ def test_cartan_slice_sym3(sym3):
     assert report.passed
     # the Weyl witnesses themselves populate the slice
     assert report.details["n_points_in_slice"] >= 6
+
+
+def test_cartan_slice_counts_points_off_the_weyl_orbit(sym3):
+    # With the Weyl data cut to the identity, the other five witness images
+    # still land in the slice but match no listed Weyl image.
+    model = replace(sym3, weyl_elements=sym3.weyl_elements[:1])
+    a = sym3.cartan_point(9)
+    report = polar.check_cartan_slice_is_weyl_orbit(model, a=a, n_group_samples=1000, seed=9)
+    assert not report.passed
+    assert report.details["n_points_in_slice"] == 6
+    # Reference: the gap of each witness image, one point at a time.
+    gaps = [float(np.linalg.norm(model.chart(w @ a) - model.chart(a))) for w in sym3.weyl_witnesses[1:]]
+    assert min(gaps) > 1e-5
+    assert report.max_violation == pytest.approx(max(gaps), rel=0.0, abs=1e-14)
 
 
 def test_cartan_slice_so3(so3):
@@ -247,7 +302,7 @@ def test_sampled_support_bounded_by_sorted_pairing(sym3):
     a = polar.sym_vec(np.diag(a_diag))
     d = polar.sym_vec(np.diag(d_diag))
     bound = helpers.sorted_pairing(a_diag, d_diag)
-    values = sym3.sampler(37, 4000) @ a @ d
+    values = sym3.images(37, 4000, a[None])[0] @ d
     prev = -np.inf
     for n in (10, 100, 1000, 4000):
         est = float(values[:n].max())
@@ -258,9 +313,8 @@ def test_sampled_support_bounded_by_sorted_pairing(sym3):
 
 
 def test_trace_conservation_sym3(sym3):
-    mats = sym3.sampler(41, 500)
     a = sym3.cartan_point(43)
-    for img in mats @ a:
+    for img in sym3.images(41, 500, a[None])[0]:
         proj = (img @ sym3.cartan_basis.T) @ sym3.cartan_basis
         assert abs(np.trace(polar.sym_mat(proj))) <= 1e-10
 
@@ -319,24 +373,13 @@ def test_battery_deterministic(sym3):
             assert a.passed == b.passed
 
 
-def _reference_sampler(model):
-    """The model's sampler rebuilt from the reference rotation primitives."""
-    if model.name == "so3_standard":
-        return helpers.sample_rotations_reference
-    if model.name == "sym3_traceless":
-        return lambda seed, count: helpers.conjugation_action_reference(
-            helpers.sample_rotations_reference(seed, count)
-        )
-    return model.sampler  # hopf_circle draws no rotations of 3-space
-
-
 @pytest.mark.parametrize("seed", [3, 42])
 @pytest.mark.parametrize("name", sorted(polar.MODEL_BUILDERS))
 def test_battery_matches_reference_sampler(name, seed):
     model = polar.get_model(name)
     verdict, reports = polar.run_battery(model, samples=2000, seed=seed)
     ref_verdict, ref_reports = polar.run_battery(
-        replace(model, sampler=_reference_sampler(model)), samples=2000, seed=seed
+        replace(model, images=_reference_images(name)), samples=2000, seed=seed
     )
     assert verdict == ref_verdict
     assert reports.keys() == ref_reports.keys()
