@@ -212,9 +212,7 @@ def cmd_minkowski(group, tol, seed, off_path):
     """Minkowski sum of two seeded orbit hulls."""
     u = find_regular(group, seed, tol)
     v = find_regular(group, seed + 1, tol)
-    total = minkowski_sum(
-        hull(orbit(group, u, tol).points, tol), hull(orbit(group, v, tol).points, tol), tol
-    )
+    total = minkowski_sum(orbit(group, u, tol), orbit(group, v, tol), tol)
     data = {
         "u": u.tolist(),
         "v": v.tolist(),

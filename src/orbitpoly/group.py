@@ -98,6 +98,12 @@ class Orbit:
 
     ``points[i] == elements[point_to_element[i]] @ base`` within tolerance,
     and ``points[0]`` is the base itself.
+
+    The group acts orthogonally, so every point lies on the sphere of radius
+    |base|, and a point of a sphere is no convex combination of others on it:
+    the points are exactly the vertices of the orbit's hull.  ``vertices``
+    and ``n_vertices`` read them as such, so an orbit can stand for its hull
+    in :func:`~orbitpoly.polytope.minkowski_sum`.
     """
 
     base: np.ndarray
@@ -105,6 +111,14 @@ class Orbit:
     point_to_element: tuple[int, ...]
 
     def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.points
+
+    @property
+    def n_vertices(self) -> int:
         return len(self.points)
 
 

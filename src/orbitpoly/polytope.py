@@ -11,6 +11,11 @@ probe direction certifies extreme, grown by the ones that complete their
 span and by those that stick out of their hull; its facets are read from
 the last Qhull call.
 
+Hull input is rounded to 12 decimals and sorted lexicographically (first
+coordinate first) before Qhull sees it; of rows equal after rounding (0.0
+equals -0.0), the first in input order is kept.  A Minkowski sum is one
+hull, of the pairwise sums of its summands' vertices.
+
 Cuts read the given :class:`~orbitpoly.numerics.Tolerance`: equality at eps_eq, ranks
 at eps_rank, facet merges and incidence at eps_eq but no finer than ``_QHULL_SPREAD``.
 
@@ -228,9 +233,9 @@ def hull_neighbors(points, index: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
 
 
 def _hull_points(points) -> np.ndarray:
-    """Validated hull input with exact duplicates (to 12 decimals) removed."""
+    """Validated hull input: rounded, sorted and deduped as the module docstring says."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[0] < 1:
+    if pts.ndim != 2 or pts.size == 0:
         raise ValueError("hull needs at least one point")
     n = pts.shape[1]
     if n > MAX_AMBIENT_DIM:
@@ -238,8 +243,12 @@ def _hull_points(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("hull input has non-finite coordinates")
     # Cheap exact-duplicate removal keeps Qhull input small; interior points
-    # are harmless beyond that.
-    return np.unique(np.round(pts, 12), axis=0) if len(pts) > 1 else pts
+    # are harmless beyond that.  lexsort is stable and its last key sorts first.
+    pts = np.round(pts, 12)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(len(pts), dtype=bool)
+    np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
+    return pts[keep]
 
 
 def _chart_polytope(verts, normals, origin, basis, tol: Tolerance) -> Polytope:
@@ -389,14 +398,21 @@ def support(P: Polytope, v, tol: Tolerance = DEFAULT_TOL) -> SupportResult:
     return SupportResult(mu=mu, peak=hull(tied, tol))
 
 
-def minkowski_sum(P: Polytope, Q: Polytope, tol: Tolerance = DEFAULT_TOL) -> Polytope:
-    """Hull of all pairwise vertex sums (valid because P and Q are polytopes)."""
-    if P.ambient_dim != Q.ambient_dim:
+def minkowski_sum(P, Q, tol: Tolerance = DEFAULT_TOL) -> Polytope:
+    """hull(A) + hull(B) as one hull, of the pairwise sums A + B.
+
+    A and B are the ``vertices`` of ``P`` and ``Q``, polytopes or orbits
+    (:class:`~orbitpoly.group.Orbit`), rounded and deduped as hull input.
+    Any finite generating sets will do, so the summands' hulls are never
+    built: a convex combination of A plus one of B is the convex
+    combination of the sums a_i + b_j weighted by products of the weights.
+    """
+    A, B = _hull_points(P.vertices), _hull_points(Q.vertices)
+    if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(
-            f"Minkowski sum of bodies in R^{P.ambient_dim} and R^{Q.ambient_dim}"
+            f"Minkowski sum of bodies in R^{A.shape[1]} and R^{B.shape[1]}"
         )
-    sums = (P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.ambient_dim)
-    return hull(sums, tol)
+    return hull((A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1]), tol)
 
 
 def polytope_equal(P: Polytope, Q: Polytope, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -239,14 +239,15 @@ def group_reflections_reference(G, tol=DEFAULT_TOL):
 
 
 def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
-    """SP pair scan that builds hull(O_u) + hull(O_v) and compares vertex sets.
+    """SP pair scan that builds hull(O_u) + hull(O_v) from the orbits and compares vertex sets.
 
     Same candidate order as the production scan: decreasing ``<u, v'>``,
     stable, first hit wins.
     """
     u = np.asarray(u, dtype=float)
-    total = minkowski_sum(hull(orbit(G, u, tol).points, tol), hull(orbit(G, v, tol).points, tol), tol)
-    candidates = orbit(G, v, tol).points
+    orbit_v = orbit(G, v, tol)
+    total = minkowski_sum(orbit(G, u, tol), orbit_v, tol)
+    candidates = orbit_v.points
     for idx in np.argsort(-(candidates @ u), kind="stable"):
         if polytope_equal(total, hull(orbit(G, u + candidates[idx], tol).points, tol), tol):
             return True, candidates[idx]

@@ -61,7 +61,7 @@ def test_criterion_2_sp_positive(groups):
         for k in range(25):
             u = chamber_representative(G, cone, rng.standard_normal(G.dim))
             v = chamber_representative(G, cone, rng.standard_normal(G.dim))
-            lhs = minkowski_sum(hull(orbit(G, u).points), hull(orbit(G, v).points))
+            lhs = minkowski_sum(orbit(G, u), orbit(G, v))
             rhs = hull(orbit(G, u + v).points)
             if not polytope_equal(lhs, rhs, tol):
                 failures.append((name, k))
@@ -76,7 +76,7 @@ def test_criterion_3_sp_negative_witness(groups):
 
     reps = orbit(G, v).points
     assert len(reps) == 4
-    total = minkowski_sum(hull(orbit(G, u).points), hull(orbit(G, v).points))
+    total = minkowski_sum(orbit(G, u), orbit(G, v))
     per_rep = [
         polytope_equal(total, hull(orbit(G, u + rep).points)) for rep in reps
     ]
@@ -138,12 +138,12 @@ def test_criterion_6_property_suites(groups):
         rng = np.random.default_rng(42)
         violations = 0
 
-        # support and peak additivity over a pool of orbit-hull pairs
+        # support and peak additivity over a pool of orbit-hull pairs, each
+        # sum built from the orbits and checked against the summands' hulls
         pool = []
         for _ in range(4):
-            a, b = rng.standard_normal(G.dim), rng.standard_normal(G.dim)
-            P, Q = hull(orbit(G, a).points), hull(orbit(G, b).points)
-            pool.append((P, Q, minkowski_sum(P, Q)))
+            a, b = orbit(G, rng.standard_normal(G.dim)), orbit(G, rng.standard_normal(G.dim))
+            pool.append((hull(a.points), hull(b.points), minkowski_sum(a, b)))
         for k in range(500):
             P, Q, S = pool[k % len(pool)]
             d = rng.standard_normal(G.dim)

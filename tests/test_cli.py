@@ -211,6 +211,25 @@ def test_minkowski_and_sp_check(runner, fixtures):
     assert result.exit_code == 0  # a false verdict is still a computed verdict
 
 
+def test_minkowski_builds_only_the_hull_of_the_sum(runner, fixtures, monkeypatch):
+    # The summands are orbits, whose points are their hulls' vertices.
+    from orbitpoly import cli, polytope
+
+    calls = []
+    real = polytope.hull
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "hull", counted)
+    monkeypatch.setattr(cli, "hull", counted)
+    result = _run(runner, ["minkowski", "--input", str(fixtures / "b3.json")])
+    assert result.exit_code == 0
+    assert len(_report(result)["data"]["vertices"]) == 48
+    assert len(calls) == 1
+
+
 def test_cone_command(runner, fixtures):
     result = _run(runner, ["cone", "--input", str(fixtures / "g2.json")])
     report = _report(result)

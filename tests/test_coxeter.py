@@ -208,7 +208,7 @@ def test_sp_check_pair_b2(b2):
     assert ok
     assert np.allclose(rep, [2.0, 1.0])
     # the certified sum really is the orbit hull of u + rep
-    lhs = minkowski_sum(hull(orbit(b2, [1.0, 0.0]).points), hull(orbit(b2, [2.0, 1.0]).points))
+    lhs = minkowski_sum(orbit(b2, [1.0, 0.0]), orbit(b2, [2.0, 1.0]))
     assert polytope_equal(lhs, hull(orbit(b2, [3.0, 1.0]).points))
 
 
@@ -243,8 +243,9 @@ def test_sp_associativity_in_chamber(groups):
             for _ in range(3)
         ]
         u, v, w = w_list
-        sum_uv = minkowski_sum(hull(orbit(G, u).points), hull(orbit(G, v).points))
-        total = minkowski_sum(sum_uv, hull(orbit(G, w).points))
+        # An orbit sum, then a polytope plus an orbit.
+        sum_uv = minkowski_sum(orbit(G, u), orbit(G, v))
+        total = minkowski_sum(sum_uv, orbit(G, w))
         assert polytope_equal(total, hull(orbit(G, u + v + w).points), Tolerance(eps_eq=1e-7))
 
 

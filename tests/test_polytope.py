@@ -10,7 +10,8 @@ import helpers
 from orbitpoly.catalog import CATALOG_NAMES
 from orbitpoly.cones import orbit_cone
 from orbitpoly.errors import DimensionMismatchError, DimensionTooHighError, GeometryError
-from orbitpoly.group import close_generators, find_regular, orbit
+from orbitpoly import polytope
+from orbitpoly.group import close_generators, find_regular, orbit, root_data
 from orbitpoly.numerics import Tolerance, matrix_rank
 from orbitpoly.polytope import (
     _merge_facet_rows,
@@ -57,6 +58,49 @@ def test_hull_b2_orbit_octagon():
 def test_hull_dim_cap():
     with pytest.raises(DimensionTooHighError):
         hull(np.eye(7))
+
+
+@pytest.mark.parametrize("points", [[], [[]], np.zeros((0, 3))])
+def test_hull_rejects_empty_input(points):
+    with pytest.raises(ValueError, match="at least one point"):
+        hull(points)
+
+
+def test_hull_of_one_point_is_rounded_like_many():
+    p = [0.12345678901234566, -1.0, 2.0]
+    one = hull([p])
+    assert one.vertices.tobytes() == hull([p, p]).vertices.tobytes()
+    assert one.vertices.tolist() == [[0.123456789012, -1.0, 2.0]]
+
+
+# Few distinct values, so rows tie in their leading columns; 1/3 + 1e-14 and
+# 1e-13 round onto 1/3 and -0.0 onto 0.0.
+_TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1 / 3, 1 / 3 + 1e-14, 1e-13, -2.5])
+
+
+@st.composite
+def _rows_with_duplicates(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    value = _TIED_VALUES | st.floats(min_value=-10, max_value=10)
+    rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=30))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))]
+    return np.array(draw(st.permutations(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_with_duplicates())
+def test_hull_points_dedup_matches_np_unique(pts):
+    assert np.array_equal(polytope._hull_points(pts), np.unique(np.round(pts, 12), axis=0))
+
+
+def test_hull_points_keep_the_first_of_equal_rows_in_input_order():
+    # -1e-13 rounds to -0.0, which equals 0.0: of each pair of equal rows
+    # the one that comes first in the input is kept, sign bit and all.
+    pts = np.array([[-1e-13, 1.0], [0.0, 1.0], [-0.0, -1.0], [0.0, -1.0]])
+    got = polytope._hull_points(pts)
+    assert got.tolist() == [[0.0, -1.0], [0.0, 1.0]]
+    assert np.signbit(got[:, 0]).tolist() == [True, True]
+    assert np.signbit(polytope._hull_points(pts[::-1])[:, 0]).tolist() == [False, False]
 
 
 def test_hull_segment_in_3d():
@@ -128,9 +172,40 @@ def test_minkowski_rotated_squares_octagon():
     assert helpers.match_point_sets(S.vertices, expected)
 
 
-def test_minkowski_dim_mismatch():
+def test_minkowski_dim_mismatch(groups):
     with pytest.raises(DimensionMismatchError):
         minkowski_sum(hull(SQUARE), hull([[0.0, 0.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError):
+        minkowski_sum(orbit(groups["b2"], [2.0, 1.0]), orbit(groups["a3"], [1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3", "chiral_t", "chiral_o"])
+def test_orbit_sums_equal_orbit_hull_sums(groups, name):
+    # hull(A) + hull(B) = hull(A + B), and every orbit point is a vertex of
+    # its orbit's hull: summing the orbits gives the sum of their hulls, bit
+    # for bit, without building them.
+    G = helpers.named_group(groups, name)
+    for seed in range(20):
+        u, v = orbit(G, find_regular(G, seed)), orbit(G, find_regular(G, seed + 1))
+        assert _same_bytes(minkowski_sum(u, v), minkowski_sum(hull(u.points), hull(v.points)))
+
+
+@pytest.mark.parametrize("name", ["a3", "h3"])
+def test_orbit_sums_near_a_mirror_equal_orbit_hull_sums(groups, name):
+    # u 1e-4 ... 1e-6 off its nearest mirror: hull(O_u) keeps every orbit
+    # point, and the orbit sum is the hull sum bit for bit.
+    G = helpers.named_group(groups, name)
+    normals = root_data(G).normals
+    for seed in range(5):
+        w = find_regular(G, seed)
+        margins = normals @ w
+        i = int(np.argmin(np.abs(margins)))
+        v = orbit(G, find_regular(G, seed + 1))
+        for delta in (1e-4, 1e-5, 1e-6):
+            u = orbit(G, w - (margins[i] - math.copysign(delta, margins[i])) * normals[i])
+            P = hull(u.points)
+            assert P.n_vertices == len(u) == G.order
+            assert _same_bytes(minkowski_sum(u, v), minkowski_sum(P, hull(v.points)))
 
 
 def test_minkowski_parallel_edges_collinear_sums():
