@@ -108,8 +108,13 @@ _INPUT = click.option("--input", "input_path", required=True, type=click.Path(),
 _SEED = click.option("--seed", default=42, show_default=True, type=int)
 _TOL = click.option("--tol", type=float, callback=_parse_tol,
                     help="Equality tolerance eps_eq (default 1e-9); the rank cut is 10 x eps_eq.")
-_SAMPLES = click.option("--samples", default=1000, show_default=True, type=int,
-                        callback=_check_samples)
+
+
+def _samples(help_text=None):
+    return click.option("--samples", default=1000, show_default=True, type=int,
+                        callback=_check_samples, help=help_text)
+
+
 _OUT = click.option("--out", "out_path", type=click.Path(),
                     help="Write the JSON report here instead of stdout.")
 _EXPORT_OFF = click.option("--export-off", "off_path", type=click.Path(),
@@ -239,7 +244,7 @@ def cmd_cone(group, tol, seed):
     }
 
 
-@_group_command("voronoi-check", _SAMPLES)
+@_group_command("voronoi-check", _samples())
 def cmd_voronoi(group, tol, seed, samples):
     """Nearest-orbit-point vs cone-membership consistency over seeded samples."""
     v = find_regular(group, seed, tol)
@@ -309,7 +314,9 @@ def cmd_theorem2(group, tol, seed):
 @click.option("--model", "model_name", required=True, help="Built-in compact-group model name.")
 @_SEED
 @_TOL
-@_SAMPLES
+@_samples("Group samples for projection_matches_weyl_hull, and for orbits_meet_cartan "
+          "up to 2000. The slice, support and dimension-obstruction checks always draw "
+          "2000, 500 and 64.")
 @_OUT
 def cmd_polar_verify(model_name, seed, tol, samples, out_path):
     """Run the polar-structure check battery for a built-in model."""

@@ -125,36 +125,73 @@ _SKEW_BASIS = np.array(
 )
 
 
-def _sample_rotations(seed: int, count: int) -> np.ndarray:
+# Rotations drawn and applied per block: counts below 2 * 8192 (so 10^4) are
+# one block, and at 10^5 a block's (3, n) temporaries, 200-400 KB each, stay
+# in cache where the 2.4 MB of one (3, 10^5) draw did not.
+_ROTATION_BLOCK = 8192
+
+
+def _rotation_blocks(seed: int, count: int):
     """Haar-random rotations of 3-space, the ones scipy's special_ortho_group draws.
 
-    Takes the same Gaussian matrices Z from the same generator and builds
-    the Q of Z = QR with positive diag(R) column by column: Gram-Schmidt
-    (the second column orthogonalized twice), the third column from the
-    cross product with the sign of det Z, and row 0 flipped by that sign
-    so the result is a rotation.  The (count, 3, 3) result is a view of
-    storage with the sample axis last: ``.transpose(1, 2, 0)`` gives the
-    contiguous rs[a, c, s] = R_s[a, c] back without a copy.
+    Yields (start, rs) with the contiguous rs[a, c, s] = R_{start+s}[a, c],
+    one block at a time.  One seeded generator draws every block's Gaussian
+    matrices in order, the stream of one ``normal(size=(count, 3, 3))``
+    draw, bit for bit.
+
+    Blocks start at multiples of _ROTATION_BLOCK, and the last one takes
+    the remainder, so it holds _ROTATION_BLOCK to 2 * _ROTATION_BLOCK - 1
+    rotations (or all of a smaller count, even 0: there is always a block
+    at start 0).  numpy sums a length-1 einsum, and BLAS the last few
+    columns of a product, in another order than the rest: blocks cut
+    anywhere else would change last bits.
     """
-    z = np.random.default_rng(seed).normal(size=(count, 3, 3))
-    a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, count)
+    rng = np.random.default_rng(seed)
+    start = 0
+    while True:
+        stop = start + _ROTATION_BLOCK if count - start >= 2 * _ROTATION_BLOCK else count
+        yield start, _haar_rotations(rng.normal(size=(stop - start, 3, 3)))
+        if stop == count:
+            return
+        start = stop
+
+
+def _haar_rotations(z: np.ndarray) -> np.ndarray:
+    """rs[a, c, s] = R_s[a, c] for the Q of each Gaussian Z_s = QR with positive diag(R).
+
+    Built column by column: Gram-Schmidt (the second column orthogonalized
+    twice), the third column from the cross product with the sign of det Z,
+    and row 0 flipped by that sign so the result is a rotation.  A function
+    of its own, so a block's temporaries are freed before the block is used.
+    """
+    a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, n)
     q0 = a / np.sqrt(_dot(a, a))
     q1 = b - _dot(q0, b) * q0
     q1 -= _dot(q0, q1) * q0
     q1 /= np.sqrt(_dot(q1, q1))
     sign = np.where(_dot(_cross(a, b), c) < 0.0, -1.0, 1.0)
-    rs = np.stack([q0, q1, sign * _cross(q0, q1)], axis=1)  # rs[a, c, s] = R_s[a, c]
+    rs = np.stack([q0, q1, sign * _cross(q0, q1)], axis=1)
     rs[0] *= sign
-    return rs.transpose(2, 0, 1)
+    return rs
+
+
+def _sample_rotations(seed: int, count: int) -> np.ndarray:
+    """The rotations of ``_rotation_blocks`` as one (count, 3, 3) array.
+
+    The result is a view of storage with the sample axis last:
+    ``.transpose(1, 2, 0)`` gives rs[a, c, s] = R_s[a, c] back without a copy.
+    """
+    blocks = [rs for _, rs in _rotation_blocks(seed, count)]
+    return np.concatenate(blocks, axis=2).transpose(2, 0, 1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner products of matching columns of two (3, count) arrays."""
+    """Inner products of matching columns of two (3, n) arrays."""
     return np.einsum("ks,ks->s", x, y)
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross products of matching columns of two (3, count) arrays."""
+    """Cross products of matching columns of two (3, n) arrays."""
     return np.array(
         [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
     )
@@ -162,10 +199,13 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _rotation_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
     """Seeded Haar rotations applied to each row of points: (len(points), count, 3)."""
-    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
-    out = np.empty((len(points), count, 3))
-    for k, p in enumerate(np.asarray(points, dtype=float)):
-        out[k] = (p @ rs).T  # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
+    points = np.asarray(points, dtype=float)
+    for start, rs in _rotation_blocks(seed, count):
+        if start == 0:  # made after the first block, it reuses that block's freed temporaries
+            out = np.empty((len(points), count, 3))
+        for k, p in enumerate(points):
+            # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
+            out[k, start : start + rs.shape[2]] = (p @ rs).T
     return out
 
 
@@ -272,10 +312,12 @@ def so3_standard() -> GroupModel:
 
 def _sym3_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
     """Seeded rotations conjugating each row of points: (len(points), count, 5)."""
-    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
-    out = np.empty((len(points), count, 5))
-    for k, p in enumerate(np.asarray(points, dtype=float)):
-        out[k] = _conjugated(rs, sym_mat(p)).T
+    mats = [sym_mat(p) for p in np.asarray(points, dtype=float)]
+    for start, rs in _rotation_blocks(seed, count):
+        if start == 0:  # made after the first block, as in _rotation_images
+            out = np.empty((len(mats), count, 5))
+        for k, a in enumerate(mats):
+            out[k, start : start + rs.shape[2]] = _conjugated(rs, a).T
     return out
 
 
@@ -484,7 +526,12 @@ def check_orbits_meet_cartan(
         )
         images = np.concatenate([images, aligned], axis=1)
     off = images - (images @ basis.T) @ basis
-    worst = float(np.linalg.norm(off, axis=2).min(axis=1).max(initial=0.0))
+    # Squared distances summed coordinate by coordinate, as norm(axis=2) sums them;
+    # sqrt is monotone and correctly rounded, so it commutes with min.
+    sq = off[..., 0] * off[..., 0]
+    for i in range(1, model.ambient_dim):
+        sq += off[..., i] * off[..., i]
+    worst = float(np.sqrt(sq.min(axis=1)).max(initial=0.0))
     return PolarCheckReport(
         check="orbits_meet_cartan",
         model=model.name,
@@ -520,8 +567,8 @@ def check_projection_matches_weyl_hull(
 
     chart_pts = model.images(seed + 1, n_samples, a[None])[0] @ model.cartan_basis.T
 
-    centered = chart_pts - weyl_hull.affine_origin
     if weyl_hull.affine_dim < len(a_chart):
+        centered = chart_pts - weyl_hull.affine_origin
         if weyl_hull.affine_dim == 0:
             off = centered
         else:
@@ -530,7 +577,10 @@ def check_projection_matches_weyl_hull(
     else:
         aff_res = np.zeros(len(chart_pts))
     if len(weyl_hull.facet_normals):
-        facet_res = (chart_pts @ weyl_hull.facet_normals.T - weyl_hull.facet_offsets).max(axis=1)
+        # One row per facet, so the max runs across rows, not along short ones.
+        facet_res = weyl_hull.facet_normals @ chart_pts.T
+        facet_res -= weyl_hull.facet_offsets[:, None]
+        facet_res = facet_res.max(axis=0)
     else:
         facet_res = np.zeros(len(chart_pts))
     violation = float(np.maximum(aff_res, np.maximum(facet_res, 0.0)).max())

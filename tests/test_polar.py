@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import helpers
 from orbitpoly import polar
 from orbitpoly.errors import NoCartanDataError
 from orbitpoly.numerics import Tolerance, is_orthogonal
+from orbitpoly.polytope import hull
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,27 @@ def test_rotations_match_scipy_sampler(count, seed):
     assert np.max(np.abs(np.linalg.det(rotations) - 1.0)) <= 1e-12
     gram = np.einsum("sba,sbc->sac", rotations, rotations)
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-14
+
+
+_B = polar._ROTATION_BLOCK
+_BLOCK_COUNTS = [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 7, 100_000]
+
+
+@pytest.mark.parametrize("count", _BLOCK_COUNTS)
+def test_rotation_blocks_match_one_draw(count):
+    # Blocks draw the stream of one normal(size=(count, 3, 3)) draw, and no
+    # block cut changes a bit of a rotation or of its action on points.
+    seed = 11
+    assert np.array_equal(
+        polar._sample_rotations(seed, count), helpers.sample_rotations_one_draw(seed, count)
+    )
+    starts = [start for start, _ in polar._rotation_blocks(seed, count)]
+    assert starts == list(range(0, max(count - _B + 1, 1), _B))
+    for name in ("so3_standard", "sym3_traceless"):
+        model = polar.get_model(name)
+        points = np.random.default_rng(count).standard_normal((4, model.ambient_dim))
+        expected = helpers.images_one_draw(name, seed, count, points)
+        assert np.array_equal(model.images(seed, count, points), expected)
 
 
 def test_conjugation_action_matches_reference():
@@ -231,6 +254,25 @@ def test_projection_hull_sym3_with_majorization_oracle(sym3):
         assert helpers.in_permutohedron(diag, [1.0, 0.0, -1.0], eps=1e-8)
 
 
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_projection_facet_residual_matches_row_wise(name):
+    # The residual reduced across facet rows is the row-wise one, bit for bit:
+    # a point in the Cartan subspace passes, one off it fails by that residual.
+    model = polar.get_model(name)
+    seed, count = 5, 100_000
+    off_subspace = np.random.default_rng(seed).standard_normal(model.ambient_dim)
+    for a, passes in ((model.cartan_point(seed), True), (off_subspace, False)):
+        report = polar.check_projection_matches_weyl_hull(model, a=a, n_samples=count, seed=seed)
+        assert report.passed == passes
+        weyl_hull = hull(np.array([w @ model.chart(a) for w in model.weyl_elements]))
+        chart_pts = model.images(seed + 1, count, a[None])[0] @ model.cartan_basis.T
+        normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
+        row_wise = (chart_pts @ normals.T - offsets).max(axis=1)
+        across = (normals @ chart_pts.T - offsets[:, None]).max(axis=0)
+        assert np.array_equal(across, row_wise)
+        assert report.max_violation == max(float(row_wise.max()), 0.0)
+
+
 def test_projection_hull_zero_point(sym3):
     report = polar.check_projection_matches_weyl_hull(
         sym3, a=np.zeros(5), n_samples=100, seed=7
@@ -360,6 +402,20 @@ def test_battery_verdicts():
     for name, expected in (("so3_standard", True), ("sym3_traceless", True), ("hopf_circle", False)):
         verdict, _ = polar.run_battery(polar.get_model(name), samples=500, seed=42)
         assert verdict == expected
+
+
+def test_battery_memory_is_bounded(sym3):
+    # Blocked rotations keep a 10^5-sample battery near 8 MB of traced
+    # allocations; all 10^5 rotations at once peaked at 29.6 MB, and one
+    # (count, 3, 3) work array alone is 7.2 MB.
+    polar.run_battery(sym3, samples=10)  # load scipy.spatial and warm caches untraced
+    tracemalloc.start()
+    try:
+        polar.run_battery(sym3, samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_battery_deterministic(sym3):
