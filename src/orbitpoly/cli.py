@@ -51,7 +51,7 @@ def _load_group(input_path, tol):
     except json.JSONDecodeError as exc:
         _fail(f"malformed JSON in {input_path}: {exc}")
     try:
-        return group_from_json_dict(data, tol)
+        return group_from_json_dict(data, tol)[0]
     except OrbitPolyError as exc:
         _fail(f"{input_path}: {exc}")
 
@@ -151,18 +151,19 @@ def main():
 
 
 def _group_command(name, *extra_options):
-    """Register ``body(group, tol, seed, **extra)`` as a command on a group from --input.
+    """Register ``body(group, seed, **extra)`` as a command on a group from --input.
 
-    The body returns the report fields it computes; ``timings.group_order``
-    and ``meta`` are added here.
+    The group carries the tolerance that --tol or the file set.  The body
+    returns the report fields it computes; ``timings.group_order`` and
+    ``meta`` are added here.
     """
 
     def register(body):
         def command(input_path, seed, tol, out_path, **extra):
-            group, tol = _load_group(input_path, tol)
-            fields = body(group, tol, seed, **extra)
+            group = _load_group(input_path, tol)
+            fields = body(group, seed, **extra)
             fields["timings"]["group_order"] = group.order
-            _emit(fields, out_path, command=name, name=group.name, seed=seed, tol=tol,
+            _emit(fields, out_path, command=name, name=group.name, seed=seed, tol=group.tol,
                   samples=extra.get("samples"))
 
         # Applied innermost first, so that --help lists them in this order.
@@ -182,10 +183,10 @@ def _export_off(poly, tol, off_path, data):
 
 
 @_group_command("orbit")
-def cmd_orbit(group, tol, seed):
+def cmd_orbit(group, seed):
     """Orbit of a seeded regular vector under a group from --input."""
-    v = find_regular(group, seed, tol)
-    orb = orbit(group, v, tol)
+    v = find_regular(group, seed)
+    orb = orbit(group, v)
     return {
         "timings": {"orbit_points": len(orb)},
         "data": {
@@ -197,10 +198,10 @@ def cmd_orbit(group, tol, seed):
 
 
 @_group_command("hull", _EXPORT_OFF)
-def cmd_hull(group, tol, seed, off_path):
+def cmd_hull(group, seed, off_path):
     """Convex hull of the orbit of a seeded regular vector."""
-    v = find_regular(group, seed, tol)
-    poly = hull(orbit(group, v, tol).points, tol)
+    v = find_regular(group, seed)
+    poly = hull(orbit(group, v).points, group.tol)
     data = {
         "base": v.tolist(),
         "vertices": poly.vertices.tolist(),
@@ -208,31 +209,31 @@ def cmd_hull(group, tol, seed, off_path):
         "facet_offsets": poly.facet_offsets.tolist(),
         "affine_dim": poly.affine_dim,
     }
-    _export_off(poly, tol, off_path, data)
+    _export_off(poly, group.tol, off_path, data)
     return {"timings": {"hull_vertices": poly.n_vertices}, "data": data}
 
 
 @_group_command("minkowski", _EXPORT_OFF)
-def cmd_minkowski(group, tol, seed, off_path):
+def cmd_minkowski(group, seed, off_path):
     """Minkowski sum of two seeded orbit hulls."""
-    u = find_regular(group, seed, tol)
-    v = find_regular(group, seed + 1, tol)
-    total = minkowski_sum(orbit(group, u, tol), orbit(group, v, tol), tol)
+    u = find_regular(group, seed)
+    v = find_regular(group, seed + 1)
+    total = minkowski_sum(orbit(group, u), orbit(group, v), group.tol)
     data = {
         "u": u.tolist(),
         "v": v.tolist(),
         "vertices": total.vertices.tolist(),
         "affine_dim": total.affine_dim,
     }
-    _export_off(total, tol, off_path, data)
+    _export_off(total, group.tol, off_path, data)
     return {"timings": {"sum_vertices": total.n_vertices}, "data": data}
 
 
 @_group_command("cone")
-def cmd_cone(group, tol, seed):
+def cmd_cone(group, seed):
     """Orbit cone (irredundant halfspaces and extreme rays) of a seeded regular vector."""
-    v = find_regular(group, seed, tol)
-    cone = orbit_cone(group, v, tol)
+    v = find_regular(group, seed)
+    cone = orbit_cone(group, v)
     return {
         "timings": {"facets": len(cone.halfspace_normals)},
         "data": {
@@ -245,10 +246,10 @@ def cmd_cone(group, tol, seed):
 
 
 @_group_command("voronoi-check", _samples())
-def cmd_voronoi(group, tol, seed, samples):
+def cmd_voronoi(group, seed, samples):
     """Nearest-orbit-point vs cone-membership consistency over seeded samples."""
-    v = find_regular(group, seed, tol)
-    result = voronoi_consistency(group, v, samples, seed, tol)
+    v = find_regular(group, seed)
+    result = voronoi_consistency(group, v, samples, seed)
     return {
         "verdict": result.passed,
         "criteria": {
@@ -264,10 +265,10 @@ def cmd_voronoi(group, tol, seed, samples):
 
 
 @_group_command("coxeter-check")
-def cmd_coxeter(group, tol, seed):
+def cmd_coxeter(group, seed):
     """Is the group generated by its reflections?"""
-    reflections = group_reflections(group, tol)
-    verdict = is_reflection_generated(group, tol, reflections)
+    reflections = group_reflections(group)
+    verdict = is_reflection_generated(group)
     return {
         "verdict": verdict,
         "criteria": {
@@ -283,11 +284,11 @@ def cmd_coxeter(group, tol, seed):
 
 
 @_group_command("sp-check")
-def cmd_sp_check(group, tol, seed):
+def cmd_sp_check(group, seed):
     """Does the sum of two seeded orbit hulls equal some orbit hull?"""
-    u = find_regular(group, seed, tol)
-    v = find_regular(group, seed + 1, tol)
-    ok, representative = sp_check_pair(group, u, v, tol)
+    u = find_regular(group, seed)
+    v = find_regular(group, seed + 1)
+    ok, representative = sp_check_pair(group, u, v)
     return {
         "verdict": ok,
         "criteria": {"sp_pair": {"passed": ok, "u": u.tolist(), "v": v.tolist()}},
@@ -299,9 +300,9 @@ def cmd_sp_check(group, tol, seed):
 
 
 @_group_command("theorem2")
-def cmd_theorem2(group, tol, seed):
+def cmd_theorem2(group, seed):
     """Full semigroup-property verdict: SP plus its three equivalent criteria."""
-    body = sp_equivalence_report(group, seed=seed, tol=tol).to_dict()
+    body = sp_equivalence_report(group, seed=seed).to_dict()
     return {
         "verdict": body["verdict"],
         "criteria": body["criteria"],

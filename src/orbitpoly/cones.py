@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_vector,
+    close,
     distinct_rows,
     lazy_import,
 )
@@ -155,7 +156,7 @@ def cone_from_halfspaces(
     return _cone(_irredundant(normals, tol), dim, tol)
 
 
-def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCone:
+def orbit_cone(G: FiniteGroup, v) -> PolyhedralCone:
     """Cone of directions for which v beats every other point of its orbit.
 
     This is the normal cone of hull(O_v) at v, whose facets are exactly the
@@ -167,12 +168,13 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
     (:func:`cone_from_halfspaces`).  The cone always contains v.
     """
     v = as_vector(v, G.dim)
+    tol = G.tol
     if np.linalg.norm(v) <= tol.eps_eq:
         raise ZeroVectorError("orbit cone is undefined for the zero vector")
-    points = orbit(G, v, tol).points
+    points = orbit(G, v).points
     # A regular orbit lists g v at element index g, so a reflection's element
     # index is also the orbit index of its image of v.
-    roots = root_data(G, tol) if len(points) == G.order else None
+    roots = root_data(G) if len(points) == G.order else None
     if roots is None:
         cone = cone_from_halfspaces(v - points[1:], dim=G.dim, tol=tol)
     else:
@@ -182,7 +184,7 @@ def orbit_cone(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> PolyhedralCon
     return cone
 
 
-def orbit_cone_normals(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orbit_cone_normals(G: FiniteGroup, v) -> np.ndarray:
     """Unit normals of the (unreduced) orbit-cone constraints of v.
 
     Membership tests against this raw set define the same cone as
@@ -190,16 +192,15 @@ def orbit_cone_normals(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> np.nd
     cheap.
     """
     v = as_vector(v, G.dim)
-    orb = orbit(G, v, tol)
-    return _unit_rows(v[None, :] - orb.points, tol)
+    return _unit_rows(v[None, :] - orbit(G, v).points, G.tol)
 
 
-def in_orbit_cone(G: FiniteGroup, v, u, tol: Tolerance = DEFAULT_TOL) -> bool:
+def in_orbit_cone(G: FiniteGroup, v, u) -> bool:
     """Fast membership of u in the orbit cone of v (no reduction)."""
-    normals = orbit_cone_normals(G, v, tol)
+    normals = orbit_cone_normals(G, v)
     if len(normals) == 0:
         return True
-    return bool(np.min(normals @ as_vector(u, G.dim)) >= -tol.eps_eq)
+    return bool(np.min(normals @ as_vector(u, G.dim)) >= -G.tol.eps_eq)
 
 
 def cone_contains(C: PolyhedralCone, u, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -266,7 +267,6 @@ def voronoi_consistency(
     v,
     n_samples: int,
     seed: int,
-    tol: Tolerance = DEFAULT_TOL,
     extra_points=None,
 ) -> VoronoiReport:
     """Check that orbit cones are the Voronoi cells of the orbit points.
@@ -276,8 +276,9 @@ def voronoi_consistency(
     lets callers inject deliberate tie samples such as wall points.
     """
     v = as_vector(v, G.dim)
-    orb = orbit(G, v, tol)
-    base_cone = orbit_cone(G, v, tol)
+    tol = G.tol
+    orb = orbit(G, v)
+    base_cone = orbit_cone(G, v)
     base_normals = base_cone.halfspace_normals
 
     # The cone of the orbit point g v is the image of the base cone under g.
@@ -324,7 +325,6 @@ def local_peak_failures(
     radius_factor: float = 0.1,
     n_samples: int = 50,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[dict]:
     """Directions near v for which v is not the unique orbit maximizer.
 
@@ -333,7 +333,7 @@ def local_peak_failures(
     existence-only neighborhood.
     """
     v = as_vector(v, G.dim)
-    orb = orbit(G, v, tol)
+    orb = orbit(G, v)
     rng = np.random.default_rng(seed)
     vnorm = float(np.linalg.norm(v))
     failures = []
@@ -343,7 +343,7 @@ def local_peak_failures(
         w = v + x * radius_factor * vnorm * rng.uniform() ** (1.0 / G.dim)
         values = orb.points @ w
         top = float(values.max())
-        tied = np.where(values >= top - tol.eps_eq)[0]
-        if len(tied) != 1 or not np.allclose(orb.points[tied[0]], v, atol=tol.eps_eq):
+        tied = np.where(values >= top - G.tol.eps_eq)[0]
+        if len(tied) != 1 or not close(orb.points[tied[0]], v, G.tol):
             failures.append({"sample_index": s, "direction": w.tolist(), "tied": len(tied)})
     return failures

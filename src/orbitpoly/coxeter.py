@@ -53,8 +53,6 @@ from .errors import (
 from .group import (  # Reflection, detect_reflection, group_reflections: also imported from here
     FiniteGroup,
     Reflection,
-    _mirror_normals,
-    _one_point_per_chamber,
     detect_reflection,
     find_regular,
     group_reflections,
@@ -63,7 +61,6 @@ from .group import (  # Reflection, detect_reflection, group_reflections: also i
     root_data,
 )
 from .numerics import (
-    DEFAULT_TOL,
     Tolerance,
     as_vector,
     distinct_rows,
@@ -130,9 +127,7 @@ def _jsonable(value):
     return value
 
 
-def is_reflection_generated(
-    G: FiniteGroup, tol: Tolerance = DEFAULT_TOL, reflections: list[Reflection] | None = None
-) -> bool:
+def is_reflection_generated(G: FiniteGroup) -> bool:
     """True iff the subgroup generated by the group's reflections is the whole group.
 
     Decided by counting chambers: the reflection subgroup W acts simply
@@ -140,22 +135,22 @@ def is_reflection_generated(
     them, so each chamber holds |G| / |W| points of a regular orbit.  G = W
     exactly when a regular v is the only point of its orbit whose sign
     against every mirror normal equals v's.  The trivial group, with no
-    mirrors, counts as generated.  ``reflections`` defaults to
-    :func:`group_reflections`.
+    mirrors, counts as generated.  This is the decision
+    :func:`~orbitpoly.group.root_data` makes once per group, with the
+    regular vector of seed 0: a group has root data exactly when it is
+    generated by its reflections.
     """
-    if reflections is None:
-        reflections = group_reflections(G, tol)
-    return _one_point_per_chamber(G, _mirror_normals(G, reflections), find_regular(G, 0, tol), tol)
+    return root_data(G) is not None
 
 
-def _required_root_data(G: FiniteGroup, tol: Tolerance):
-    roots = root_data(G, tol)
+def _required_root_data(G: FiniteGroup):
+    roots = root_data(G)
     if roots is None:
         raise NotCoxeterError(f"group {G.name or ''} is not generated by reflections")
     return roots
 
 
-def chamber(G: FiniteGroup, v_reg, tol: Tolerance = DEFAULT_TOL) -> ChamberData:
+def chamber(G: FiniteGroup, v_reg) -> ChamberData:
     """Chamber of a reflection-generated group, anchored at a regular vector.
 
     Read off the group's root data: the simple normals are the unit normals
@@ -165,16 +160,14 @@ def chamber(G: FiniteGroup, v_reg, tol: Tolerance = DEFAULT_TOL) -> ChamberData:
     The chamber equals the orbit cone of ``v_reg``.
     """
     v_reg = as_vector(v_reg, G.dim)
-    roots = _required_root_data(G, tol)
-    if not is_regular(G, v_reg, tol):
+    roots = _required_root_data(G)
+    if not is_regular(G, v_reg):
         raise NotRegularError("chamber base vector must have a trivial stabilizer")
-    normals, rays = roots.chamber(orbit(G, v_reg, tol).points)
+    normals, rays = roots.chamber(orbit(G, v_reg).points)
     return ChamberData(simple_normals=normals, fundamental_rays=rays, base_regular=v_reg)
 
 
-def hull_from_dual_cones(
-    G: FiniteGroup, v, ch: ChamberData, tol: Tolerance = DEFAULT_TOL
-) -> Polytope:
+def hull_from_dual_cones(G: FiniteGroup, v, ch: ChamberData) -> Polytope:
     """Reconstruct the orbit hull of a chamber point from halfspaces alone.
 
     The hull is the intersection over all group elements g of the shifted
@@ -192,10 +185,11 @@ def hull_from_dual_cones(
     cross-checked against the direct orbit hull.
     """
     v = as_vector(v, G.dim)
+    tol = G.tol
     margins = ch.simple_normals @ v
     if len(margins) and np.min(margins) < -tol.eps_eq:
         raise NotInChamberError("vector lies outside the closed chamber")
-    roots = _required_root_data(G, tol)
+    roots = _required_root_data(G)
     offsets = roots.support(v)
     m = len(roots.row_coweight)
     # Every row g ω_k has the offset of ω_k, so read it at the first row of block k.
@@ -205,12 +199,10 @@ def hull_from_dual_cones(
     )
     if np.any(roots.rows @ x0 > offsets + tol.eps_eq):
         raise GeometryError("the chamber vertex of the dual-cone halfspaces violates one of them")
-    return hull(orbit(G, x0, tol).points, tol)
+    return hull(orbit(G, x0).points, tol)
 
 
-def criterion_peak(
-    G: FiniteGroup, v_reg, test_points, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, np.ndarray | None]:
+def criterion_peak(G: FiniteGroup, v_reg, test_points) -> tuple[bool, np.ndarray | None]:
     """Peak criterion: the functional of a regular vector peaks on each sampled orbit.
 
     A peak means a unique maximizing orbit point; the hull's peak set is a
@@ -219,21 +211,19 @@ def criterion_peak(
     falsification-only sample of a statement about all orbits.
     """
     v_reg = as_vector(v_reg, G.dim)
-    if not is_regular(G, v_reg, tol):
+    if not is_regular(G, v_reg):
         raise NotRegularError("the peak criterion requires a regular base vector")
     for u in test_points:
         u = as_vector(u, G.dim)
-        pts = orbit(G, u, tol).points
+        pts = orbit(G, u).points
         values = pts @ v_reg
-        tied = int(np.sum(values >= values.max() - tol.eps_eq))
+        tied = int(np.sum(values >= values.max() - G.tol.eps_eq))
         if tied > 1:
             return False, u
     return True, None
 
 
-def criterion_local_cone(
-    G: FiniteGroup, v_reg, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, np.ndarray | None]:
+def criterion_local_cone(G: FiniteGroup, v_reg, seed: int = 0) -> tuple[bool, np.ndarray | None]:
     """Local cone stability: orbit cones are constant near a regular vector.
 
     The seeded samples lie within a quarter of the distance from ``v_reg``
@@ -241,9 +231,9 @@ def criterion_local_cone(
     is the whole space), which keeps the probe scale-free.
     """
     v_reg = as_vector(v_reg, G.dim)
-    if not is_regular(G, v_reg, tol):
+    if not is_regular(G, v_reg):
         raise NotRegularError("local cone criterion requires a regular base vector")
-    base = orbit_cone(G, v_reg, tol)
+    base = orbit_cone(G, v_reg)
     walls = base.halfspace_normals @ v_reg
     radius = 0.25 * float(np.min(walls) if len(walls) else np.linalg.norm(v_reg))
     rng = np.random.default_rng(seed)
@@ -251,14 +241,12 @@ def criterion_local_cone(
         x = rng.standard_normal(G.dim)
         x /= np.linalg.norm(x)
         u = v_reg + x * radius * rng.uniform() ** (1.0 / G.dim)
-        if not cone_equal(orbit_cone(G, u, tol), base, tol):
+        if not cone_equal(orbit_cone(G, u), base, G.tol):
             return False, u
     return True, None
 
 
-def sp_check_pair(
-    G: FiniteGroup, u, v, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, np.ndarray | None]:
+def sp_check_pair(G: FiniteGroup, u, v) -> tuple[bool, np.ndarray | None]:
     """Is hull(O_u) + hull(O_v) itself an orbit hull?
 
     Scans orbit representatives v' of v for one with
@@ -289,10 +277,10 @@ def sp_check_pair(
     """
     u = as_vector(u, G.dim)
     v = as_vector(v, G.dim)
-    eps = tol.eps_eq
-    O_u = orbit(G, u, tol).points
-    O_v = orbit(G, v, tol).points
-    roots = root_data(G, tol)
+    eps = G.tol.eps_eq
+    O_u = orbit(G, u).points
+    O_v = orbit(G, v).points
+    roots = root_data(G)
     if roots is not None:
         reach = roots.support(u) + roots.support(v)
     order = np.argsort(-(O_v @ u), kind="stable")
@@ -308,7 +296,7 @@ def sp_check_pair(
             if norm_w <= eps:
                 rows = np.vstack([np.eye(G.dim), -np.eye(G.dim)])
             else:
-                C = orbit_cone(G, w, tol)
+                C = orbit_cone(G, w)
                 rows = np.vstack([C.rays, C.lineality_basis, -C.lineality_basis])
             offsets = rows @ w
             reach = (O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0)
@@ -319,10 +307,10 @@ def sp_check_pair(
     return False, None
 
 
-def chamber_representative(G: FiniteGroup, cone: PolyhedralCone, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def chamber_representative(G: FiniteGroup, cone: PolyhedralCone, x) -> np.ndarray:
     """Orbit point of x lying in the given closed cone (first found)."""
-    for p in orbit(G, x, tol).points:
-        if cone_contains(cone, p, tol):
+    for p in orbit(G, x).points:
+        if cone_contains(cone, p, G.tol):
             return p
     raise NotInChamberError("no orbit representative found in the cone")
 
@@ -345,7 +333,7 @@ def _wall_midpoints(cone: PolyhedralCone, tol: Tolerance) -> np.ndarray:
     return points[distinct_rows(points, tol)]
 
 
-def sp_equivalence_report(G: FiniteGroup, seed: int = 42, tol: Tolerance = DEFAULT_TOL) -> SPReport:
+def sp_equivalence_report(G: FiniteGroup, seed: int = 42) -> SPReport:
     """Run the SP check and its three equivalent criteria; demand agreement.
 
     The SP sample is structured around the places where the property can
@@ -358,9 +346,10 @@ def sp_equivalence_report(G: FiniteGroup, seed: int = 42, tol: Tolerance = DEFAU
     run: a disagreement among their verdicts raises
     InconsistentCriteriaError.
     """
+    tol = G.tol
     rng = np.random.default_rng(seed)
-    v_reg = find_regular(G, seed, tol)
-    base_cone = orbit_cone(G, v_reg, tol)
+    v_reg = find_regular(G, seed)
+    base_cone = orbit_cone(G, v_reg)
 
     # The midpoints are deduped among themselves first, so chains of
     # near-duplicates resolve in that order.
@@ -378,17 +367,17 @@ def sp_equivalence_report(G: FiniteGroup, seed: int = 42, tol: Tolerance = DEFAU
     sp_ok, sp_witness = True, f"no counterexample found ({len(pairs)} pairs)"
     sp_pairs_checked = len(pairs)
     for i, (a, b) in enumerate(pairs):
-        if not sp_check_pair(G, a, b, tol)[0]:
+        if not sp_check_pair(G, a, b)[0]:
             sp_ok, sp_pairs_checked = False, i + 1
             sp_witness = {"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()}
             break
 
     peak_points = probes + [rng.standard_normal(G.dim) for _ in range(_N_RANDOM_PAIRS)]
-    peak_ok, peak_witness = criterion_peak(G, v_reg, peak_points, tol)
+    peak_ok, peak_witness = criterion_peak(G, v_reg, peak_points)
 
-    coxeter_ok = is_reflection_generated(G, tol)
+    coxeter_ok = is_reflection_generated(G)
 
-    local_ok, local_witness = criterion_local_cone(G, v_reg, seed=seed + 1, tol=tol)
+    local_ok, local_witness = criterion_local_cone(G, v_reg, seed=seed + 1)
 
     results = {
         "sp": (sp_ok, sp_witness),

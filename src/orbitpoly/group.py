@@ -57,8 +57,10 @@ _REGULAR_TRIES = 64
 class FiniteGroup:
     """A closed set of orthogonal matrices with generator provenance.
 
-    ``elements[0]`` is always the identity.  Elements are unique under the
-    tolerance used to build the group.
+    ``elements[0]`` is always the identity.  Elements are unique under
+    ``tol``, the tolerance the group was closed with.  Every function that
+    takes the group (orbits, stabilizers, cones, the SP criteria) decides at
+    this tolerance, so a group and its verdicts cannot disagree on it.
     """
 
     dim: int
@@ -83,9 +85,9 @@ class FiniteGroup:
         return stack
 
     @cached_property
-    def _root_data(self) -> dict:
-        """Tolerance -> root data or None, filled by :func:`root_data`."""
-        return {}
+    def _root_data(self) -> RootData | None:
+        """Read through :func:`root_data`."""
+        return _build_root_data(self)
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -298,41 +300,41 @@ def close_generators(
     )
 
 
-def _fixed(G: FiniteGroup, v: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _fixed(G: FiniteGroup, v: np.ndarray) -> np.ndarray:
     """Mask of the elements g with g v within eps_eq of v."""
-    return np.max(np.abs(G.stack @ v - v), axis=1, initial=0.0) <= tol.eps_eq
+    return np.max(np.abs(G.stack @ v - v), axis=1, initial=0.0) <= G.tol.eps_eq
 
 
-def orbit(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> Orbit:
+def orbit(G: FiniteGroup, v) -> Orbit:
     """All distinct images g v, deduped under the tolerance, in element order.
 
     The first element to reach a point witnesses it.
     """
     v = as_vector(v, G.dim)
     images = G.stack @ v
-    kept = distinct_rows(images, tol)
+    kept = distinct_rows(images, G.tol)
     return Orbit(base=v, points=images[kept], point_to_element=tuple(kept.tolist()))
 
 
-def stabilizer(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> FiniteGroup:
-    """The subgroup fixing v within the tolerance."""
+def stabilizer(G: FiniteGroup, v) -> FiniteGroup:
+    """The subgroup fixing v within the group's tolerance."""
     v = as_vector(v, G.dim)
-    fixed = tuple(G.elements[i] for i in np.flatnonzero(_fixed(G, v, tol)))
+    fixed = tuple(G.elements[i] for i in np.flatnonzero(_fixed(G, v)))
     return FiniteGroup(
         dim=G.dim,
         elements=fixed,
         generator_indices=tuple(range(len(fixed))),
         name=f"{G.name or 'G'}_stab",
-        tol=tol,
+        tol=G.tol,
     )
 
 
-def is_regular(G: FiniteGroup, v, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_regular(G: FiniteGroup, v) -> bool:
     """True iff the stabilizer of v is trivial (faithful actions assumed)."""
-    return int(np.count_nonzero(_fixed(G, as_vector(v, G.dim), tol))) == 1
+    return int(np.count_nonzero(_fixed(G, as_vector(v, G.dim)))) == 1
 
 
-def find_regular(G: FiniteGroup, seed: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def find_regular(G: FiniteGroup, seed: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector with trivial stabilizer.
 
     Draws are seeded so reports that embed this vector are reproducible.
@@ -346,7 +348,7 @@ def find_regular(G: FiniteGroup, seed: int, tol: Tolerance = DEFAULT_TOL) -> np.
         if n == 0.0:
             continue
         x = x / n
-        if is_regular(G, x, tol):
+        if is_regular(G, x):
             return x
     raise RegularNotFoundError(
         f"no regular vector found in {_REGULAR_TRIES} draws; is the action faithful?"
@@ -391,7 +393,7 @@ def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) 
     return Reflection(element_index=element_index, normal=_mirror_normals_of(defect[None], tol)[0])
 
 
-def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Reflection]:
+def group_reflections(G: FiniteGroup, tol: Tolerance | None = None) -> list[Reflection]:
     """All reflections in the group, in element order, indexed into its element list.
 
     One batched SVD finds the elements whose ``I - g`` has rank one, and one
@@ -400,7 +402,9 @@ def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Refl
     orthogonal g that is the sum of ``1 - Re(lambda)`` over its eigenvalues,
     which is about 2 when one eigenvalue is -1 and the rest are 1.  They must
     square to I at eps_eq too: a rotoreflection by an angle below eps_rank does not.
+    ``tol`` defaults to the group's own tolerance.
     """
+    tol = G.tol if tol is None else tol
     defects = np.eye(G.dim) - G.stack
     near_two = np.flatnonzero(np.abs(np.trace(defects, axis1=1, axis2=2) - 2.0) < 0.5)
     svals = np.linalg.svd(defects[near_two], compute_uv=False)
@@ -411,18 +415,14 @@ def group_reflections(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> list[Refl
     return [Reflection(element_index=int(i), normal=n) for i, n in zip(rank_one, normals)]
 
 
-def _mirror_normals(G: FiniteGroup, reflections: list[Reflection]) -> np.ndarray:
-    return np.array([r.normal for r in reflections]).reshape(-1, G.dim)
-
-
-def _one_point_per_chamber(G: FiniteGroup, normals: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
+def _one_point_per_chamber(G: FiniteGroup, normals: np.ndarray, v: np.ndarray) -> bool:
     """Is v the only point of its orbit on its own side of every mirror?
 
     See :func:`~orbitpoly.coxeter.is_reflection_generated`; v must lie off
     every mirror.
     """
     margins = v @ normals.T
-    if np.min(np.abs(margins), initial=np.inf) <= tol.eps_eq:
+    if np.min(np.abs(margins), initial=np.inf) <= G.tol.eps_eq:
         raise GeometryError("regular vector lies on a mirror; chambers cannot be counted")
     sides = (G.stack @ v) @ normals.T > 0
     return int(np.sum(np.all(sides == (margins > 0), axis=1))) == 1
@@ -522,25 +522,24 @@ class RootData:
         return values
 
 
-def root_data(G: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> RootData | None:
+def root_data(G: FiniteGroup) -> RootData | None:
     """Root data of a group generated by its reflections, None for any other group.
 
-    Decided as :func:`~orbitpoly.coxeter.is_reflection_generated` decides
-    it, with the regular vector of seed 0, and computed once per group and
-    tolerance; the group keeps it.  The coweights are the unit rays dual to
-    that vector's chamber walls.
+    This is the one decision of reflection generation: a regular v is the
+    only point of its orbit in its own chamber exactly when the reflections
+    generate G (see :func:`~orbitpoly.coxeter.is_reflection_generated`).  It
+    is made with the regular vector of seed 0 at the group's tolerance,
+    once per group; the group keeps the result.  The coweights are the unit
+    rays dual to that vector's chamber walls.
     """
-    cache = G._root_data
-    if tol not in cache:
-        cache[tol] = _build_root_data(G, tol)
-    return cache[tol]
+    return G._root_data
 
 
-def _build_root_data(G: FiniteGroup, tol: Tolerance) -> RootData | None:
-    reflections = group_reflections(G, tol)
-    normals = _mirror_normals(G, reflections)
-    rho = find_regular(G, 0, tol)
-    if not _one_point_per_chamber(G, normals, rho, tol):
+def _build_root_data(G: FiniteGroup) -> RootData | None:
+    reflections = group_reflections(G)
+    normals = np.array([r.normal for r in reflections]).reshape(-1, G.dim)
+    rho = find_regular(G, 0)
+    if not _one_point_per_chamber(G, normals, rho):
         return None
     mirror_elements = np.array([r.element_index for r in reflections], dtype=np.intp)
     walls, coweights = _chamber(mirror_elements, normals, G.stack @ rho)
@@ -552,7 +551,7 @@ def _build_root_data(G: FiniteGroup, tol: Tolerance) -> RootData | None:
         coweights=coweights,
         fixed=fixed,
         stack=G.stack,
-        tol=tol,
+        tol=G.tol,
     )
 
 
@@ -587,6 +586,8 @@ def group_from_json_dict(data: dict, tol: Tolerance | None = None) -> tuple[Fini
     if tol is None:
         file_tol = data.get("tolerance")
         try:
+            if isinstance(file_tol, bool):
+                raise TypeError("a boolean is not a tolerance")
             tol = Tolerance(eps_eq=float(file_tol)) if file_tol is not None else DEFAULT_TOL
         except (TypeError, ValueError) as exc:
             raise InputFormatError(

@@ -29,6 +29,9 @@ class Tolerance:
     merges.  eps_rank = 10 * eps_eq is the rank cut: entries within eps_eq give
     singular values at most MAX_AMBIENT_DIM * eps_eq, so rank never splits what eps_eq merges.
     All catalog data is O(1)-scaled, so absolute thresholds are appropriate.
+    A group is closed at one tolerance and keeps it (``FiniteGroup.tol``);
+    functions that take a group read that one, and functions that take no
+    group take a Tolerance argument.
     """
 
     eps_eq: float = 1e-9

@@ -758,7 +758,7 @@ def weyl_is_coxeter(model: GroupModel, tol: Tolerance = DEFAULT_TOL) -> bool:
     weyl_group = close_generators(
         list(model.weyl_elements), tol=tol, name=f"weyl({model.name})"
     )
-    return coxeter.is_reflection_generated(weyl_group, tol)
+    return coxeter.is_reflection_generated(weyl_group)
 
 
 def run_battery(

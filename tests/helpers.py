@@ -240,18 +240,19 @@ def group_reflections_reference(G, tol=DEFAULT_TOL):
     return [r for r in found if r is not None]
 
 
-def sp_check_pair_reference(G, u, v, tol=DEFAULT_TOL):
+def sp_check_pair_reference(G, u, v):
     """SP pair scan that builds hull(O_u) + hull(O_v) from the orbits and compares vertex sets.
 
     Same candidate order as the production scan: decreasing ``<u, v'>``,
-    stable, first hit wins.
+    stable, first hit wins.  Decided at the group's tolerance.
     """
+    tol = G.tol
     u = np.asarray(u, dtype=float)
-    orbit_v = orbit(G, v, tol)
-    total = minkowski_sum(orbit(G, u, tol), orbit_v, tol)
+    orbit_v = orbit(G, v)
+    total = minkowski_sum(orbit(G, u), orbit_v, tol)
     candidates = orbit_v.points
     for idx in np.argsort(-(candidates @ u), kind="stable"):
-        if polytope_equal(total, hull(orbit(G, u + candidates[idx], tol).points, tol), tol):
+        if polytope_equal(total, hull(orbit(G, u + candidates[idx]).points, tol), tol):
             return True, candidates[idx]
     return False, None
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import helpers
 from conftest import COXETER_NAMES, SP_EXPECTED
-from orbitpoly.catalog import CATALOG_NAMES, write_fixtures
+from orbitpoly.catalog import CATALOG_NAMES, build_group, write_fixtures
 from orbitpoly.cli import main
 from orbitpoly.cones import cone_contains, in_orbit_cone, orbit_cone, voronoi_consistency
 from orbitpoly.coxeter import (
@@ -96,12 +96,12 @@ def test_criterion_3_sp_negative_witness(groups):
     _line(3, passed, "rotated-square pair fails for all 4 representatives; sum has 8 vertices vs <= 4")
 
 
-def test_criterion_4_voronoi_consistency(groups):
+def test_criterion_4_voronoi_consistency():
     tol = Tolerance(eps_eq=1e-8)
     bad = {}
     for name in CATALOG_NAMES:
-        G = groups[name]
-        report = voronoi_consistency(G, find_regular(G, 42, tol), 1000, seed=42, tol=tol)
+        G = build_group(name, tol)
+        report = voronoi_consistency(G, find_regular(G, 42), 1000, seed=42)
         if not report.passed:
             bad[name] = len(report.violations)
     _line(4, not bad, f"1000 samples per group, nearest-point vs cone membership at 1e-8; violations: {bad}")
@@ -129,12 +129,12 @@ def test_criterion_5_hull_reconstruction(groups):
     _line(5, not failures, f"20 chamber points per Coxeter group at 1e-8; failures: {failures}")
 
 
-def test_criterion_6_property_suites(groups):
+def test_criterion_6_property_suites():
     eps = 1e-8
     tol = Tolerance(eps_eq=eps)
     counts = {}
     for name in CATALOG_NAMES:
-        G = groups[name]
+        G = build_group(name, tol)
         rng = np.random.default_rng(42)
         violations = 0
 
@@ -157,10 +157,10 @@ def test_criterion_6_property_suites(groups):
         # membership symmetry and membership-iff-peak
         for _ in range(500):
             u, v = rng.standard_normal(G.dim), rng.standard_normal(G.dim)
-            if in_orbit_cone(G, v, u, tol) != in_orbit_cone(G, u, v, tol):
+            if in_orbit_cone(G, v, u) != in_orbit_cone(G, u, v):
                 violations += 1
             vals = orbit(G, v).points @ u
-            if in_orbit_cone(G, v, u, tol) != bool(vals[0] >= vals.max() - eps):
+            if in_orbit_cone(G, v, u) != bool(vals[0] >= vals.max() - eps):
                 violations += 1
 
         # peak set equals the cone slice of the orbit

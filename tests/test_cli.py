@@ -109,6 +109,8 @@ def test_nonorthogonal_generator_diagnostic(runner, tmp_path):
         '{"dim": 1, "generators": [5]}',
         '{"dim": 1, "generators": [[5]]}',
         '{"dim": 1, "generators": [[[1.0]]], "tolerance": [1]}',
+        # Not read as eps_eq = 1.
+        '{"dim": 1, "generators": [[[1.0]]], "tolerance": true}',
         "\xff\xfe not UTF-8",
         # Not an integer: neither truncated to 2 nor read as 1.
         '{"dim": 2.5, "generators": [[[1.0, 0.0], [0.0, 1.0]]]}',

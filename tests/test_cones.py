@@ -294,6 +294,24 @@ def test_local_peak_neighborhood(groups):
         assert failures == []
 
 
+def test_local_peak_failures_tell_v_from_orbit_points_past_eps():
+    # v lies 1e-6 off a 3-fold axis of the chiral tetrahedral group, so two
+    # orbit points lie 1.4e-6 from v in every coordinate: farther than eps_eq
+    # (1e-9), though within a relative 1e-5 of |v|.  A direction whose unique maximiser is
+    # one of them is a failure.
+    G = close_generators(helpers.NON_REFLECTION_GENERATORS["chiral_t"], name="chiral_t")
+    v = unit(np.ones(3)) + 1e-6 * unit(np.array([1.0, -1.0, 0.0]))
+    points = orbit(G, v).points
+    assert 1e-9 < np.sort(np.abs(points - v).max(axis=1))[1] < 1e-5
+    failures = local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=83)
+    for failure in failures:
+        values = points @ np.array(failure["direction"])
+        top = np.flatnonzero(values >= values.max() - G.tol.eps_eq)
+        assert len(top) == failure["tied"]
+        assert len(top) > 1 or np.abs(points[top[0]] - v).max() > G.tol.eps_eq
+    assert len(failures) == 31
+
+
 def test_voronoi_consistency_catalog(groups):
     for G in groups.values():
         report = voronoi_consistency(G, find_regular(G, 89), n_samples=200, seed=97)

@@ -18,9 +18,9 @@ from orbitpoly.coxeter import (
     sp_check_pair,
     sp_equivalence_report,
 )
-from orbitpoly.catalog import CATALOG_NAMES
+from orbitpoly.catalog import CATALOG_NAMES, fixture_dict
 from orbitpoly.errors import GeometryError, NotCoxeterError, NotInChamberError, NotRegularError
-from orbitpoly.group import close_generators, find_regular, orbit
+from orbitpoly.group import close_generators, find_regular, group_from_json_dict, orbit
 from orbitpoly.numerics import Tolerance
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
@@ -325,8 +325,8 @@ def _record_sp_checks(monkeypatch):
     calls = []
     check = coxeter.sp_check_pair
 
-    def recorder(G, u, v, tol):
-        ok, rep = check(G, u, v, tol)
+    def recorder(G, u, v):
+        ok, rep = check(G, u, v)
         calls.append((np.asarray(u).tolist(), np.asarray(v).tolist(), ok))
         return ok, rep
 
@@ -392,12 +392,30 @@ def test_is_reflection_generated_matches_closure(groups, name):
         assert not is_reflection_generated(G)
 
 
-def test_is_reflection_generated_rejects_base_on_mirror(b2, monkeypatch):
-    from orbitpoly import coxeter
+def test_is_reflection_generated_rejects_base_on_mirror(monkeypatch):
+    # Root data is cached per group, so the decision is made on a group of
+    # its own, with the base vector of seed 0 put on a mirror.
+    from orbitpoly import group
 
-    monkeypatch.setattr(coxeter, "find_regular", lambda G, seed, tol: np.array([1.0, 0.0]))
+    b2 = close_generators([helpers.rot2(math.pi / 2), np.diag([1.0, -1.0])], name="b2")
+    monkeypatch.setattr(group, "find_regular", lambda G, seed: np.array([1.0, 0.0]))
     with pytest.raises(GeometryError, match="mirror"):
         is_reflection_generated(b2)
+
+
+def test_criteria_decide_at_the_tolerance_of_a_group_file():
+    # Each generator of a3 turned by 1e-7: a reflection group at eps_eq 1e-6,
+    # where I - g of each reflection is within the rank cut of rank one.
+    # The file sets 1e-6 once, and no call passes a tolerance.
+    data = fixture_dict("a3")
+    data["generators"] = helpers.turned_generators(data["generators"])
+    data["tolerance"] = 1e-6
+    G, tol = group_from_json_dict(data)
+    assert G.tol == tol == Tolerance(eps_eq=1e-6)
+    assert is_reflection_generated(G)
+    rep = sp_equivalence_report(G, seed=7)
+    assert rep.verdict is True
+    assert all(passed for passed, _ in rep.criterion_results.values())
 
 
 @pytest.mark.parametrize("name, want", [("h3", True), ("d4", True), ("chiral_t", False), ("chiral_o", False)])

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import helpers
+from orbitpoly import catalog, cli, cones, coxeter, group, numerics, polar, polytope
 from orbitpoly.catalog import CATALOG_NAMES, generator_matrices
 from orbitpoly.coxeter import group_reflections
 from orbitpoly.errors import GeometryError, OrderExceededError, RegularNotFoundError
@@ -21,6 +23,25 @@ from orbitpoly.numerics import Tolerance, round_key
 
 def _element_keys(G):
     return {round_key(g, G.tol) for g in G.elements}
+
+
+def test_group_functions_read_the_group_tolerance():
+    # A group carries the tolerance it was closed with; no public function
+    # that takes a group takes another one, except group_reflections, whose
+    # tol defaults to the group's.
+    taking_a_group = {}
+    for module in (group, cones, coxeter, polar, polytope, numerics, catalog, cli):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(fn, eval_str=True).parameters.values())
+            if params and params[0].annotation is FiniteGroup:
+                taking_a_group[f"{module.__name__}.{name}"] = [p.name for p in params]
+    assert len(taking_a_group) == 19, sorted(taking_a_group)
+    with_tol = {name for name, params in taking_a_group.items() if "tol" in params}
+    assert with_tol == {"orbitpoly.group.group_reflections"}
+    assert inspect.signature(group.group_reflections).parameters["tol"].default is None
+    assert taking_a_group["orbitpoly.coxeter.is_reflection_generated"] == ["G"]
 
 
 def test_closure_c4_order():
@@ -214,16 +235,17 @@ def _test_vectors(G, ref):
     return vectors
 
 
-def _assert_matches_reference(G, ref, tol):
+def _assert_matches_reference(G, ref):
+    tol = G.tol
     assert np.array_equal(G.stack, np.array(ref.elements))
     assert G.generator_indices == ref.generator_indices
     for v in _test_vectors(G, ref):
-        orb, expected = orbit(G, v, tol), helpers.orbit_reference(ref, v, tol)
+        orb, expected = orbit(G, v), helpers.orbit_reference(ref, v, tol)
         assert np.array_equal(orb.points, expected.points)
         assert orb.point_to_element == expected.point_to_element
-        assert stabilizer(G, v, tol).order == helpers.stabilizer_order_reference(ref, v, tol)
-        assert is_regular(G, v, tol) == (helpers.stabilizer_order_reference(ref, v, tol) == 1)
-    got, expected = group_reflections(G, tol), helpers.group_reflections_reference(ref, tol)
+        assert stabilizer(G, v).order == helpers.stabilizer_order_reference(ref, v, tol)
+        assert is_regular(G, v) == (helpers.stabilizer_order_reference(ref, v, tol) == 1)
+    got, expected = group_reflections(G), helpers.group_reflections_reference(ref, tol)
     assert [r.element_index for r in got] == [r.element_index for r in expected]
     assert all(np.array_equal(a.normal, b.normal) for a, b in zip(got, expected))
 
@@ -240,7 +262,7 @@ def _generators(name):
 def test_group_layer_matches_per_element_loops(name):
     gens = _generators(name)
     G = close_generators(gens, name=name)
-    _assert_matches_reference(G, helpers.close_generators_reference(gens, name=name), G.tol)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, name=name))
 
 
 @pytest.mark.parametrize("name", ["b2", "a3", "h3", "chiral_o"])
@@ -248,7 +270,7 @@ def test_group_layer_matches_per_element_loops_loose_tolerance(name):
     tol = Tolerance(eps_eq=1e-6)
     gens = _generators(name)
     G = close_generators(gens, tol=tol)
-    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol), tol)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +285,7 @@ def test_group_layer_matches_per_element_loops_loose_tolerance(name):
 def test_long_cycles_match_per_element_loops(gens):
     # Long generator cycles: the closure multiplies by generator powers.
     G = close_generators(gens)
-    _assert_matches_reference(G, helpers.close_generators_reference(gens), G.tol)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens))
 
 
 def test_closure_keeps_key_mates_farther_than_eps():
@@ -274,7 +296,7 @@ def test_closure_keeps_key_mates_farther_than_eps():
     G = close_generators(gens, tol=tol)
     assert G.order == 100
     assert len(_element_keys(G)) < 100
-    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol), tol)
+    _assert_matches_reference(G, helpers.close_generators_reference(gens, tol=tol))
 
 
 def test_orbit_keeps_key_mates_farther_than_eps():
