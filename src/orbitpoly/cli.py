@@ -315,9 +315,9 @@ def cmd_theorem2(group, seed):
 @click.option("--model", "model_name", required=True, help="Built-in compact-group model name.")
 @_SEED
 @_TOL
-@_samples("Group samples for projection_matches_weyl_hull, and for orbits_meet_cartan "
-          "up to 2000. The slice, support and dimension-obstruction checks always draw "
-          "2000, 500 and 64.")
+@_samples("Group samples for projection_matches_weyl_hull. The slice, support and "
+          "dimension-obstruction checks always draw 2000, 500 and 64; the section checks "
+          "draw none.")
 @_OUT
 def cmd_polar_verify(model_name, seed, tol, samples, out_path):
     """Run the polar-structure check battery for a built-in model."""

@@ -85,6 +85,11 @@ class FiniteGroup:
         return stack
 
     @cached_property
+    def _reflections(self) -> tuple[Reflection, ...]:
+        """Read through :func:`group_reflections`."""
+        return tuple(_find_reflections(self, self.tol))
+
+    @cached_property
     def _root_data(self) -> RootData | None:
         """Read through :func:`root_data`."""
         return _build_root_data(self)
@@ -396,15 +401,24 @@ def detect_reflection(g, tol: Tolerance = DEFAULT_TOL, element_index: int = -1) 
 def group_reflections(G: FiniteGroup, tol: Tolerance | None = None) -> list[Reflection]:
     """All reflections in the group, in element order, indexed into its element list.
 
+    ``tol`` defaults to the group's own tolerance; at that tolerance they are
+    found once per group, which keeps them, as it keeps its root data.
+    """
+    if tol is None or tol == G.tol:
+        return list(G._reflections)
+    return _find_reflections(G, tol)
+
+
+def _find_reflections(G: FiniteGroup, tol: Tolerance) -> list[Reflection]:
+    """The search behind :func:`group_reflections`.
+
     One batched SVD finds the elements whose ``I - g`` has rank one, and one
     more gives their normals as :func:`detect_reflection` would.  The rank
     test runs only on the elements with ``trace(I - g)`` near 2: for an
     orthogonal g that is the sum of ``1 - Re(lambda)`` over its eigenvalues,
     which is about 2 when one eigenvalue is -1 and the rest are 1.  They must
     square to I at eps_eq too: a rotoreflection by an angle below eps_rank does not.
-    ``tol`` defaults to the group's own tolerance.
     """
-    tol = G.tol if tol is None else tol
     defects = np.eye(G.dim) - G.stack
     near_two = np.flatnonzero(np.abs(np.trace(defects, axis1=1, axis2=2) - 2.0) < 0.5)
     svals = np.linalg.svd(defects[near_two], compute_uv=False)
@@ -536,7 +550,7 @@ def root_data(G: FiniteGroup) -> RootData | None:
 
 
 def _build_root_data(G: FiniteGroup) -> RootData | None:
-    reflections = group_reflections(G)
+    reflections = G._reflections
     normals = np.array([r.normal for r in reflections]).reshape(-1, G.dim)
     rho = find_regular(G, 0)
     if not _one_point_per_chamber(G, normals, rho):

@@ -1,14 +1,17 @@
 """Sampled compact-group models and numeric polar-structure checks.
 
-Continuous groups are represented only through seeded group images of
-points plus analytic Cartan/Weyl data supplied per model; there is no
-general Lie-theory engine.  Checks that quantify over a whole group are
-sampled and labelled falsification-only: a pass corroborates, a fail
-refutes.  Where a stated tolerance is unreachable by uniform sampling
-(meeting a codimension >= 2 subspace, exact support values), models carry
-analytic witness procedures - an aligning rotation, eigen-decomposition,
-the Weyl realizations - and the sampled estimate is combined with those
-witnesses.
+Continuous groups are represented through seeded group images of points,
+the orbit tangents (linear in the point, so they give the Lie algebra) and
+analytic Cartan/Weyl data per model; there is no general Lie-theory engine.
+
+For a connected group acting orthogonally, a subspace is a section iff the
+orbit tangents at its points are orthogonal to it and its dimension is the
+codimension of a principal orbit, reached at its points (Dadok, Trans. AMS
+288, 1985; Palais-Terng, Trans. AMS 300, 1987).  ``check_cartan_orthogonality``
+and ``check_cohomogeneity`` decide the two halves from the Lie algebra, with
+no group samples.  The checks of the Weyl data sample the group, so they are
+falsification-only (a pass corroborates, a fail refutes); the Weyl witnesses
+are added to their samples where sampling cannot reach a stated tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .polytope import hull
 
 # Fixed pass criteria of the sampled checks, each reported as its ``threshold``.
 _ORTHOGONALITY_THRESHOLD = 1e-8
-_MEET_THRESHOLD = 1e-3
 _WEYL_HULL_THRESHOLD = 1e-8
 _SUPPORT_THRESHOLD = 1e-6
 _SLICE_NEAR, _SLICE_MATCH = 1e-6, 1e-5  # distance to the slice; to a Weyl image
@@ -60,8 +62,7 @@ class GroupModel:
     v for any linear action, so callers may read the map off at the unit
     vectors.  cartan_basis rows are an orthonormal basis of the candidate
     subspace; weyl_elements act on its coordinates and weyl_witnesses are
-    ambient group elements realizing them.  align_to_cartan(v), when
-    present, returns a group element moving v into the candidate subspace.
+    ambient group elements realizing them.
     """
 
     name: str
@@ -71,7 +72,6 @@ class GroupModel:
     cartan_basis: Optional[np.ndarray]
     weyl_elements: Optional[np.ndarray] = None
     weyl_witnesses: Optional[np.ndarray] = None
-    align_to_cartan: Optional[Callable[[np.ndarray], np.ndarray]] = None
     falsify_pair: Optional[tuple] = None
 
     def chart(self, x) -> np.ndarray:
@@ -209,29 +209,6 @@ def _rotation_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_onto_e1(v: np.ndarray) -> np.ndarray:
-    """Rotation carrying v/|v| onto the first coordinate axis (Rodrigues)."""
-    n = float(np.linalg.norm(v))
-    if n < 1e-14:
-        return np.eye(3)
-    u = v / n
-    c = float(u[0])
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([-1.0, 1.0, -1.0])
-    axis = np.cross(u, np.array([1.0, 0.0, 0.0]))
-    k = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    s2 = float(axis @ axis)
-    return np.eye(3) + k + k @ k * ((1.0 - c) / s2)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric traceless 3x3 matrices as a 5-dim orthogonal representation
 
@@ -272,8 +249,8 @@ def _conjugated(rs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def conjugation_action(rotations: np.ndarray) -> np.ndarray:
     """5x5 matrices of A -> R A R^T on the symmetric traceless space, batched.
 
-    For single elements (Weyl witnesses, alignments); sampled elements act
-    on points through ``_sym3_images`` and are never formed as matrices.
+    For single elements (the Weyl witnesses); sampled elements act on
+    points through ``_sym3_images`` and are never formed as matrices.
     """
     rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
     rs = np.ascontiguousarray(rotations.transpose(1, 2, 0))  # rs[a, c, s] = R_s[a, c]
@@ -290,8 +267,7 @@ def so3_standard() -> GroupModel:
     """Rotations of 3-space; candidate subspace is the first coordinate axis.
 
     The residual Weyl action on the axis is the sign flip, realized by the
-    half-turn about the middle axis.  Alignment witness: the rotation
-    carrying v onto the axis.
+    half-turn about the middle axis.
     """
     e1 = np.array([[1.0, 0.0, 0.0]])
 
@@ -306,7 +282,6 @@ def so3_standard() -> GroupModel:
         cartan_basis=e1,
         weyl_elements=np.array([[[1.0]], [[-1.0]]]),
         weyl_witnesses=np.array([np.eye(3), np.diag([-1.0, 1.0, -1.0])]),
-        align_to_cartan=_rotation_onto_e1,
     )
 
 
@@ -324,16 +299,6 @@ def _sym3_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
 def _sym3_tangent(v) -> np.ndarray:
     a = sym_mat(v)
     return np.array([sym_vec(x @ a - a @ x) for x in _SKEW_BASIS])
-
-
-def _sym3_align(v) -> np.ndarray:
-    # Eigen-decomposition supplies the exact diagonalizing rotation.
-    a = sym_mat(v)
-    _, q = np.linalg.eigh(a)
-    r = q.T
-    if np.linalg.det(r) < 0:
-        r = r * np.array([[-1.0], [1.0], [1.0]])
-    return conjugation_action(r[None])[0]
 
 
 def _sym3_weyl() -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +321,7 @@ def sym3_traceless() -> GroupModel:
 
     The candidate subspace is the diagonal matrices; the residual Weyl
     action permutes the three diagonal entries and is realized by signed
-    permutation rotations.  Alignment witness: eigen-decomposition.
+    permutation rotations.
     """
     elements, witnesses = _sym3_weyl()
     return GroupModel(
@@ -367,7 +332,6 @@ def sym3_traceless() -> GroupModel:
         cartan_basis=np.array([sym_vec(_SYM_BASIS[0]), sym_vec(_SYM_BASIS[1])]),
         weyl_elements=elements,
         weyl_witnesses=witnesses,
-        align_to_cartan=_sym3_align,
     )
 
 
@@ -381,34 +345,21 @@ _HOPF_J = np.array(
 )
 
 
-def _hopf_turn(theta, points) -> np.ndarray:
-    """Rows of points turned by each cos(theta) I + sin(theta) J: (len(points), len(theta), 4)."""
-    theta = np.asarray(theta, dtype=float)[:, None]
+def _hopf_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
+    """Rows of points turned by seeded cos(theta) I + sin(theta) J: (len(points), count, 4)."""
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count)[:, None]
     points = np.asarray(points, dtype=float)
     return np.cos(theta) * points[:, None, :] + np.sin(theta) * (points @ _HOPF_J.T)[:, None, :]
-
-
-def _hopf_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
-    return _hopf_turn(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count), points)
-
-
-def _hopf_align(v) -> np.ndarray:
-    # Rotate the first complex coordinate onto the real axis; if it vanishes
-    # the whole orbit already lies in the candidate subspace.
-    v = np.asarray(v, dtype=float)
-    theta = -np.arctan2(v[1], v[0]) if np.hypot(v[0], v[1]) > 1e-14 else 0.0
-    # Row i of the turned unit vectors is g e_i, column i of g.  Copied to C
-    # order: on the transposed view, g @ v rounds differently in the last bit.
-    return np.ascontiguousarray(_hopf_turn([theta], np.eye(4))[:, 0].T)
 
 
 def hopf_circle() -> GroupModel:
     """Simultaneous plane rotations of R^4 (one circle acting on two planes).
 
     The documented candidate subspace spans coordinates (x1, x2, y2) with
-    coordinate order (x1, y1, x2, y2).  Every orbit does meet it, but the
-    orbit tangents are not orthogonal to it, and no valid Weyl data exists:
-    this is the non-polar negative control.
+    coordinate order (x1, y1, x2, y2).  It has the dimension of a section
+    (orbits are circles in R^4), but the orbit tangents are not orthogonal
+    to it, and no valid Weyl data exists: this is the non-polar negative
+    control.
     """
     basis = np.zeros((3, 4))
     basis[0, 0] = 1.0
@@ -426,7 +377,6 @@ def hopf_circle() -> GroupModel:
         cartan_basis=basis,
         weyl_elements=None,
         weyl_witnesses=None,
-        align_to_cartan=_hopf_align,
         falsify_pair=(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])),
     )
 
@@ -448,15 +398,13 @@ def get_model(name: str) -> GroupModel:
 
 
 def with_candidate_basis(model: GroupModel, basis) -> GroupModel:
-    """Model with a replacement candidate subspace (drops witness data)."""
+    """Model with a replacement candidate subspace and no Weyl data.
+
+    The section checks read only the group and the subspace, so they judge
+    the new candidate as they would a model's own.
+    """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    return replace(
-        model,
-        cartan_basis=basis,
-        weyl_elements=None,
-        weyl_witnesses=None,
-        align_to_cartan=None,
-    )
+    return replace(model, cartan_basis=basis, weyl_elements=None, weyl_witnesses=None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +421,18 @@ def _require_weyl(model: GroupModel):
         raise NoCartanDataError(f"model {model.name} has no Weyl data")
 
 
+def _lie_algebra(model: GroupModel) -> np.ndarray:
+    """The Lie algebra basis as matrices: [t, j, i] is entry (j, i) of X_t.
+
+    tangent_basis_at(v) has rows X_t v, linear in v, so column i of every
+    X_t is read off at the unit vector e_i.
+    """
+    unit_tangents = np.array(
+        [np.atleast_2d(model.tangent_basis_at(e)) for e in np.eye(model.ambient_dim)]
+    )
+    return unit_tangents.transpose(1, 2, 0)
+
+
 def check_cartan_orthogonality(
     model: GroupModel, n_samples: int = 200, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PolarCheckReport:
@@ -484,11 +444,7 @@ def check_cartan_orthogonality(
     _require_cartan(model)
     basis = model.cartan_basis
     points = np.random.default_rng(seed).standard_normal((n_samples, len(basis))) @ basis
-    # The tangent map is linear in v: read it off once at the unit vectors.
-    unit_tangents = np.array(
-        [np.atleast_2d(model.tangent_basis_at(e)) for e in np.eye(model.ambient_dim)]
-    )
-    tangents = np.einsum("si,itj->stj", points, unit_tangents)
+    tangents = np.einsum("si,tji->stj", points, _lie_algebra(model))
     norms = np.linalg.norm(tangents, axis=2)
     keep = norms > tol.eps_eq
     overlaps = np.abs(tangents[keep] @ basis.T) / norms[keep][:, None]
@@ -505,42 +461,38 @@ def check_cartan_orthogonality(
     )
 
 
-def check_orbits_meet_cartan(
-    model: GroupModel,
-    n_vectors: int = 25,
-    seed: int = 0,
-    n_group_samples: int = 2000,
+def check_cohomogeneity(
+    model: GroupModel, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> PolarCheckReport:
-    """Every sampled orbit must come within _MEET_THRESHOLD of the candidate subspace.
+    """The candidate subspace must have the dimension of a section, reached on it.
 
-    Falsification-only when driven by sampling alone; models with an
-    alignment witness contribute an exact meeting point as well.
+    The principal orbit dimension is the rank of the tangents X v at one
+    seeded Gaussian v, which is regular with probability one.  A section
+    has dimension dim V minus that and meets the principal orbits, so a
+    generic point of the candidate subspace has a principal orbit too.
+    Nothing is sampled from the group: the dimensions are exact up to the
+    rank cut.  ``max_violation`` is the gap in dimensions.
     """
     _require_cartan(model)
-    basis = model.cartan_basis
-    vectors = np.random.default_rng(seed + 1).standard_normal((n_vectors, model.ambient_dim))
-    images = model.images(seed, n_group_samples, vectors)
-    if model.align_to_cartan is not None:
-        aligned = np.reshape(
-            [model.align_to_cartan(v) @ v for v in vectors], (n_vectors, 1, model.ambient_dim)
-        )
-        images = np.concatenate([images, aligned], axis=1)
-    off = images - (images @ basis.T) @ basis
-    # Squared distances summed coordinate by coordinate, as norm(axis=2) sums them;
-    # sqrt is monotone and correctly rounded, so it commutes with min.
-    sq = off[..., 0] * off[..., 0]
-    for i in range(1, model.ambient_dim):
-        sq += off[..., i] * off[..., i]
-    worst = float(np.sqrt(sq.min(axis=1)).max(initial=0.0))
+    algebra = _lie_algebra(model)
+    v = np.random.default_rng(seed).standard_normal(model.ambient_dim)
+    principal = matrix_rank(algebra @ v, tol)
+    in_candidate = matrix_rank(algebra @ model.cartan_point(seed), tol)
+    candidate = len(model.cartan_basis)
+    gap = abs(model.ambient_dim - principal - candidate) + abs(principal - in_candidate)
     return PolarCheckReport(
-        check="orbits_meet_cartan",
+        check="cohomogeneity",
         model=model.name,
-        passed=worst < _MEET_THRESHOLD,
-        max_violation=worst,
-        threshold=_MEET_THRESHOLD,
-        n_samples=n_vectors * n_group_samples,
+        passed=gap == 0,
+        max_violation=float(gap),
+        threshold=0.0,
+        n_samples=1,
         seed=seed,
-        details={"used_witness": model.align_to_cartan is not None},
+        details={
+            "principal_orbit_dim": principal,
+            "candidate_dim": candidate,
+            "orbit_dim_in_candidate": in_candidate,
+        },
     )
 
 
@@ -772,9 +724,7 @@ def run_battery(
     """
     reports: dict[str, object] = {}
     reports["cartan_orthogonality"] = check_cartan_orthogonality(model, 200, seed, tol)
-    reports["orbits_meet_cartan"] = check_orbits_meet_cartan(
-        model, 25, seed, n_group_samples=min(samples, 2000)
-    )
+    reports["cohomogeneity"] = check_cohomogeneity(model, seed, tol)
     reports["minkowski_dimension_obstruction"] = sp_falsify_nonpolar(model, seed=seed, tol=tol)
 
     has_weyl = model.weyl_elements is not None and model.weyl_witnesses is not None
@@ -794,7 +744,7 @@ def run_battery(
 
     verdict = (
         reports["cartan_orthogonality"].passed
-        and reports["orbits_meet_cartan"].passed
+        and reports["cohomogeneity"].passed
         and reports["minkowski_dimension_obstruction"].passed
         and has_weyl
         and bool(reports["weyl_is_coxeter"])

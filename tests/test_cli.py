@@ -255,6 +255,26 @@ def test_voronoi_and_coxeter_checks(runner, fixtures):
     assert _report(result)["verdict"] is False
 
 
+@pytest.mark.parametrize("name", ["f4", "c3"])
+def test_coxeter_check_finds_reflections_once(runner, fixtures, tmp_path, monkeypatch, name):
+    # The report's reflections and the root data behind its verdict come
+    # from one search, which the loaded group keeps.
+    from orbitpoly import group
+
+    path = fixtures / "c3.json"
+    if name == "f4":
+        gens = helpers.reflection_generators("f4")
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps({"name": "f4", "dim": 4, "generators": [g.tolist() for g in gens]}))
+    searches = []
+    search = group._find_reflections
+    monkeypatch.setattr(group, "_find_reflections", lambda G, tol: searches.append(G) or search(G, tol))
+    report = _report(_run(runner, ["coxeter-check", "--input", str(path)]))
+    assert len(searches) == 1
+    assert report["criteria"]["reflection_generated"]["n_reflections"] == (24 if name == "f4" else 0)
+    assert report["verdict"] is (name == "f4")
+
+
 def test_off_export(runner, fixtures, tmp_path):
     off = tmp_path / "out.off"
     result = _run(
@@ -330,10 +350,15 @@ def test_polar_verify_models(runner):
     report = _report(result)
     assert report["verdict"] is True
     assert report["criteria"]["weyl_is_coxeter"] is True
+    cohomogeneity = report["criteria"]["cohomogeneity"]
+    assert cohomogeneity["passed"] is True
+    assert (cohomogeneity["details"]["principal_orbit_dim"], cohomogeneity["details"]["candidate_dim"]) == (3, 2)
 
     result = _run(runner, ["polar-verify", "--model", "hopf_circle", "--samples", "200"])
     report = _report(result)
     assert report["verdict"] is False
+    # The right dimension for a section, but the tangents are not orthogonal to it.
+    assert report["criteria"]["cohomogeneity"]["passed"] is True
     assert report["criteria"]["cartan_orthogonality"]["max_violation"] > 1e-2
     assert report["criteria"]["minkowski_dimension_obstruction"]["details"]["sp_impossible"]
 

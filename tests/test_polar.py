@@ -203,36 +203,92 @@ def test_cartan_orthogonality_matches_reference(so3, sym3, hopf, seed):
     assert abs(report.max_violation - reference) <= 1e-14
 
 
-def test_orbits_meet_cartan(so3, sym3, hopf):
-    for model in (so3, sym3, hopf):
-        report = polar.check_orbits_meet_cartan(model, n_vectors=15, seed=5, n_group_samples=500)
-        assert report.passed, (model.name, report.max_violation)
+def _candidate_cases():
+    """The models, one more section (without Weyl data) and two subspaces that are not sections."""
+    so3, sym3, hopf = (polar.get_model(name) for name in ("so3_standard", "sym3_traceless", "hopf_circle"))
+    line_112 = polar.sym_vec(np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0))
+    return {
+        "so3_standard": so3,
+        "sym3_traceless": sym3,
+        "hopf_circle": hopf,
+        "so3_axis_2": polar.with_candidate_basis(so3, [[0.0, 1.0, 0.0]]),
+        "hopf_plane_11": _generic_candidate(hopf, 2, 11),
+        "sym3_line_112": polar.with_candidate_basis(sym3, [line_112]),
+    }
 
 
-def test_orbits_miss_generic_subspace(hopf):
-    # A circle orbit meets every hyperplane (its signed distance is a
-    # sinusoid in the angle), so failure needs codimension >= 2: against a
-    # generic 2-dim candidate the orbits stay clear.
-    rng = np.random.default_rng(11)
-    basis, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    model = polar.with_candidate_basis(hopf, basis.T)
-    report = polar.check_orbits_meet_cartan(model, n_vectors=10, seed=5, n_group_samples=2000)
+@pytest.mark.parametrize(
+    "name, dims", [("so3_standard", (2, 1)), ("sym3_traceless", (3, 2)), ("hopf_circle", (1, 3))]
+)
+def test_cohomogeneity_of_models(name, dims):
+    # (principal orbit dim, candidate dim): each candidate is a complement of
+    # a principal orbit's tangent space, and its generic points are regular.
+    report = polar.check_cohomogeneity(polar.get_model(name), seed=5)
+    assert report.passed
+    assert (report.max_violation, report.threshold, report.n_samples) == (0.0, 0.0, 1)
+    details = report.details
+    assert (details["principal_orbit_dim"], details["candidate_dim"]) == dims
+    assert details["orbit_dim_in_candidate"] == dims[0]
+
+
+def test_cohomogeneity_of_another_axis():
+    # Every line through 0 is a section of SO(3); no witness is needed.
+    model = _candidate_cases()["so3_axis_2"]
+    for seed in (0, 5, 42):
+        assert polar.check_cohomogeneity(model, seed=seed).passed
+
+
+def test_cohomogeneity_generic_plane_fails():
+    # Circle orbits in R^4 leave a 3-dim section; a 2-plane is a dimension short.
+    report = polar.check_cohomogeneity(_candidate_cases()["hopf_plane_11"], seed=5)
     assert not report.passed
-    assert report.max_violation > 1e-2
+    assert report.max_violation == 1.0
+    assert report.details == {"principal_orbit_dim": 1, "candidate_dim": 2, "orbit_dim_in_candidate": 1}
 
 
-def test_align_witnesses_exact(so3, sym3, hopf):
-    rng = np.random.default_rng(13)
-    for model in (so3, sym3, hopf):
-        B = model.cartan_basis
-        for _ in range(10):
-            v = rng.standard_normal(model.ambient_dim)
-            g = model.align_to_cartan(v)
-            assert is_orthogonal(g, Tolerance(eps_eq=1e-8))
-            image = g @ v
-            off = image - (image @ B.T) @ B
-            assert np.linalg.norm(off) <= 1e-9
-            assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(v), abs=1e-9)
+def test_cohomogeneity_fails_on_singular_line():
+    # The line of diag(1, 1, -2) is a dimension short of a section, and its
+    # points have a double eigenvalue: their orbits are 2-dim, not 3-dim.
+    report = polar.check_cohomogeneity(_candidate_cases()["sym3_line_112"], seed=5)
+    assert not report.passed
+    assert report.max_violation == 2.0
+    assert report.details == {"principal_orbit_dim": 3, "candidate_dim": 1, "orbit_dim_in_candidate": 2}
+
+
+def _in_basis(model, q):
+    """The model in the coordinates x' = q x, where each element g acts as q g q^T."""
+
+    def images(seed, count, points):
+        return model.images(seed, count, np.asarray(points, dtype=float) @ q) @ q.T
+
+    def tangent(v):
+        return model.tangent_basis_at(np.asarray(v, dtype=float) @ q) @ q.T
+
+    return replace(
+        model,
+        images=images,
+        tangent_basis_at=tangent,
+        cartan_basis=model.cartan_basis @ q.T,
+        weyl_witnesses=None if model.weyl_witnesses is None else q @ model.weyl_witnesses @ q.T,
+        falsify_pair=None if model.falsify_pair is None else tuple(x @ q.T for x in model.falsify_pair),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_candidate_cases()))
+def test_battery_survives_a_change_of_basis(case):
+    # Polarity, a section's dimension and the Weyl checks are properties of
+    # the action, not of the coordinates it is written in.
+    model = _candidate_cases()[case]
+    q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((model.ambient_dim,) * 2))
+    verdict, reports = polar.run_battery(model, samples=500, seed=42)
+    q_verdict, q_reports = polar.run_battery(_in_basis(model, q), samples=500, seed=42)
+    assert q_verdict == verdict
+    assert q_reports["cohomogeneity"].details == reports["cohomogeneity"].details
+    for key, report in reports.items():
+        if isinstance(report, polar.PolarCheckReport):
+            assert q_reports[key].passed == report.passed, key
+        else:
+            assert q_reports[key] == report, key
 
 
 def test_projection_hull_so3(so3):
