@@ -257,6 +257,7 @@ def cmd_voronoi(group, seed, samples):
                 "passed": result.passed,
                 "n_samples": result.n_samples,
                 "n_points": result.n_points,
+                "min_wall_distance": result.min_wall_distance,
             }
         },
         "witnesses": {"violations": list(result.violations[:10])},

@@ -248,7 +248,12 @@ def cone_equal(C: PolyhedralCone, D: PolyhedralCone, tol: Tolerance = DEFAULT_TO
 
 @dataclass(frozen=True, eq=False)
 class VoronoiReport:
-    """Outcome of the nearest-point vs cone-membership cross-check."""
+    """Outcome of the nearest-point vs cone-membership cross-check.
+
+    ``min_wall_distance`` is how close any sample came to a cell wall: the
+    smallest |min_m <s, g n_m>| over samples s and cells g C, where both
+    decisions turn.  It is None when the base cone has no facets.
+    """
 
     group: str
     base: np.ndarray
@@ -256,6 +261,7 @@ class VoronoiReport:
     n_samples: int
     seed: int
     violations: tuple[dict, ...]
+    min_wall_distance: float | None
 
     @property
     def passed(self) -> bool:
@@ -274,14 +280,24 @@ def voronoi_consistency(
     For each sampled u, the set of nearest orbit points (ties included) must
     coincide with the set of orbit cones containing u.  ``extra_points``
     lets callers inject deliberate tie samples such as wall points.
+
+    The cell of the orbit point g v is g C, for C the orbit cone of v, so
+    its walls are the images g n of C's facet normals n.  Every work array
+    has the shape (samples, orbit points), so time and memory are
+    O(samples x |O|):
+
+    - distances are accumulated one coordinate at a time and then rooted,
+      the same additions in the same order as ``np.linalg.norm`` along the
+      coordinates, so they carry its bits;
+    - membership is a running minimum of one (samples x dim) @ (dim x
+      points) product per facet of C.
     """
     v = as_vector(v, G.dim)
     tol = G.tol
     orb = orbit(G, v)
-    base_cone = orbit_cone(G, v)
-    base_normals = base_cone.halfspace_normals
+    base_normals = orbit_cone(G, v).halfspace_normals
 
-    # The cone of the orbit point g v is the image of the base cone under g.
+    # cones[k, m] = g_k n_m: the walls of the cell of orbit point k.
     cones = base_normals @ G.stack[list(orb.point_to_element)].transpose(0, 2, 1)
 
     rng = np.random.default_rng(seed)
@@ -289,13 +305,27 @@ def voronoi_consistency(
     if extra_points is not None and len(extra_points):
         samples = np.vstack([samples, np.atleast_2d(np.asarray(extra_points, dtype=float))])
 
-    dists = np.linalg.norm(samples[:, None, :] - orb.points[None, :, :], axis=2)
+    points = orb.points
+    dists = np.zeros((len(samples), len(points)))
+    work = np.empty_like(dists)
+    for j in range(G.dim):
+        np.subtract(samples[:, j, None], points[None, :, j], out=work)
+        np.multiply(work, work, out=work)
+        dists += work
+    np.sqrt(dists, out=dists)
     nearest = dists <= dists.min(axis=1, keepdims=True) + tol.eps_eq
+
     if cones.shape[1] == 0:
         member = np.ones((len(samples), len(orb)), dtype=bool)
+        min_wall_distance = None
     else:
-        margins = np.einsum("sn,kmn->skm", samples, cones)
-        member = margins.min(axis=2) >= -tol.eps_eq
+        low = np.matmul(samples, cones[:, 0, :].T, out=dists)  # the distances are spent
+        for m in range(1, cones.shape[1]):
+            np.matmul(samples, cones[:, m, :].T, out=work)
+            np.minimum(low, work, out=low)
+        member = low >= -tol.eps_eq
+        np.abs(low, out=low)
+        min_wall_distance = float(low.min())
 
     violations = []
     bad = np.argwhere(nearest != member)
@@ -316,6 +346,7 @@ def voronoi_consistency(
         n_samples=len(samples),
         seed=seed,
         violations=tuple(violations),
+        min_wall_distance=min_wall_distance,
     )
 
 

@@ -5,12 +5,13 @@ closed-form matrices, reflection groups of rank 1 to 5 from their simple
 roots and H4 from its 120 roots (the unit icosians), permutohedron
 membership from partial-sum majorization, and facet-row merging from the
 plain pairwise union-find; none of these touch
-the production hull/cone code paths.  Five references replay slower
+the production hull/cone code paths.  Six references replay slower
 production algorithms on top of the library: the SP pair scan that builds
 the Minkowski sum, reflection generation by closing the reflections, the
 hull whose uncertified vertex candidates each cost an LP, the cone
-reduction that decides each halfspace by an LP, and the cone rays found
-by one SVD per (d - 1)-subset of normals.
+reduction that decides each halfspace by an LP, the cone rays found
+by one SVD per (d - 1)-subset of normals, and the Voronoi check on
+(samples x points x dim) arrays with one einsum for the cell margins.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler, the three-operand conjugation einsum and the block matrices of the
 Hopf circle, each a batch of matrices to apply to points; the rotations
@@ -256,6 +257,55 @@ def sp_check_pair_reference(G, u, v):
             return True, candidates[idx]
     return False, None
 
+
+
+def voronoi_reference(G, v, n_samples, seed, extra_points=None):
+    """The Voronoi check on (samples x points x dim) arrays and one einsum.
+
+    Same samples, cones and decisions as :func:`orbitpoly.cones.voronoi_consistency`,
+    with the distances taken by ``np.linalg.norm`` along the coordinates and
+    each cell's margin as the minimum over all its walls of one einsum.
+    """
+    v = np.asarray(v, dtype=float)
+    tol = G.tol
+    orb = orbit(G, v)
+    base_normals = cones.orbit_cone(G, v).halfspace_normals
+    cell_walls = base_normals @ G.stack[list(orb.point_to_element)].transpose(0, 2, 1)
+
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((n_samples, G.dim)) * max(1.0, float(np.linalg.norm(v)))
+    if extra_points is not None and len(extra_points):
+        samples = np.vstack([samples, np.atleast_2d(np.asarray(extra_points, dtype=float))])
+
+    dists = np.linalg.norm(samples[:, None, :] - orb.points[None, :, :], axis=2)
+    nearest = dists <= dists.min(axis=1, keepdims=True) + tol.eps_eq
+    if cell_walls.shape[1] == 0:
+        member = np.ones((len(samples), len(orb)), dtype=bool)
+        min_wall_distance = None
+    else:
+        low = np.einsum("sn,kmn->skm", samples, cell_walls).min(axis=2)
+        member = low >= -tol.eps_eq
+        min_wall_distance = float(np.abs(low).min())
+
+    violations = tuple(
+        {
+            "sample_index": int(s),
+            "point_index": int(k),
+            "nearest": bool(nearest[s, k]),
+            "in_cone": bool(member[s, k]),
+            "sample": samples[s].tolist(),
+        }
+        for s, k in np.argwhere(nearest != member)
+    )
+    return cones.VoronoiReport(
+        group=G.name,
+        base=v,
+        n_points=len(orb),
+        n_samples=len(samples),
+        seed=seed,
+        violations=violations,
+        min_wall_distance=min_wall_distance,
+    )
 
 _HIGHS_MIN_FEASIBILITY_TOL = 1e-10
 
