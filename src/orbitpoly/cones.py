@@ -7,13 +7,15 @@ of the orbit points, which is what :func:`voronoi_consistency` checks.
 
 No LP is solved and no subsets are enumerated here: irredundant normals
 come from hull incidence at the cone's apex (one Qhull call), extreme rays
-from the dual basis of independent normals or from one more Qhull call.
+from the dual basis of independent normals or from one more Qhull call,
+on the first read of a cone's rays.
 The library solves no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +43,36 @@ class PolyhedralCone:
     ``halfspace_normals`` is irredundant and unit;  ``rays`` are the extreme
     rays of the pointed part (empty when the cone is the whole space) and
     ``lineality_basis`` spans the largest subspace contained in the cone.
+
+    A cone is its normals: rays and lineality are computed once, at ``tol``,
+    on the first read of any of the three, so a failure of the ray step
+    (Qhull on a non-simplicial cone) surfaces there, not where the cone was
+    built.  :func:`cone_equal`, :func:`cone_contains` and
+    :func:`voronoi_consistency`, and so the local-cone criterion, read the
+    normals only and compute no rays.
     """
 
     halfspace_normals: np.ndarray  # (m, n) unit rows
-    rays: np.ndarray               # (k, n) unit rows
     ambient_dim: int
-    lineality_dim: int
-    lineality_basis: np.ndarray    # (lineality_dim, n) orthonormal rows
+    tol: Tolerance
+
+    @cached_property
+    def _ray_data(self) -> tuple[np.ndarray, np.ndarray]:
+        return _rays_and_lineality(self.halfspace_normals, self.ambient_dim, self.tol)
+
+    @property
+    def rays(self) -> np.ndarray:
+        """(k, n) unit rows."""
+        return self._ray_data[0]
+
+    @property
+    def lineality_basis(self) -> np.ndarray:
+        """(lineality_dim, n) orthonormal rows."""
+        return self._ray_data[1]
+
+    @property
+    def lineality_dim(self) -> int:
+        return len(self.lineality_basis)
 
     @property
     def is_whole_space(self) -> bool:
@@ -130,15 +155,8 @@ def _rays_and_lineality(normals: np.ndarray, dim: int, tol: Tolerance):
 
 
 def _cone(normals: np.ndarray, dim: int, tol: Tolerance) -> PolyhedralCone:
-    """Cone of already irredundant unit normals, with its rays and lineality."""
-    rays, lineality = _rays_and_lineality(normals, dim, tol)
-    return PolyhedralCone(
-        halfspace_normals=normals,
-        rays=rays,
-        ambient_dim=dim,
-        lineality_dim=len(lineality),
-        lineality_basis=lineality,
-    )
+    """Cone of already irredundant unit normals; its rays wait for their first read."""
+    return PolyhedralCone(halfspace_normals=normals, ambient_dim=dim, tol=tol)
 
 
 def cone_from_halfspaces(

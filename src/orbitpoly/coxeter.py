@@ -193,7 +193,7 @@ def hull_from_dual_cones(G: FiniteGroup, v, ch: ChamberData) -> Polytope:
     offsets = roots.support(v)
     m = len(roots.row_coweight)
     # Every row g ω_k has the offset of ω_k, so read it at the first row of block k.
-    top = offsets[np.searchsorted(roots.row_coweight, np.arange(roots.rank))]
+    top = offsets[roots.starts]
     x0 = np.linalg.solve(
         np.vstack([roots.coweights, roots.fixed]), np.r_[top, offsets[m : m + len(roots.fixed)]]
     )

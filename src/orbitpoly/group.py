@@ -506,6 +506,11 @@ class RootData:
         """The k of each row g ω_k."""
         return np.repeat(np.arange(self.rank), [len(o) for o in self._coweight_orbits])
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The index of the first row g ω_k of each k."""
+        return np.searchsorted(self.row_coweight, np.arange(self.rank))
+
     def walls(self, points: np.ndarray) -> np.ndarray:
         """Element indices of the reflections in the walls of the chamber of ``points[0]``.
 
@@ -526,13 +531,13 @@ class RootData:
         intersection over g of ``<x, g ω_k> <= <w, ω_k>``, pinned to w's
         coordinates along the fixed subspace.  By symmetry the support of
         O_w along g ω_k is the largest ``<w, h ω_k>`` over the group, so it
-        is read off the rows, and w may lie in any chamber.
+        is read off the rows, and w may lie in any chamber.  The rows of
+        each k are one contiguous block, so the maxima are one
+        ``np.maximum.reduceat`` at the block :attr:`starts`.
         """
         values = self.rows @ np.asarray(w, dtype=float)
         m = len(self.row_coweight)
-        top = np.full(self.rank, -np.inf)
-        np.maximum.at(top, self.row_coweight, values[:m])
-        values[:m] = top[self.row_coweight]
+        values[:m] = np.maximum.reduceat(values[:m], self.starts)[self.row_coweight]
         return values
 
 

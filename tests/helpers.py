@@ -20,7 +20,9 @@ streams blocks; so does the Cartan orthogonality check, as its per-point
 loop.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
-tolerant dedup's reference inserts one row at a time (ToleranceBuckets).
+tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
+the root-data supports' reference takes each row's block maximum by
+``np.maximum.at``.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from scipy.optimize import linprog
 from scipy.stats import special_ortho_group
 
 from orbitpoly import cones, polytope
+from orbitpoly.catalog import CATALOG_NAMES
 from orbitpoly.coxeter import detect_reflection
 from orbitpoly.errors import GeometryError, OrderExceededError
 from orbitpoly.group import MAX_ORDER_DEFAULT, FiniteGroup, Orbit, close_generators, orbit
@@ -148,6 +151,12 @@ NON_REFLECTION_GENERATORS = {
 }
 
 
+# Reflection groups and controls whose cone rays are checked by enumeration.
+RAY_GROUPS = (
+    *CATALOG_NAMES, "h3", "d4", "f4", "chiral_t", "chiral_o", "c3h", "c4_x_mirror", "b4_rotations", "a4", "a5",
+)
+
+
 def named_group(groups, name):
     """A catalog group from ``groups``, or one closed from the generators above."""
     if name in groups:
@@ -155,6 +164,16 @@ def named_group(groups, name):
     if name in SIMPLE_ROOTS:
         return close_generators(reflection_generators(name), name=name)
     return close_generators(NON_REFLECTION_GENERATORS[name], name=name)
+
+
+def support_reference(roots, w):
+    """``RootData.support`` with the block maxima taken by ``np.maximum.at`` into a -inf array."""
+    values = roots.rows @ np.asarray(w, dtype=float)
+    m = len(roots.row_coweight)
+    top = np.full(roots.rank, -np.inf)
+    np.maximum.at(top, roots.row_coweight, values[:m])
+    values[:m] = top[roots.row_coweight]
+    return values
 
 
 class ToleranceBuckets:

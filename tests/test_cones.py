@@ -1,9 +1,11 @@
+import json
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import helpers
 from orbitpoly import cones
@@ -18,17 +20,14 @@ from orbitpoly.cones import (
     orbit_cone,
     voronoi_consistency,
 )
-from orbitpoly.coxeter import group_reflections
-from orbitpoly.errors import OrbitPolyError, ZeroVectorError
+from orbitpoly.cli import main
+from orbitpoly.coxeter import group_reflections, sp_equivalence_report
+from orbitpoly.errors import GeometryError, OrbitPolyError, ZeroVectorError
 from orbitpoly.group import close_generators, find_regular, orbit
 from orbitpoly.numerics import DEFAULT_TOL, unit
 from orbitpoly.polytope import hull, support
 
 R2 = 1.0 / math.sqrt(2.0)
-
-RAY_GROUPS = (
-    *CATALOG_NAMES, "h3", "d4", "f4", "chiral_t", "chiral_o", "c3h", "c4_x_mirror", "b4_rotations", "a4", "a5",
-)
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +336,7 @@ def test_voronoi_consistency_catalog(groups):
         assert report.min_wall_distance > 0.0
 
 
-@pytest.mark.parametrize("name", RAY_GROUPS)
+@pytest.mark.parametrize("name", helpers.RAY_GROUPS)
 def test_voronoi_matches_reference(groups, name):
     G = helpers.named_group(groups, name)
     for seed in range(12):
@@ -488,7 +487,7 @@ def _assert_rays_match_enumeration(C):
     assert C.lineality_dim == len(lineality)
 
 
-@pytest.mark.parametrize("name", RAY_GROUPS)
+@pytest.mark.parametrize("name", helpers.RAY_GROUPS)
 def test_cone_rays_match_enumeration(groups, name):
     # Same rays, in the same order, as one SVD per (d - 1)-subset of the
     # normals: at regular vectors, and on or 1e-4 off a mirror (a wall of
@@ -550,3 +549,78 @@ def test_orbit_cone_rays_near_a_rotation_axis():
         if worst < -1e-7:
             failures[seed] = worst
     assert failures == {}
+
+
+# Rays and lineality are computed on their first read.
+
+
+def _count_ray_steps(monkeypatch):
+    calls = []
+    original = cones._rays_and_lineality
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_rays_and_lineality", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["a2", "b3", "h3", "d4"])
+def test_theorem2_computes_rays_once(groups, monkeypatch, name):
+    # The SP probes read the base cone's rays; the local-cone criterion
+    # compares normals only.
+    G = helpers.named_group(groups, name)
+    calls = _count_ray_steps(monkeypatch)
+    assert sp_equivalence_report(G, seed=42).verdict
+    assert len(calls) == 1
+
+
+def test_voronoi_check_computes_no_rays(groups, monkeypatch):
+    calls = _count_ray_steps(monkeypatch)
+    for name in ("c4", "b3"):
+        G = groups[name]
+        assert voronoi_consistency(G, find_regular(G, 7), 200, 7).passed
+    assert calls == []
+
+
+def _assert_rays_on_first_read(C):
+    rays, lineality = cones._rays_and_lineality(C.halfspace_normals, C.ambient_dim, C.tol)
+    assert C.rays.dtype == rays.dtype and np.array_equal(C.rays, rays)
+    assert np.array_equal(C.lineality_basis, lineality)
+    assert C.lineality_dim == len(lineality)
+    assert C.rays is C.rays
+    assert C.lineality_basis is C.lineality_basis
+
+
+@pytest.mark.parametrize("name", ["b2", "b3", "c4", "chiral_o", "a4"])
+def test_cone_rays_are_the_ray_step_bit_for_bit(groups, name):
+    G = helpers.named_group(groups, name)
+    for seed in range(4):
+        C = orbit_cone(G, find_regular(G, seed))
+        _assert_rays_on_first_read(C)
+        _assert_rays_on_first_read(dual_cone(C))
+        _assert_rays_on_first_read(cone_from_halfspaces(np.vstack([C.halfspace_normals, C.rays])))
+    _assert_rays_on_first_read(cone_from_halfspaces(np.zeros((0, G.dim)), dim=G.dim))
+
+
+def test_ray_step_failure_surfaces_on_first_read(groups, monkeypatch, tmp_path):
+    # A regular chiral-O cone has more facets than dimensions, so its rays
+    # need Qhull; only the ray step calls cones._qhull.
+    G = helpers.named_group(groups, "chiral_o")
+    v = find_regular(G, 0)
+    assert len(orbit_cone(G, v).halfspace_normals) > G.dim
+
+    def failing(*args, **kwargs):
+        raise GeometryError("Qhull failed (forced)")
+
+    monkeypatch.setattr(cones, "_qhull", failing)
+    C = orbit_cone(G, v)
+    with pytest.raises(GeometryError, match="forced"):
+        C.rays
+    path = tmp_path / "chiral_o.json"
+    gens = helpers.NON_REFLECTION_GENERATORS["chiral_o"]
+    path.write_text(json.dumps({"name": "chiral_o", "dim": 3, "generators": [g.tolist() for g in gens]}))
+    result = CliRunner().invoke(main, ["cone", "--input", str(path), "--seed", "0"])
+    assert result.exit_code == 2
+    assert result.output == "error: GeometryError: Qhull failed (forced)\n"

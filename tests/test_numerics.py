@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from orbitpoly.cones import orbit_cone
 from orbitpoly.errors import DimensionMismatchError
+from orbitpoly.group import find_regular, root_data
 from orbitpoly.numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -16,6 +18,7 @@ from orbitpoly.numerics import (
     matrix_rank,
     orthogonal_matrix,
     round_key,
+    row_keys,
 )
 
 
@@ -121,7 +124,58 @@ def test_distinct_rows_keeps_what_one_insert_at_a_time_keeps():
     rng = np.random.default_rng(3)
     steps = rng.integers(-1, 2, size=(400, 3)) * 0.6 * DEFAULT_TOL.eps_eq
     rows = np.cumsum(steps, axis=0)[rng.permutation(400)] + rng.integers(0, 2, size=(400, 1))
-    buckets = helpers.ToleranceBuckets(DEFAULT_TOL)
-    kept = [i for i, row in enumerate(rows) if buckets.insert(row)[1]]
-    assert distinct_rows(rows).tolist() == kept
+    kept = _assert_dedup_matches_oracle(rows)
     assert 2 < len(kept) < len(rows)
+
+
+def _assert_dedup_matches_oracle(rows, tol=DEFAULT_TOL):
+    """distinct_rows keeps the indices, of the same dtype, that one insert at a time keeps."""
+    buckets = helpers.ToleranceBuckets(tol)
+    want = np.flatnonzero([buckets.insert(row)[1] for row in rows])
+    got = distinct_rows(rows, tol)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    return got
+
+
+def _keys_distinct(rows, tol=DEFAULT_TOL):
+    keys = row_keys(np.asarray(rows, dtype=float), tol)
+    return len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name", helpers.RAY_GROUPS)
+def test_distinct_rows_on_orbits_matches_the_oracle(groups, name):
+    # A regular orbit has distinct keys and takes the early exit.  The rays
+    # and wall midpoints of a reflection group's chamber lie on mirrors, so
+    # their orbits repeat keys and must not; elsewhere they may be regular.
+    G = helpers.named_group(groups, name)
+    v = find_regular(G, 0)
+    images = G.stack @ v
+    assert _keys_distinct(images)
+    _assert_dedup_matches_oracle(images)
+    C = orbit_cone(G, v)
+    for x in [*C.rays, *(v - (v @ n) * n for n in C.halfspace_normals)]:
+        images = G.stack @ x
+        kept = _assert_dedup_matches_oracle(images)
+        if root_data(G) is not None:
+            assert not _keys_distinct(images)
+            assert len(kept) < len(images)
+
+
+def test_distinct_rows_of_two_close_rows_in_one_rounding_cell_and_across_one():
+    # Two rows 6e-10 apart (eps_eq is 1e-9) next to a far row.  Inside one
+    # cell of the 7-digit rounding grid they share a key and the second is
+    # dropped.  On either side of a cell edge the keys differ: the early
+    # exit keeps both, and so does the oracle (the split-key case of ROADMAP
+    # item 9).
+    assert DEFAULT_TOL.round_digits == 7
+    for centre, want in ((0.1234567, [0, 2]), (0.12345675, [0, 1, 2])):
+        rows = np.array([[centre - 3e-10, 1.0], [centre + 3e-10, 1.0], [0.5, 0.5]])
+        assert np.max(np.abs(rows[0] - rows[1])) <= DEFAULT_TOL.eps_eq
+        assert _keys_distinct(rows) == (len(want) == 3)
+        assert _assert_dedup_matches_oracle(rows).tolist() == want
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_distinct_rows_of_no_row_and_one_row(n):
+    assert _assert_dedup_matches_oracle(np.ones((n, 3))).tolist() == list(range(n))

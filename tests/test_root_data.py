@@ -20,7 +20,7 @@ import helpers
 from orbitpoly import polytope
 from orbitpoly.coxeter import chamber, hull_from_dual_cones, sp_equivalence_report
 from orbitpoly.errors import GeometryError
-from orbitpoly.group import find_regular, group_reflections, orbit, root_data
+from orbitpoly.group import close_generators, find_regular, group_reflections, orbit, root_data
 from orbitpoly.numerics import DEFAULT_TOL
 from orbitpoly.polytope import hull
 
@@ -107,6 +107,54 @@ def test_root_data_facets_are_the_qhull_facets(groups, name):
 def test_root_data_facet_counts_at_rank_five(groups, name):
     roots = root_data(helpers.named_group(groups, name))
     assert len(roots.row_coweight) == FACETS[name]
+
+
+SUPPORT_GROUPS = (*ORACLE_GROUPS, "a4", "a5", "d5", "b5", "trivial")
+
+
+def _support_vectors(G, v, ch):
+    """v, the fundamental rays, and v moved to 1e-3 ... 1e-6 off its first wall, inside the chamber."""
+    vectors = [v, *ch.fundamental_rays]
+    if len(ch.simple_normals):
+        n = ch.simple_normals[0]
+        vectors += [v - (v @ n - delta) * n for delta in MIRROR_OFFSETS]
+    return vectors
+
+
+def _hull_from_dual_cones_reference(G, x):
+    """The dual-cone hull as built with the reference supports."""
+    roots = root_data(G)
+    offsets = helpers.support_reference(roots, x)
+    m = len(roots.row_coweight)
+    top = offsets[np.searchsorted(roots.row_coweight, np.arange(roots.rank))]
+    x0 = np.linalg.solve(
+        np.vstack([roots.coweights, roots.fixed]), np.r_[top, offsets[m : m + len(roots.fixed)]]
+    )
+    return hull(orbit(G, x0).points)
+
+
+@pytest.mark.parametrize("name", SUPPORT_GROUPS)
+def test_support_matches_the_reference(groups, name):
+    # The block maxima by reduceat equal the np.maximum.at ones, and the
+    # hulls rebuilt from the halfspaces keep their vertices.
+    if name == "trivial":
+        G = close_generators([np.eye(3)], name="trivial")
+    else:
+        G = helpers.named_group(groups, name)
+    roots = root_data(G)
+    assert roots.starts.tolist() == [int(np.argmax(roots.row_coweight == k)) for k in range(roots.rank)]
+    v = find_regular(G, 3)
+    ch = chamber(G, v)
+    for x in _support_vectors(G, v, ch):
+        assert np.array_equal(roots.support(x), helpers.support_reference(roots, x)), x.tolist()
+        if G.dim <= 5 and G.order <= 1152:  # the A5, D5 and B5 hulls take seconds
+            want = _hull_from_dual_cones_reference(G, x)
+            got = hull_from_dual_cones(G, x, ch)
+            assert np.array_equal(got.vertices, want.vertices), x.tolist()
+            assert np.array_equal(got.facet_normals, want.facet_normals), x.tolist()
+    for seed in SEEDS:
+        x = find_regular(G, seed)
+        assert np.array_equal(roots.support(x), helpers.support_reference(roots, x))
 
 
 class QhullCalled(Exception):
