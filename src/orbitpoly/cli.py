@@ -192,7 +192,7 @@ def cmd_orbit(group, seed):
         "data": {
             "base": v.tolist(),
             "points": orb.points.tolist(),
-            "witness_elements": list(orb.point_to_element),
+            "witness_elements": orb.point_to_element.tolist(),
         },
     }
 

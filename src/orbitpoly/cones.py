@@ -316,7 +316,7 @@ def voronoi_consistency(
     base_normals = orbit_cone(G, v).halfspace_normals
 
     # cones[k, m] = g_k n_m: the walls of the cell of orbit point k.
-    cones = base_normals @ G.stack[list(orb.point_to_element)].transpose(0, 2, 1)
+    cones = base_normals @ G.stack[orb.point_to_element].transpose(0, 2, 1)
 
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, G.dim)) * max(1.0, float(np.linalg.norm(v)))

@@ -7,6 +7,14 @@ sampling, the peak criterion, reflection generation, and local cone
 stability - and cross-checks that they agree.  The SP sample stops at its
 first failing pair, which is the witness of a false verdict.
 
+On a group with root data the three sampled criteria check all of their
+probes in one pass over stacked arrays: one product with the stacked
+elements gives every probe's orbit, the SP pairs are tested together at
+their first candidates, and the local samples read their chamber walls
+from one sign product.  A probe such a pass does not settle takes the
+per-probe path, in order, so the witnesses are still the first ones.  Any
+other group checks one probe at a time and stops at its first witness.
+
 None of the four solves an LP or builds a Minkowski sum or orbit hull: an
 SP pair is checked by support inequalities along rows of root data or of
 one orbit cone, reflection generation by counting the orbit points of a
@@ -38,6 +46,7 @@ and near mirrors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -64,6 +73,7 @@ from .numerics import (
     Tolerance,
     as_vector,
     distinct_rows,
+    row_keys,
     unit,
 )
 from .polytope import Polytope, hull
@@ -72,6 +82,9 @@ from .polytope import Polytope, hull
 # and the samples of the local cone criterion.
 _N_RANDOM_PAIRS = 25
 _N_LOCAL_SAMPLES = 25
+# Orbit points per batch in the array passes below; bounds their memory on
+# large groups (a batch holds at least one orbit).
+_BATCH_POINTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +113,7 @@ class SPReport:
     criterion_results: dict[str, tuple[bool, Any]]
     witnesses: dict[str, Any] = field(default_factory=dict)
     seed: int = 0
-    sp_pairs_checked: int = 0  # pairs passed to sp_check_pair, up to the first failure
+    sp_pairs_checked: int = 0  # pairs checked, up to the first failure
 
     def to_dict(self) -> dict:
         return {
@@ -209,18 +222,28 @@ def criterion_peak(G: FiniteGroup, v_reg, test_points) -> tuple[bool, np.ndarray
     single point exactly when the orbit's maximizer set is.  Returns the
     first orbit base with a tied maximum as witness.  This is a
     falsification-only sample of a statement about all orbits.
+
+    It reads orbit points only.  On a group with root data every test
+    point is checked in one pass over their orbits (:func:`_orbits`); any
+    other group stops at its first tied orbit.
     """
     v_reg = as_vector(v_reg, G.dim)
     if not is_regular(G, v_reg):
         raise NotRegularError("the peak criterion requires a regular base vector")
-    for u in test_points:
-        u = as_vector(u, G.dim)
-        pts = orbit(G, u).points
-        values = pts @ v_reg
-        tied = int(np.sum(values >= values.max() - G.tol.eps_eq))
-        if tied > 1:
-            return False, u
-    return True, None
+    eps = G.tol.eps_eq
+    if root_data(G) is None:
+        for u in test_points:
+            u = as_vector(u, G.dim)
+            values = orbit(G, u).points @ v_reg
+            if int(np.sum(values >= values.max() - eps)) > 1:
+                return False, u
+        return True, None
+    points = np.array([as_vector(u, G.dim) for u in test_points]).reshape(-1, G.dim)
+    images, kept = _orbits(G, points)
+    values = np.where(kept, np.matmul(images, v_reg), -np.inf)
+    tied = np.sum(values >= values.max(axis=1, keepdims=True) - eps, axis=1)
+    bad = np.flatnonzero(tied > 1)
+    return (False, points[bad[0]]) if len(bad) else (True, None)
 
 
 def criterion_local_cone(G: FiniteGroup, v_reg, seed: int = 0) -> tuple[bool, np.ndarray | None]:
@@ -237,13 +260,60 @@ def criterion_local_cone(G: FiniteGroup, v_reg, seed: int = 0) -> tuple[bool, np
     walls = base.halfspace_normals @ v_reg
     radius = 0.25 * float(np.min(walls) if len(walls) else np.linalg.norm(v_reg))
     rng = np.random.default_rng(seed)
-    for _ in range(_N_LOCAL_SAMPLES):
-        x = rng.standard_normal(G.dim)
-        x /= np.linalg.norm(x)
-        u = v_reg + x * radius * rng.uniform() ** (1.0 / G.dim)
-        if not cone_equal(orbit_cone(G, u), base, G.tol):
+
+    def draws():
+        for _ in range(_N_LOCAL_SAMPLES):
+            x = rng.standard_normal(G.dim)
+            x /= np.linalg.norm(x)
+            yield v_reg + x * radius * rng.uniform() ** (1.0 / G.dim)
+
+    roots = root_data(G)
+    if roots is None:
+        checks = zip(draws(), repeat(False))  # drawn as the scan goes, which may stop early
+    else:
+        samples = np.array(list(draws()))
+        checks = zip(samples, _chamber_cones_match(G, roots, samples, base.halfspace_normals))
+    for u, settled in checks:
+        if not settled and not cone_equal(orbit_cone(G, u), base, G.tol):
             return False, u
     return True, None
+
+
+def _chamber_cones_match(G: FiniteGroup, roots, samples: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Mask of the samples whose orbit cone clearly has the normals ``base``.
+
+    Built without an orbit cone, with the bits :func:`~orbitpoly.cones.orbit_cone`
+    would give.  A sample u farther than dim * eps_eq from every mirror is
+    regular: two of its orbit points lie at least twice that far apart,
+    since the segment between them crosses a mirror, so no dedup drops one.
+    Its walls are read by one sign product against the mirror normals, as
+    :meth:`~orbitpoly.group.RootData.walls` reads them, and its normals are
+    the unit rows u - s u over them.  The mask holds where they are farther
+    than eps_eq apart, contain u, and pair one to one with ``base`` within
+    eps_eq (the pairing :func:`~orbitpoly.cones.cone_equal` finds).  The
+    other samples are left to the orbit cone.
+    """
+    eps = G.tol.eps_eq
+    m = len(base)
+    images = np.matmul(G.stack[roots.mirror_elements], samples[:, None, :, None])[..., 0]  # s u
+    here = samples @ roots.normals.T
+    walls = np.sum((np.matmul(images, roots.normals.T) > 0) != (here > 0)[:, None, :], axis=2) == 1
+    match = (np.min(np.abs(here), axis=1, initial=np.inf) > G.dim * eps) & (walls.sum(axis=1) == m)
+    if m == 0 or not match.any():
+        return match
+    rows = samples[match, None, :] - images[match][walls[match]].reshape(-1, m, G.dim)
+    normals = rows / np.linalg.norm(rows, axis=2, keepdims=True)
+    i, j = np.triu_indices(m, 1)
+    apart = np.max(np.abs(normals[:, i] - normals[:, j]), axis=2)
+    gaps = np.max(np.abs(normals[:, :, None] - base[None, None]), axis=3)
+    nearest = np.argmin(gaps, axis=2)
+    match[match] = (
+        np.all(apart > eps, axis=1)
+        & (np.min(np.matmul(normals, samples[match, :, None]), axis=(1, 2)) >= -eps)
+        & np.all(np.sort(nearest, axis=1) == np.arange(m), axis=1)
+        & np.all(np.min(gaps, axis=2) <= eps, axis=1)
+    )
+    return match
 
 
 def sp_check_pair(G: FiniteGroup, u, v) -> tuple[bool, np.ndarray | None]:
@@ -281,30 +351,100 @@ def sp_check_pair(G: FiniteGroup, u, v) -> tuple[bool, np.ndarray | None]:
     O_u = orbit(G, u).points
     O_v = orbit(G, v).points
     roots = root_data(G)
-    if roots is not None:
-        reach = roots.support(u) + roots.support(v)
-    order = np.argsort(-(O_v @ u), kind="stable")
-    for idx in order:
-        v_prime = O_v[idx]
-        w = u + v_prime
-        norm_w = np.linalg.norm(w)
-        if norm_w > 0.0:
-            n = w / norm_w
-            if np.max(O_u @ n) - u @ n > eps or np.max(O_v @ n) - v_prime @ n > eps:
-                continue
-        if roots is None:
-            if norm_w <= eps:
+    candidates = O_v[np.argsort(-(O_v @ u), kind="stable")]
+    # The first candidate decides almost every pair, so it goes alone.
+    step = max(1, _BATCH_POINTS // max(len(O_u), len(O_v)))
+    bounds = [0, *range(1, len(candidates), step), len(candidates)]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = candidates[start:stop]
+        if roots is not None:
+            hits = block[_sp_holds(roots, u, O_u[None], v, O_v[None], block, eps)]
+            if len(hits):
+                return True, hits[0]
+            continue
+        for v_prime in block[_peaks_at_sum(u, O_u[None], O_v[None], block, eps)]:
+            w = u + v_prime
+            if np.linalg.norm(w) <= eps:
                 rows = np.vstack([np.eye(G.dim), -np.eye(G.dim)])
             else:
                 C = orbit_cone(G, w)
                 rows = np.vstack([C.rays, C.lineality_basis, -C.lineality_basis])
-            offsets = rows @ w
             reach = (O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0)
-        else:
-            offsets = roots.support(w)
-        if np.all(reach <= offsets + eps):
-            return True, v_prime
+            if np.all(reach <= rows @ w + eps):
+                return True, v_prime
     return False, None
+
+
+def _peaks_at_sum(U, O_U, O_V, V_prime, eps: float) -> np.ndarray:
+    """The SP precheck of stacked candidates: do u and v' peak at n = w / |w|?
+
+    Row i reads u = ``U[i]`` with orbit ``O_U[i]`` (rows may repeat a
+    point), the orbit ``O_V[i]`` of v and its point v' = ``V_prime[i]``;
+    a row of U, O_U or O_V broadcasts over the candidates.  The leads
+    ``max(O_u . w) - <u, w>`` are compared with eps_eq |w|, which is the
+    test along n scaled by |w|, so w = u + v' = 0 passes.
+    """
+    W = U + V_prime
+    lead_u = np.matmul(O_U, W[:, :, None]).max(axis=(1, 2)) - np.sum(U * W, axis=-1)
+    lead_v = np.matmul(O_V, W[:, :, None]).max(axis=(1, 2)) - np.sum(V_prime * W, axis=-1)
+    slack = eps * np.linalg.norm(W, axis=-1)
+    return (lead_u <= slack) & (lead_v <= slack)
+
+
+def _sp_holds(roots, U, O_U, V, O_V, V_prime, eps: float) -> np.ndarray:
+    """The SP pair test on root data, for stacked ``(u, v, v')``; see :func:`sp_check_pair`.
+
+    Arguments as for :func:`_peaks_at_sum`, with v = ``V[i]``.  Row i holds
+    when u and v' peak at w = u + v' and the supports of O_u and O_v add to
+    at most the offsets of hull(O_w) + eps_eq along every root-data row.
+    """
+    reach = roots.support(U) + roots.support(V)
+    fits = np.all(reach <= roots.support(U + V_prime) + eps, axis=-1)
+    return fits & _peaks_at_sum(U, O_U, O_V, V_prime, eps)
+
+
+def _orbits(G: FiniteGroup, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of stacked vectors: ``images[i]`` is ``G.stack @ vectors[i]``, to the bit.
+
+    ``kept[i]`` masks the images :func:`~orbitpoly.group.orbit` keeps: all
+    of them when their rounding keys are distinct, else those that
+    ``distinct_rows`` keeps on that vector's images alone.  The keys come
+    from one :func:`~orbitpoly.numerics.row_keys` call per batch of
+    vectors.
+    """
+    images = np.matmul(G.stack, vectors[:, None, :, None])[..., 0]
+    kept = np.ones(images.shape[:2], dtype=bool)
+    step = max(1, _BATCH_POINTS // G.order)
+    for start in range(0, len(vectors), step):
+        keys = row_keys(images[start : start + step].reshape(-1, G.dim), G.tol)
+        for i in range(start, min(start + step, len(vectors))):
+            if len(set(keys[(i - start) * G.order : (i - start + 1) * G.order])) < G.order:
+                kept[i] = False
+                kept[i, distinct_rows(images[i], G.tol)] = True
+    return images, kept
+
+
+def _first_candidates_hold(G: FiniteGroup, roots, vectors: np.ndarray, pair_u, pair_v) -> np.ndarray:
+    """Do the pairs ``(vectors[pair_u[i]], vectors[pair_v[i]])`` hold at their first SP candidate?
+
+    The first candidate is the one :func:`sp_check_pair` tries first: the
+    point v' of the orbit of v with the largest ``<u, v'>``, lowest index on
+    ties.  It lies in u's closed chamber, so on a reflection group it
+    decides the pair; a pair that fails here goes to ``sp_check_pair``.
+    One orbit per vector, one pair test per batch of pairs.
+    """
+    images, kept = _orbits(G, vectors)
+    # A dropped image stands in as the base, which leaves every maximum as it is.
+    points = np.where(kept[..., None], images, images[:, :1])
+    holds = np.empty(len(pair_u), dtype=bool)
+    step = max(1, _BATCH_POINTS // G.order)
+    for start in range(0, len(pair_u), step):
+        iu, iv = pair_u[start : start + step], pair_v[start : start + step]
+        U, O_U, O_V = vectors[iu], points[iu], points[iv]
+        first = np.argmax(np.matmul(O_V, U[:, :, None])[..., 0], axis=1)
+        V_prime = O_V[np.arange(len(iv)), first]
+        holds[start : start + step] = _sp_holds(roots, U, O_U, vectors[iv], O_V, V_prime, G.tol.eps_eq)
+    return holds
 
 
 def chamber_representative(G: FiniteGroup, cone: PolyhedralCone, x) -> np.ndarray:
@@ -342,9 +482,13 @@ def sp_equivalence_report(G: FiniteGroup, seed: int = 42) -> SPReport:
     not an orbit hull settles a false verdict, so the pair scan stops at the
     first failing pair, which is the ``sp`` witness; a true verdict checks
     every pair.  ``sp_pairs_checked`` counts the pairs checked.  The other
-    three criteria stop at their first witness too, and all four always
+    three criteria report their first witness too, and all four always
     run: a disagreement among their verdicts raises
     InconsistentCriteriaError.
+
+    On a group with root data every pair is first tested at its first
+    candidate in one array pass (:func:`_first_candidates_hold`); a pair
+    failing there goes through :func:`sp_check_pair`, in pair order.
     """
     tol = G.tol
     rng = np.random.default_rng(seed)
@@ -356,23 +500,31 @@ def sp_equivalence_report(G: FiniteGroup, seed: int = 42) -> SPReport:
     structured = np.vstack(
         [unit(v_reg), base_cone.rays.reshape(-1, G.dim), _wall_midpoints(base_cone, tol)]
     )
-    probes = list(structured[distinct_rows(structured, tol)])
+    probes = structured[distinct_rows(structured, tol)]
 
-    pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i:]]
-    for _ in range(_N_RANDOM_PAIRS):
-        pairs.append((rng.standard_normal(G.dim), rng.standard_normal(G.dim)))
+    # The pairs (probes[i], probes[j]) for i <= j, then the random pairs
+    # (vectors[k], vectors[k + 1]), drawn u first.  Every random pair is
+    # drawn before the scan, which may stop early, so the peak points below
+    # get the same draws whatever the verdict.
+    vectors = np.vstack([probes, rng.standard_normal((2 * _N_RANDOM_PAIRS, G.dim))])
+    pair_u, pair_v = np.triu_indices(len(probes))
+    randoms = len(probes) + 2 * np.arange(_N_RANDOM_PAIRS)
+    pair_u, pair_v = np.r_[pair_u, randoms], np.r_[pair_v, randoms + 1]
 
-    # Every random pair is drawn before the scan, which may stop early, so
-    # the peak points below get the same draws whatever the verdict.
-    sp_ok, sp_witness = True, f"no counterexample found ({len(pairs)} pairs)"
-    sp_pairs_checked = len(pairs)
-    for i, (a, b) in enumerate(pairs):
-        if not sp_check_pair(G, a, b)[0]:
+    roots = root_data(G)
+    if roots is None:
+        settled = np.zeros(len(pair_u), dtype=bool)
+    else:
+        settled = _first_candidates_hold(G, roots, vectors, pair_u, pair_v)
+    sp_ok, sp_witness = True, f"no counterexample found ({len(pair_u)} pairs)"
+    sp_pairs_checked = len(pair_u)
+    for i, (a, b) in enumerate(zip(vectors[pair_u], vectors[pair_v])):
+        if not settled[i] and not sp_check_pair(G, a, b)[0]:
             sp_ok, sp_pairs_checked = False, i + 1
-            sp_witness = {"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()}
+            sp_witness = {"u": a.tolist(), "v": b.tolist()}
             break
 
-    peak_points = probes + [rng.standard_normal(G.dim) for _ in range(_N_RANDOM_PAIRS)]
+    peak_points = np.vstack([probes, rng.standard_normal((_N_RANDOM_PAIRS, G.dim))])
     peak_ok, peak_witness = criterion_peak(G, v_reg, peak_points)
 
     coxeter_ok = is_reflection_generated(G)

@@ -104,7 +104,8 @@ class Orbit:
     """The distinct images of a base vector, with witnessing element indices.
 
     ``points[i] == elements[point_to_element[i]] @ base`` within tolerance,
-    and ``points[0]`` is the base itself.
+    and ``points[0]`` is the base itself.  ``point_to_element`` is a
+    read-only intp array.
 
     The group acts orthogonally, so every point lies on the sphere of radius
     |base|, and a point of a sphere is no convex combination of others on it:
@@ -115,7 +116,7 @@ class Orbit:
 
     base: np.ndarray
     points: np.ndarray
-    point_to_element: tuple[int, ...]
+    point_to_element: np.ndarray  # (len(points),) intp, read-only
 
     def __len__(self) -> int:
         return len(self.points)
@@ -318,7 +319,8 @@ def orbit(G: FiniteGroup, v) -> Orbit:
     v = as_vector(v, G.dim)
     images = G.stack @ v
     kept = distinct_rows(images, G.tol)
-    return Orbit(base=v, points=images[kept], point_to_element=tuple(kept.tolist()))
+    kept.setflags(write=False)
+    return Orbit(base=v, points=images[kept], point_to_element=kept)
 
 
 def stabilizer(G: FiniteGroup, v) -> FiniteGroup:
@@ -526,6 +528,9 @@ class RootData:
     def support(self, w) -> np.ndarray:
         """The largest ``<x, row>`` over the orbit of w, for every row.
 
+        w is one vector, or an ``(n, dim)`` stack whose rows give the rows
+        of an ``(n, len(rows))`` result; each row has the bits of w's own.
+
         These are the offsets b of the orbit hull ``{x : rows x <= b}``: for
         w in the closed chamber of the coweights, hull(O_w) is the
         intersection over g of ``<x, g ω_k> <= <w, ω_k>``, pinned to w's
@@ -533,11 +538,12 @@ class RootData:
         O_w along g ω_k is the largest ``<w, h ω_k>`` over the group, so it
         is read off the rows, and w may lie in any chamber.  The rows of
         each k are one contiguous block, so the maxima are one
-        ``np.maximum.reduceat`` at the block :attr:`starts`.
+        ``np.maximum.reduceat`` at the block :attr:`starts`, along the last
+        axis.
         """
-        values = self.rows @ np.asarray(w, dtype=float)
+        values = np.matmul(self.rows, np.asarray(w, dtype=float)[..., None])[..., 0]
         m = len(self.row_coweight)
-        values[:m] = np.maximum.reduceat(values[:m], self.starts)[self.row_coweight]
+        values[..., :m] = np.maximum.reduceat(values[..., :m], self.starts, axis=-1)[..., self.row_coweight]
         return values
 
 

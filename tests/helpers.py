@@ -22,7 +22,9 @@ are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
 tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
 the root-data supports' reference takes each row's block maximum by
-``np.maximum.at``.
+``np.maximum.at``.  The ``theorem2`` report's reference checks one probe
+at a time: its SP scan tries one pair and one candidate at a time, and its
+peak and local-cone criteria take one orbit and one orbit cone per probe.
 """
 
 import itertools
@@ -32,12 +34,21 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import special_ortho_group
 
-from orbitpoly import cones, polytope
+from orbitpoly import cones, coxeter, polytope
 from orbitpoly.catalog import CATALOG_NAMES
 from orbitpoly.coxeter import detect_reflection
-from orbitpoly.errors import GeometryError, OrderExceededError
-from orbitpoly.group import MAX_ORDER_DEFAULT, FiniteGroup, Orbit, close_generators, orbit
-from orbitpoly.numerics import DEFAULT_TOL, close, round_key
+from orbitpoly.errors import GeometryError, InconsistentCriteriaError, NotRegularError, OrderExceededError
+from orbitpoly.group import (
+    MAX_ORDER_DEFAULT,
+    FiniteGroup,
+    Orbit,
+    close_generators,
+    find_regular,
+    is_regular,
+    orbit,
+    root_data,
+)
+from orbitpoly.numerics import DEFAULT_TOL, close, distinct_rows, round_key, unit
 from orbitpoly.polar import _SYM_BASIS, _conjugated, _cross, _dot, sym_mat
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
@@ -245,7 +256,7 @@ def orbit_reference(G, v, tol=DEFAULT_TOL):
         _, inserted = buckets.insert(g @ v)
         if inserted:
             witnesses.append(i)
-    return Orbit(base=v, points=np.array(buckets.items), point_to_element=tuple(witnesses))
+    return Orbit(base=v, points=np.array(buckets.items), point_to_element=np.array(witnesses, dtype=np.intp))
 
 
 def stabilizer_order_reference(G, v, tol=DEFAULT_TOL):
@@ -277,6 +288,130 @@ def sp_check_pair_reference(G, u, v):
     return False, None
 
 
+def sp_check_pair_loop_reference(G, u, v):
+    """The SP pair scan one candidate at a time, first hit wins.
+
+    Peak precheck, then the support inequalities along the root-data rows,
+    or along the rays and +-lineality of the orbit cone of w = u + v' on a
+    group without root data; :func:`orbitpoly.coxeter.sp_check_pair` tests
+    the root-data candidates in one array pass.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    eps = G.tol.eps_eq
+    O_u = orbit(G, u).points
+    O_v = orbit(G, v).points
+    roots = root_data(G)
+    if roots is not None:
+        reach = roots.support(u) + roots.support(v)
+    for idx in np.argsort(-(O_v @ u), kind="stable"):
+        v_prime = O_v[idx]
+        w = u + v_prime
+        norm_w = np.linalg.norm(w)
+        if norm_w > 0.0:
+            n = w / norm_w
+            if np.max(O_u @ n) - u @ n > eps or np.max(O_v @ n) - v_prime @ n > eps:
+                continue
+        if roots is None:
+            if norm_w <= eps:
+                rows = np.vstack([np.eye(G.dim), -np.eye(G.dim)])
+            else:
+                C = cones.orbit_cone(G, w)
+                rows = np.vstack([C.rays, C.lineality_basis, -C.lineality_basis])
+            offsets = rows @ w
+            reach = (O_u @ rows.T).max(axis=0) + (O_v @ rows.T).max(axis=0)
+        else:
+            offsets = roots.support(w)
+        if np.all(reach <= offsets + eps):
+            return True, v_prime
+    return False, None
+
+
+def criterion_peak_reference(G, v_reg, test_points):
+    """The peak criterion one orbit at a time, stopping at the first tied point."""
+    v_reg = np.asarray(v_reg, dtype=float)
+    if not is_regular(G, v_reg):
+        raise NotRegularError("the peak criterion requires a regular base vector")
+    for u in test_points:
+        u = np.asarray(u, dtype=float)
+        values = orbit(G, u).points @ v_reg
+        if int(np.sum(values >= values.max() - G.tol.eps_eq)) > 1:
+            return False, u
+    return True, None
+
+
+def criterion_local_cone_reference(G, v_reg, seed=0):
+    """Local cone stability by one orbit cone and one cone_equal per sample, drawn as it goes."""
+    v_reg = np.asarray(v_reg, dtype=float)
+    if not is_regular(G, v_reg):
+        raise NotRegularError("local cone criterion requires a regular base vector")
+    base = cones.orbit_cone(G, v_reg)
+    walls = base.halfspace_normals @ v_reg
+    radius = 0.25 * float(np.min(walls) if len(walls) else np.linalg.norm(v_reg))
+    rng = np.random.default_rng(seed)
+    for _ in range(coxeter._N_LOCAL_SAMPLES):
+        x = rng.standard_normal(G.dim)
+        x /= np.linalg.norm(x)
+        u = v_reg + x * radius * rng.uniform() ** (1.0 / G.dim)
+        if not cones.cone_equal(cones.orbit_cone(G, u), base, G.tol):
+            return False, u
+    return True, None
+
+
+def sp_equivalence_report_reference(G, seed=42):
+    """``sp_equivalence_report`` with one call per probe: the pair scan calls
+    :func:`sp_check_pair_loop_reference` on each pair in turn, and the peak
+    and local-cone criteria are the loops above.  Same probes, draws, report
+    and errors."""
+    tol = G.tol
+    rng = np.random.default_rng(seed)
+    v_reg = find_regular(G, seed)
+    base_cone = cones.orbit_cone(G, v_reg)
+    structured = np.vstack(
+        [unit(v_reg), base_cone.rays.reshape(-1, G.dim), coxeter._wall_midpoints(base_cone, tol)]
+    )
+    probes = list(structured[distinct_rows(structured, tol)])
+    pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i:]]
+    for _ in range(coxeter._N_RANDOM_PAIRS):
+        pairs.append((rng.standard_normal(G.dim), rng.standard_normal(G.dim)))
+
+    sp_ok, sp_witness = True, f"no counterexample found ({len(pairs)} pairs)"
+    sp_pairs_checked = len(pairs)
+    for i, (a, b) in enumerate(pairs):
+        if not sp_check_pair_loop_reference(G, a, b)[0]:
+            sp_ok, sp_pairs_checked = False, i + 1
+            sp_witness = {"u": np.asarray(a).tolist(), "v": np.asarray(b).tolist()}
+            break
+
+    peak_points = probes + [rng.standard_normal(G.dim) for _ in range(coxeter._N_RANDOM_PAIRS)]
+    peak_ok, peak_witness = criterion_peak_reference(G, v_reg, peak_points)
+    local_ok, local_witness = criterion_local_cone_reference(G, v_reg, seed=seed + 1)
+    results = {
+        "sp": (sp_ok, sp_witness),
+        "peak_i": (
+            peak_ok,
+            peak_witness if peak_witness is not None else f"no counterexample found ({len(peak_points)} test points)",
+        ),
+        "coxeter_ii": (root_data(G) is not None, None),
+        "local_cone_iii": (
+            local_ok,
+            local_witness
+            if local_witness is not None
+            else f"no counterexample found ({coxeter._N_LOCAL_SAMPLES} local samples)",
+        ),
+    }
+    verdicts = {key: passed for key, (passed, _) in results.items()}
+    if len(set(verdicts.values())) != 1:
+        raise InconsistentCriteriaError(f"criteria disagree for {G.name or 'group'}: {verdicts}")
+    return coxeter.SPReport(
+        group=G.name,
+        verdict=verdicts["sp"],
+        criterion_results=results,
+        witnesses={key: w for key, (passed, w) in results.items() if not passed and w is not None},
+        seed=seed,
+        sp_pairs_checked=sp_pairs_checked,
+    )
+
 
 def voronoi_reference(G, v, n_samples, seed, extra_points=None):
     """The Voronoi check on (samples x points x dim) arrays and one einsum.
@@ -289,7 +424,7 @@ def voronoi_reference(G, v, n_samples, seed, extra_points=None):
     tol = G.tol
     orb = orbit(G, v)
     base_normals = cones.orbit_cone(G, v).halfspace_normals
-    cell_walls = base_normals @ G.stack[list(orb.point_to_element)].transpose(0, 2, 1)
+    cell_walls = base_normals @ G.stack[orb.point_to_element].transpose(0, 2, 1)
 
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, G.dim)) * max(1.0, float(np.linalg.norm(v)))

@@ -19,8 +19,15 @@ from orbitpoly.coxeter import (
     sp_equivalence_report,
 )
 from orbitpoly.catalog import CATALOG_NAMES, fixture_dict
-from orbitpoly.errors import GeometryError, NotCoxeterError, NotInChamberError, NotRegularError
-from orbitpoly.group import close_generators, find_regular, group_from_json_dict, orbit
+from orbitpoly.errors import (
+    GeometryError,
+    InconsistentCriteriaError,
+    NotCoxeterError,
+    NotInChamberError,
+    NotRegularError,
+    OrbitPolyError,
+)
+from orbitpoly.group import close_generators, find_regular, group_from_json_dict, orbit, root_data
 from orbitpoly.numerics import Tolerance
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
@@ -350,14 +357,117 @@ def test_sp_scan_stops_at_the_first_failing_pair(groups, name, seed, monkeypatch
     assert rep.to_dict()["timings"] == {"sp_pairs_checked": len(calls)}
 
 
+def _record_sp_scan(monkeypatch):
+    """Wrap coxeter._first_candidates_hold; return the list of (u, v, verdict) of the pairs it is passed."""
+    pairs = []
+    scan = coxeter._first_candidates_hold
+
+    def recorder(G, roots, vectors, pair_u, pair_v):
+        holds = scan(G, roots, vectors, pair_u, pair_v)
+        pairs.extend(zip(vectors[pair_u].tolist(), vectors[pair_v].tolist(), holds.tolist()))
+        return holds
+
+    monkeypatch.setattr(coxeter, "_first_candidates_hold", recorder)
+    return pairs
+
+
 @pytest.mark.parametrize("seed", [7, 42])
 def test_sp_scan_checks_every_pair_on_a_true_verdict(groups, seed, monkeypatch):
+    # A reflection group's pairs are tested at their first candidate in one
+    # array pass; a pair failing there goes on to sp_check_pair.
+    pairs = _record_sp_scan(monkeypatch)
     calls = _record_sp_checks(monkeypatch)
     rep = sp_equivalence_report(groups["b3"], seed=seed)
     assert rep.verdict is True
     assert all(ok for *_, ok in calls)
-    assert rep.criterion_results["sp"] == (True, f"no counterexample found ({len(calls)} pairs)")
-    assert rep.sp_pairs_checked == len(calls)
+    assert [(u, v) for u, v, ok in pairs if not ok] == [(u, v) for u, v, _ in calls]
+    assert rep.criterion_results["sp"] == (True, f"no counterexample found ({len(pairs)} pairs)")
+    assert rep.sp_pairs_checked == len(pairs)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("name", ["a2", "b3", "h3", "d4"])
+def test_theorem2_on_a_reflection_group_makes_no_call_per_probe(groups, monkeypatch, name, seed):
+    # Every pair holds at its first candidate and every local sample lies in
+    # the base chamber: no sp_check_pair, no orbit per probe, and the two
+    # orbit cones are the base cone's, once for the probes and once in the
+    # local-cone criterion.
+    G = helpers.named_group(groups, name)
+    pair_checks = _count_calls(monkeypatch, coxeter, "sp_check_pair")
+    orbits = _count_calls(monkeypatch, coxeter, "orbit")
+    orbit_cones = _count_calls(monkeypatch, coxeter, "orbit_cone")
+    assert sp_equivalence_report(G, seed=seed).verdict
+    assert (len(pair_checks), len(orbits), len(orbit_cones)) == (0, 0, 2)
+
+
+@pytest.mark.parametrize("name", ["a2", "b3", "h3", "d4", "f4", "a4"])
+def test_local_samples_settle_only_where_their_orbit_cone_is_the_base(groups, name):
+    # Samples in the base chamber, near and on its walls, and in other
+    # chambers: the array pass settles a sample only when the orbit cone
+    # would equal the base cone, and settles those well inside the chamber.
+    G = helpers.named_group(groups, name)
+    v = find_regular(G, 5)
+    base = orbit_cone(G, v)
+    n = base.halfspace_normals[0]
+    near = [v - (v @ n - delta) * n for delta in (1e-3, 1e-6, 1e-8, 1e-9, 0.0)]
+    radius = 0.5 * np.min(base.halfspace_normals @ v)
+    far = [v + radius * x / np.linalg.norm(x) for x in np.random.default_rng(5).standard_normal((20, G.dim))]
+    others = [g @ v for g in G.stack[1:6]]
+    samples = np.array([*far, *near, *others])
+    settled = coxeter._chamber_cones_match(G, root_data(G), samples, base.halfspace_normals)
+    for u, ok in zip(samples, settled):
+        if ok:
+            assert cone_equal(orbit_cone(G, u), base)
+    assert settled[: len(far) + 2].all()
+    assert not settled[len(far) + 3 :].any()
+
+
+def _report_or_error(report, G, seed):
+    try:
+        return report(G, seed).to_dict()
+    except OrbitPolyError as exc:
+        return type(exc), str(exc)
+
+
+_REFLECTION_RAY_GROUPS = [
+    n for n in helpers.RAY_GROUPS if n not in ("c3", "c4") and n not in helpers.NON_REFLECTION_GENERATORS
+]
+
+
+@pytest.mark.parametrize("name", [*_REFLECTION_RAY_GROUPS, "b4", "c3", "chiral_o"])
+def test_report_matches_the_per_probe_reference(groups, name):
+    # The same report, or the same error and message: B4 and F4 raise at
+    # seed 117 (a regular vector 1.7e-5 off a mirror ties in the peak test).
+    G = helpers.named_group(groups, name)
+    for seed in (0, 1, 5, 42, 117):
+        got = _report_or_error(sp_equivalence_report, G, seed)
+        assert got == _report_or_error(helpers.sp_equivalence_report_reference, G, seed), seed
+        assert isinstance(got, tuple) == (name in ("b4", "f4") and seed == 117), seed
+
+
+def test_report_matches_the_reference_where_a_turned_group_raises():
+    # b3 with each generator turned by 1e-7, at eps_eq 1e-6: the criteria
+    # disagree at these seeds, the same way on both.
+    data = fixture_dict("b3")
+    data["generators"] = helpers.turned_generators(data["generators"])
+    data["tolerance"] = 1e-6
+    G, _ = group_from_json_dict(data)
+    for seed in (1, 7, 42):
+        got = _report_or_error(sp_equivalence_report, G, seed)
+        assert got[0] is InconsistentCriteriaError
+        assert got == _report_or_error(helpers.sp_equivalence_report_reference, G, seed)
 
 
 @pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3", "chiral_o", "c3h", "c4_x_mirror"])

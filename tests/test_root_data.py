@@ -157,6 +157,17 @@ def test_support_matches_the_reference(groups, name):
         assert np.array_equal(roots.support(x), helpers.support_reference(roots, x))
 
 
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_support_of_a_stack_is_the_support_of_each_row(groups, name):
+    G = helpers.named_group(groups, name)
+    roots = root_data(G)
+    W = np.array(_oracle_vectors(G))
+    got = roots.support(W)
+    assert got.shape == (len(W), len(roots.rows))
+    for w, row in zip(W, got):
+        assert np.array_equal(row, helpers.support_reference(roots, w)), w.tolist()
+
+
 class QhullCalled(Exception):
     pass
 
