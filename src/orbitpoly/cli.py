@@ -316,8 +316,9 @@ def cmd_theorem2(group, seed):
 @click.option("--model", "model_name", required=True, help="Built-in compact-group model name.")
 @_SEED
 @_TOL
-@_samples("Group samples for projection_matches_weyl_hull. The slice, support and "
-          "dimension-obstruction checks always draw 2000, 500 and 64; the section checks "
+@_samples("Accepted and checked (at least 1) but unread: no check of the battery takes a "
+          "sample count. The slice, support and dimension-obstruction checks always draw "
+          "2000, 500 and 64 group elements and the Weyl-hull ascent 4; the section checks "
           "draw none.")
 @_OUT
 def cmd_polar_verify(model_name, seed, tol, samples, out_path):
@@ -327,7 +328,7 @@ def cmd_polar_verify(model_name, seed, tol, samples, out_path):
         model = polar.get_model(model_name)
     except KeyError as exc:
         _fail(str(exc.args[0]))
-    verdict, reports = polar.run_battery(model, samples=samples, seed=seed, tol=tol)
+    verdict, reports = polar.run_battery(model, seed=seed, tol=tol)
     criteria = {}
     witnesses = {}
     for key, value in reports.items():
@@ -343,8 +344,7 @@ def cmd_polar_verify(model_name, seed, tol, samples, out_path):
         "witnesses": witnesses,
         "timings": {"checks_run": len(criteria)},
     }
-    _emit(fields, out_path, command="polar-verify", name=model.name, seed=seed, tol=tol,
-          samples=samples)
+    _emit(fields, out_path, command="polar-verify", name=model.name, seed=seed, tol=tol)
 
 
 @main.command("catalog")

@@ -9,13 +9,26 @@ orbit tangents at its points are orthogonal to it and its dimension is the
 codimension of a principal orbit, reached at its points (Dadok, Trans. AMS
 288, 1985; Palais-Terng, Trans. AMS 300, 1987).  ``check_cartan_orthogonality``
 and ``check_cohomogeneity`` decide the two halves from the Lie algebra, with
-no group samples.  The checks of the Weyl data sample the group, so they are
-falsification-only (a pass corroborates, a fail refutes); the Weyl witnesses
-are added to their samples where sampling cannot reach a stated tolerance.
+no group samples.
+
+``check_projection_matches_weyl_hull`` compares the projection of K a onto
+the section with the hull of the Weyl orbit W a, which Kostant's convexity
+theorem makes equal for a polar action (Ann. Sci. ENS 6, 1973).  It needs
+no sampled containment: for each facet normal n of the hull it maximises
+the height <x, n> over K a by an ascent in the Lie algebra.  Principal
+orbits of a polar representation are taut (Hsiang-Palais-Terng, J.
+Differential Geom. 27, 1988), so a height function on them has no local
+maximum that is not global, and the ascent reaches the support value of
+the projection.
+The other checks of the Weyl data sample the group, so they are
+falsification-only (a pass corroborates, a fail refutes); the Weyl
+witnesses are added to their samples where sampling cannot reach a stated
+tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Callable, Optional
@@ -28,12 +41,24 @@ from .group import close_generators
 from .numerics import DEFAULT_TOL, Tolerance, matrix_rank
 from .polytope import hull
 
-# Fixed pass criteria of the sampled checks, each reported as its ``threshold``.
+# Fixed pass criteria of the checks, each reported as its ``threshold``.
 _ORTHOGONALITY_THRESHOLD = 1e-8
 _WEYL_HULL_THRESHOLD = 1e-8
 _SUPPORT_THRESHOLD = 1e-6
 _SLICE_NEAR, _SLICE_MATCH = 1e-6, 1e-5  # distance to the slice; to a Weyl image
 _REALIZATION_TOL = 1e-10  # error of the exact Weyl-vertex realizations
+
+# The height ascent of check_projection_matches_weyl_hull, on the orbit of
+# a / |a| with unit facet normals, so every cut below is scale-free.
+_WEYL_HULL_STARTS = 4  # seeded group elements; the Weyl witnesses start rows too
+_ASCENT_GRADIENT_CUT = 1e-10  # a row stops once its gradient norm is at most this
+_ASCENT_MAX_STEPS = 100  # the batch stops after this many steps
+_ASCENT_MAX_TURN = 1.0  # the largest |xi| of a step, the trust radius a row starts from
+_ASCENT_SLACK = 1e-15  # a step is kept unless it lowers the height by more than rounding
+_NEWTON_CURVATURE = 1e-8  # Newton steps along Hessian eigenvalues below minus this
+_GRADIENT_CURVATURE = 0.1  # gradient steps of 1 / this along the other eigenvectors
+_EXP_RADIUS = 0.5  # exp's Taylor series runs on steps scaled below this norm
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def __getattr__(name: str):
@@ -125,44 +150,12 @@ _SKEW_BASIS = np.array(
 )
 
 
-# Rotations drawn and applied per block: counts below 2 * 8192 (so 10^4) are
-# one block, and at 10^5 a block's (3, n) temporaries, 200-400 KB each, stay
-# in cache where the 2.4 MB of one (3, 10^5) draw did not.
-_ROTATION_BLOCK = 8192
-
-
-def _rotation_blocks(seed: int, count: int):
-    """Haar-random rotations of 3-space, the ones scipy's special_ortho_group draws.
-
-    Yields (start, rs) with the contiguous rs[a, c, s] = R_{start+s}[a, c],
-    one block at a time.  One seeded generator draws every block's Gaussian
-    matrices in order, the stream of one ``normal(size=(count, 3, 3))``
-    draw, bit for bit.
-
-    Blocks start at multiples of _ROTATION_BLOCK, and the last one takes
-    the remainder, so it holds _ROTATION_BLOCK to 2 * _ROTATION_BLOCK - 1
-    rotations (or all of a smaller count, even 0: there is always a block
-    at start 0).  numpy sums a length-1 einsum, and BLAS the last few
-    columns of a product, in another order than the rest: blocks cut
-    anywhere else would change last bits.
-    """
-    rng = np.random.default_rng(seed)
-    start = 0
-    while True:
-        stop = start + _ROTATION_BLOCK if count - start >= 2 * _ROTATION_BLOCK else count
-        yield start, _haar_rotations(rng.normal(size=(stop - start, 3, 3)))
-        if stop == count:
-            return
-        start = stop
-
-
 def _haar_rotations(z: np.ndarray) -> np.ndarray:
     """rs[a, c, s] = R_s[a, c] for the Q of each Gaussian Z_s = QR with positive diag(R).
 
     Built column by column: Gram-Schmidt (the second column orthogonalized
     twice), the third column from the cross product with the sign of det Z,
-    and row 0 flipped by that sign so the result is a rotation.  A function
-    of its own, so a block's temporaries are freed before the block is used.
+    and row 0 flipped by that sign so the result is a rotation.
     """
     a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, n)
     q0 = a / np.sqrt(_dot(a, a))
@@ -176,13 +169,14 @@ def _haar_rotations(z: np.ndarray) -> np.ndarray:
 
 
 def _sample_rotations(seed: int, count: int) -> np.ndarray:
-    """The rotations of ``_rotation_blocks`` as one (count, 3, 3) array.
+    """Haar-random rotations of 3-space, the ones scipy's special_ortho_group draws.
 
-    The result is a view of storage with the sample axis last:
-    ``.transpose(1, 2, 0)`` gives rs[a, c, s] = R_s[a, c] back without a copy.
+    One seeded ``normal(size=(count, 3, 3))`` draw, as a (count, 3, 3) view
+    of storage with the sample axis last: ``.transpose(1, 2, 0)`` gives
+    rs[a, c, s] = R_s[a, c] back without a copy.
     """
-    blocks = [rs for _, rs in _rotation_blocks(seed, count)]
-    return np.concatenate(blocks, axis=2).transpose(2, 0, 1)
+    z = np.random.default_rng(seed).normal(size=(count, 3, 3))
+    return _haar_rotations(z).transpose(2, 0, 1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -199,13 +193,11 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _rotation_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
     """Seeded Haar rotations applied to each row of points: (len(points), count, 3)."""
+    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
     points = np.asarray(points, dtype=float)
-    for start, rs in _rotation_blocks(seed, count):
-        if start == 0:  # made after the first block, it reuses that block's freed temporaries
-            out = np.empty((len(points), count, 3))
-        for k, p in enumerate(points):
-            # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
-            out[k, start : start + rs.shape[2]] = (p @ rs).T
+    out = np.empty((len(points), count, 3))
+    for k, p in enumerate(points):
+        out[k] = (p @ rs).T  # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
     return out
 
 
@@ -287,12 +279,11 @@ def so3_standard() -> GroupModel:
 
 def _sym3_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
     """Seeded rotations conjugating each row of points: (len(points), count, 5)."""
+    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
     mats = [sym_mat(p) for p in np.asarray(points, dtype=float)]
-    for start, rs in _rotation_blocks(seed, count):
-        if start == 0:  # made after the first block, as in _rotation_images
-            out = np.empty((len(mats), count, 5))
-        for k, a in enumerate(mats):
-            out[k, start : start + rs.shape[2]] = _conjugated(rs, a).T
+    out = np.empty((len(mats), count, 5))
+    for k, a in enumerate(mats):
+        out[k] = _conjugated(rs, a).T
     return out
 
 
@@ -496,16 +487,148 @@ def check_cohomogeneity(
     )
 
 
+def _taylor_terms(bound: float) -> int:
+    """Fewest Taylor terms k of exp with bound^(k+1) / (k+1)! below the unit roundoff."""
+    k, rest = 1, bound * bound / 2
+    while rest > _UNIT_ROUNDOFF:
+        k += 1
+        rest *= bound / (k + 1)
+    return k
+
+
+def _expm(a: np.ndarray, bound: float) -> np.ndarray:
+    """exp of each matrix of a stack whose norms are at most bound.
+
+    Scaling and squaring: the matrices are halved until the bound is below
+    _EXP_RADIUS, their Taylor series is summed to the unit roundoff (by
+    Horner's rule), and the result is squared back.  For a stack of
+    skew-symmetric matrices of a group's Lie algebra the result lies in the
+    group to rounding.
+    """
+    squarings = max(0, math.ceil(math.log2(bound / _EXP_RADIUS))) if bound > 0 else 0
+    scaled = a * 0.5**squarings
+    terms = _taylor_terms(bound * 0.5**squarings)
+    eye = np.eye(a.shape[-1])
+    out = eye + scaled / terms
+    for j in range(terms - 1, 0, -1):
+        out = scaled @ out
+        out /= j
+        out += eye
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
+    """Maximise <x, n> over the orbit of the starts, for each row n of directions.
+
+    algebra[t] is the matrix X_t of a Lie algebra basis (``_lie_algebra``)
+    and the starts are points of one orbit.  Every (direction, start) pair
+    is a row of one array batch.  At x the height h(x) = <x, n> has the
+    gradient g_t = <X_t x, n> and the Hessian, symmetrised,
+    <X_s X_t x, n> = -<X_s n, X_t x>, in the chart xi -> exp(sum xi_t X_t) x.
+    A step is Newton's along the Hessian eigenvectors of curvature below
+    -_NEWTON_CURVATURE and a gradient step of 1 / _GRADIENT_CURVATURE along
+    the rest, which include the stabiliser of x, where the Hessian is
+    singular.  A row's step is cut to its trust radius, and a step that
+    lowers the height by more than _ASCENT_SLACK is undone and the radius
+    cut to a quarter of it; a kept step doubles the radius, up to
+    _ASCENT_MAX_TURN.  A row stops once its gradient norm is at most
+    _ASCENT_GRADIENT_CUT, and the batch after _ASCENT_MAX_STEPS steps.
+
+    Returns, per direction, the largest height over its rows and the least
+    gradient norm among the rows that reach it to within _ASCENT_SLACK (the
+    witnesses of a polar action start at the maxima, where rounding alone
+    orders the heights), and the number of steps the batch took.
+    """
+    dim_k, dim = algebra.shape[:2]
+    x = np.tile(starts, (len(directions), 1))
+    normals = np.repeat(directions, len(starts), axis=0)
+    tangent_map = algebra.reshape(dim_k * dim, dim).T  # x @ tangent_map holds the X_t x
+    normal_tangents = (normals @ tangent_map).reshape(-1, dim_k, dim)
+    flat_algebra = algebra.reshape(dim_k, dim * dim)
+    gram = np.einsum("sij,tij->st", algebra, algebra)  # |sum xi_t X_t|_F^2 = xi gram xi
+    heights = np.einsum("ri,ri->r", x, normals)
+    gradient_norms = np.zeros(len(x))
+    radius = np.full(len(x), _ASCENT_MAX_TURN)
+    rows = np.arange(len(x))
+    steps = 0
+    while True:
+        points, facing = x[rows], normals[rows]
+        tangents = (points @ tangent_map).reshape(-1, dim_k, dim)
+        gradient = (tangents @ facing[:, :, None])[..., 0]
+        norms = np.sqrt((gradient * gradient).sum(axis=1))
+        gradient_norms[rows] = norms
+        moving = norms > _ASCENT_GRADIENT_CUT
+        if not moving.all():
+            rows, points, facing, tangents, gradient = (
+                v[moving] for v in (rows, points, facing, tangents, gradient)
+            )
+        if len(rows) == 0 or steps == _ASCENT_MAX_STEPS:
+            break
+        steps += 1
+        products = normal_tangents[rows] @ tangents.transpose(0, 2, 1)
+        concavity, eigenvectors = np.linalg.eigh(0.5 * (products + products.transpose(0, 2, 1)))
+        along = (gradient[:, None, :] @ eigenvectors)[:, 0]
+        along /= np.where(concavity > _NEWTON_CURVATURE, concavity, _GRADIENT_CURVATURE)
+        xi = (eigenvectors @ along[:, :, None])[..., 0]
+        size = np.sqrt((xi * xi).sum(axis=1))
+        reach = radius[rows]
+        xi *= np.minimum(1.0, reach / size)[:, None]
+        bound = math.sqrt(float(((xi @ gram) * xi).sum(axis=1).max()))
+        step = _expm((xi @ flat_algebra).reshape(-1, dim, dim), bound)
+        moved = (step @ points[:, :, None])[..., 0]
+        moved_heights = (moved * facing).sum(axis=1)
+        kept = moved_heights >= heights[rows] - _ASCENT_SLACK
+        x[rows[kept]] = moved[kept]
+        heights[rows[kept]] = moved_heights[kept]
+        radius[rows] = np.where(
+            kept, np.minimum(2.0 * reach, _ASCENT_MAX_TURN), 0.25 * np.minimum(size, reach)
+        )
+    heights = heights.reshape(len(directions), len(starts))
+    top = heights.max(axis=1)
+    at_top = heights >= top[:, None] - _ASCENT_SLACK
+    return top, np.where(at_top, gradient_norms.reshape(heights.shape), np.inf).min(axis=1), steps
+
+
+def _weyl_hull_rows(weyl_hull, cartan_basis: np.ndarray):
+    """Ambient directions n and offsets c with hull(W a) = {y in the section : <y, n> <= c}.
+
+    One row per facet, plus, when the hull is not full-dimensional, one for
+    each sign of each chart direction orthogonal to its affine span, whose
+    offset is the span's height there.
+    """
+    normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
+    n_affine, dim = weyl_hull.affine_dim, weyl_hull.ambient_dim
+    if n_affine < dim:
+        # QR of [affine basis | I]: the columns after the first n_affine span the complement.
+        frame = np.linalg.qr(np.hstack([weyl_hull.affine_basis.T, np.eye(dim)]))[0]
+        across = frame[:, n_affine:].T
+        across = np.vstack([across, -across])
+        normals = np.vstack([normals, across])
+        offsets = np.concatenate([offsets, across @ weyl_hull.affine_origin])
+    return normals @ cartan_basis, offsets
+
+
 def check_projection_matches_weyl_hull(
     model: GroupModel,
     a=None,
-    n_samples: int = 1000,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PolarCheckReport:
-    """Projected orbit points land inside the hull of the Weyl orbit.
+    """The projection of K a onto the section is the hull of the Weyl orbit W a.
 
-    Containment one way is sampled (projections of group images of a); the
+    Containment is decided by maximising, over K a, the height <x, N> along
+    each facet normal N of hull(W a) lifted to the ambient space (and along
+    the directions off the hull's affine span, when it has one), with
+    ``_ascend``.  Its starts are _WEYL_HULL_STARTS seeded images of a and
+    the Weyl witnesses' images.  A principal orbit of a polar action is taut,
+    so an ascent that reaches a critical point has found the maximum.
+    ``max_violation`` is the largest amount max_K <k a, N> - c_N by which a
+    height passes its facet's offset, or 0; ``max_gradient_norm`` is the
+    largest over the facets of the gradient norm (on the orbit of a / |a|)
+    at a row reaching the facet's maximum, which must be at most
+    _ASCENT_GRADIENT_CUT for a pass.  The
     reverse containment is exact: each Weyl vertex is realized as the
     projection of its own witness image.
     """
@@ -514,28 +637,19 @@ def check_projection_matches_weyl_hull(
         a = model.cartan_point(seed)
     a = np.asarray(a, dtype=float)
     a_chart = model.chart(a)
-    weyl_points = np.array([w @ a_chart for w in model.weyl_elements])
-    weyl_hull = hull(weyl_points, tol)
+    weyl_hull = hull(np.array([w @ a_chart for w in model.weyl_elements]), tol)
+    directions, offsets = _weyl_hull_rows(weyl_hull, model.cartan_basis)
 
-    chart_pts = model.images(seed + 1, n_samples, a[None])[0] @ model.cartan_basis.T
-
-    if weyl_hull.affine_dim < len(a_chart):
-        centered = chart_pts - weyl_hull.affine_origin
-        if weyl_hull.affine_dim == 0:
-            off = centered
-        else:
-            off = centered - (centered @ weyl_hull.affine_basis.T) @ weyl_hull.affine_basis
-        aff_res = np.abs(off).max(axis=1) if len(off) else np.zeros(0)
-    else:
-        aff_res = np.zeros(len(chart_pts))
-    if len(weyl_hull.facet_normals):
-        # One row per facet, so the max runs across rows, not along short ones.
-        facet_res = weyl_hull.facet_normals @ chart_pts.T
-        facet_res -= weyl_hull.facet_offsets[:, None]
-        facet_res = facet_res.max(axis=0)
-    else:
-        facet_res = np.zeros(len(chart_pts))
-    violation = float(np.maximum(aff_res, np.maximum(facet_res, 0.0)).max())
+    starts = np.concatenate(
+        [model.images(seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
+    )
+    size = float(np.linalg.norm(a))
+    # K a = {0} for a = 0: its heights are 0, and a zero start stops at once.
+    heights, gradient_norms, steps = _ascend(
+        _lie_algebra(model), starts / size if size > 0 else starts, directions
+    )
+    violation = max(0.0, float(np.max(size * heights - offsets)))
+    worst_gradient = float(gradient_norms.max())
 
     realization = 0.0
     for w, witness in zip(model.weyl_elements, model.weyl_witnesses):
@@ -545,14 +659,20 @@ def check_projection_matches_weyl_hull(
     return PolarCheckReport(
         check="projection_matches_weyl_hull",
         model=model.name,
-        passed=(violation <= _WEYL_HULL_THRESHOLD) and (realization <= _REALIZATION_TOL),
+        passed=(
+            violation <= _WEYL_HULL_THRESHOLD
+            and realization <= _REALIZATION_TOL
+            and worst_gradient <= _ASCENT_GRADIENT_CUT
+        ),
         max_violation=violation,
         threshold=_WEYL_HULL_THRESHOLD,
-        n_samples=n_samples,
+        n_samples=_WEYL_HULL_STARTS,
         seed=seed,
         details={
             "hull_vertices": int(weyl_hull.n_vertices),
             "vertex_realization_error": realization,
+            "max_gradient_norm": worst_gradient,
+            "ascent_steps": steps,
         },
     )
 
@@ -714,7 +834,7 @@ def weyl_is_coxeter(model: GroupModel, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def run_battery(
-    model: GroupModel, samples: int = 1000, seed: int = 42, tol: Tolerance = DEFAULT_TOL
+    model: GroupModel, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, dict]:
     """Full check battery for one model; returns (verdict, reports).
 
@@ -730,7 +850,7 @@ def run_battery(
     has_weyl = model.weyl_elements is not None and model.weyl_witnesses is not None
     if has_weyl:
         reports["projection_matches_weyl_hull"] = check_projection_matches_weyl_hull(
-            model, n_samples=samples, seed=seed, tol=tol
+            model, seed=seed, tol=tol
         )
         reports["cartan_slice_is_weyl_orbit"] = check_cartan_slice_is_weyl_orbit(
             model, n_group_samples=2000, seed=seed

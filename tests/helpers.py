@@ -14,10 +14,8 @@ by one SVD per (d - 1)-subset of normals, and the Voronoi check on
 (samples x points x dim) arrays with one einsum for the cell margins.
 The polar sampler primitives have references too: scipy's QR-based Haar
 sampler, the three-operand conjugation einsum and the block matrices of the
-Hopf circle, each a batch of matrices to apply to points; the rotations
-and their images built from one draw of all samples, for the sampler that
-streams blocks; so does the Cartan orthogonality check, as its per-point
-loop.  The group layer's references
+Hopf circle, each a batch of matrices to apply to points; so does the
+Cartan orthogonality check, as its per-point loop.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
 tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
@@ -49,7 +47,7 @@ from orbitpoly.group import (
     root_data,
 )
 from orbitpoly.numerics import DEFAULT_TOL, close, distinct_rows, round_key, unit
-from orbitpoly.polar import _SYM_BASIS, _conjugated, _cross, _dot, sym_mat
+from orbitpoly.polar import _SYM_BASIS
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
 
@@ -599,34 +597,6 @@ def sample_rotations_reference(seed, count):
     rng = np.random.default_rng(seed)
     mats = special_ortho_group.rvs(3, size=count, random_state=rng)
     return np.asarray(mats).reshape(count, 3, 3)
-
-
-def sample_rotations_one_draw(seed, count):
-    """scipy's Haar rotations built from one draw of all count Gaussian matrices.
-
-    The Gram-Schmidt and cross product of ``polar._haar_rotations`` on
-    (3, count) columns of Z, without blocks; a (count, 3, 3) view of
-    storage with the sample axis last.
-    """
-    z = np.random.default_rng(seed).normal(size=(count, 3, 3))
-    a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, count)
-    q0 = a / np.sqrt(_dot(a, a))
-    q1 = b - _dot(q0, b) * q0
-    q1 -= _dot(q0, q1) * q0
-    q1 /= np.sqrt(_dot(q1, q1))
-    sign = np.where(_dot(_cross(a, b), c) < 0.0, -1.0, 1.0)
-    rs = np.stack([q0, q1, sign * _cross(q0, q1)], axis=1)  # rs[a, c, s] = R_s[a, c]
-    rs[0] *= sign
-    return rs.transpose(2, 0, 1)
-
-
-def images_one_draw(name, seed, count, points):
-    """The so3_standard or sym3_traceless images of points under the one-draw rotations."""
-    rs = sample_rotations_one_draw(seed, count).transpose(1, 2, 0)
-    points = np.asarray(points, dtype=float)
-    if name == "so3_standard":
-        return np.array([(p @ rs).T for p in points])
-    return np.array([_conjugated(rs, sym_mat(p)).T for p in points])
 
 
 def conjugation_action_reference(rotations):

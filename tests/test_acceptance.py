@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import helpers
 from conftest import COXETER_NAMES, SP_EXPECTED
+from orbitpoly import polar
 from orbitpoly.catalog import CATALOG_NAMES, build_group, write_fixtures
 from orbitpoly.cli import main
 from orbitpoly.cones import cone_contains, in_orbit_cone, orbit_cone, voronoi_consistency
@@ -211,15 +212,17 @@ def test_criterion_7_polar_positive():
         and crit["cartan_orthogonality"]["n_samples"] == 200
         and crit["cartan_orthogonality"]["max_violation"] < 1e-8
         and crit["projection_matches_weyl_hull"]["passed"]
-        and crit["projection_matches_weyl_hull"]["n_samples"] == 10000
+        and crit["projection_matches_weyl_hull"]["n_samples"] == polar._WEYL_HULL_STARTS
         and crit["projection_matches_weyl_hull"]["max_violation"] <= 1e-8
+        and crit["projection_matches_weyl_hull"]["details"]["max_gradient_norm"]
+        <= polar._ASCENT_GRADIENT_CUT
         and crit["slice_support_match"]["passed"]
         and crit["slice_support_match"]["n_samples"] == 200
         and crit["slice_support_match"]["max_violation"] < 1e-6
         and crit["weyl_is_coxeter"] is True
         and elapsed < 60.0
     )
-    _line(7, ok, f"sym3_traceless battery (10^4 projection samples) in {elapsed:.1f}s < 60s")
+    _line(7, ok, f"sym3_traceless battery (Weyl hull by height ascent) in {elapsed:.1f}s < 60s")
 
 
 def test_criterion_8_polar_negative():

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import helpers
 import orbitpoly
-from orbitpoly import coxeter
+from orbitpoly import coxeter, polar
 from orbitpoly.catalog import CATALOG_NAMES, fixture_dict, write_fixtures
 from orbitpoly.cli import main
 
@@ -364,6 +364,25 @@ def test_polar_verify_models(runner):
 
     result = _run(runner, ["polar-verify", "--model", "nope"])
     assert result.exit_code == 1
+
+
+def test_polar_verify_samples_is_unread(runner):
+    # --samples is accepted and checked, but no check of the battery reads
+    # it: the reports are byte-identical and meta.samples is null.
+    outputs = []
+    for samples in ("1", "500", "100000"):
+        result = _run(runner, ["polar-verify", "--model", "so3_standard", "--samples", samples])
+        assert result.exit_code == 0
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1] == outputs[2]
+    report = json.loads(outputs[0])
+    assert report["meta"]["samples"] is None
+    projection = report["criteria"]["projection_matches_weyl_hull"]
+    assert projection["n_samples"] == polar._WEYL_HULL_STARTS
+    assert projection["details"]["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
+    assert set(projection["details"]) == {
+        "hull_vertices", "vertex_realization_error", "max_gradient_norm", "ascent_steps"
+    }
 
 
 @pytest.mark.parametrize("samples", [0, -1])

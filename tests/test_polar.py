@@ -90,27 +90,6 @@ def test_rotations_match_scipy_sampler(count, seed):
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-14
 
 
-_B = polar._ROTATION_BLOCK
-_BLOCK_COUNTS = [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 7, 100_000]
-
-
-@pytest.mark.parametrize("count", _BLOCK_COUNTS)
-def test_rotation_blocks_match_one_draw(count):
-    # Blocks draw the stream of one normal(size=(count, 3, 3)) draw, and no
-    # block cut changes a bit of a rotation or of its action on points.
-    seed = 11
-    assert np.array_equal(
-        polar._sample_rotations(seed, count), helpers.sample_rotations_one_draw(seed, count)
-    )
-    starts = [start for start, _ in polar._rotation_blocks(seed, count)]
-    assert starts == list(range(0, max(count - _B + 1, 1), _B))
-    for name in ("so3_standard", "sym3_traceless"):
-        model = polar.get_model(name)
-        points = np.random.default_rng(count).standard_normal((4, model.ambient_dim))
-        expected = helpers.images_one_draw(name, seed, count, points)
-        assert np.array_equal(model.images(seed, count, points), expected)
-
-
 def test_conjugation_action_matches_reference():
     rotations = helpers.sample_rotations_reference(5, 2000)
     action = polar.conjugation_action(rotations)
@@ -280,8 +259,8 @@ def test_battery_survives_a_change_of_basis(case):
     # the action, not of the coordinates it is written in.
     model = _candidate_cases()[case]
     q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((model.ambient_dim,) * 2))
-    verdict, reports = polar.run_battery(model, samples=500, seed=42)
-    q_verdict, q_reports = polar.run_battery(_in_basis(model, q), samples=500, seed=42)
+    verdict, reports = polar.run_battery(model, seed=42)
+    q_verdict, q_reports = polar.run_battery(_in_basis(model, q), seed=42)
     assert q_verdict == verdict
     assert q_reports["cohomogeneity"].details == reports["cohomogeneity"].details
     for key, report in reports.items():
@@ -293,15 +272,17 @@ def test_battery_survives_a_change_of_basis(case):
 
 def test_projection_hull_so3(so3):
     a = np.array([1.5, 0.0, 0.0])
-    report = polar.check_projection_matches_weyl_hull(so3, a=a, n_samples=2000, seed=7)
+    report = polar.check_projection_matches_weyl_hull(so3, a=a, seed=7)
     assert report.passed
+    assert report.n_samples == polar._WEYL_HULL_STARTS
     assert report.details["hull_vertices"] == 2
+    assert report.details["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
 
 
 def test_projection_hull_sym3_with_majorization_oracle(sym3):
     # Base diag(1, 0, -1); projections of conjugates must be majorized by it.
     a = polar.sym_vec(np.diag([1.0, 0.0, -1.0]))
-    report = polar.check_projection_matches_weyl_hull(sym3, a=a, n_samples=3000, seed=7)
+    report = polar.check_projection_matches_weyl_hull(sym3, a=a, seed=7)
     assert report.passed
     assert report.details["hull_vertices"] == 6  # hexagon of the 6 permutations
 
@@ -310,31 +291,139 @@ def test_projection_hull_sym3_with_majorization_oracle(sym3):
         assert helpers.in_permutohedron(diag, [1.0, 0.0, -1.0], eps=1e-8)
 
 
+def _hull_rows(model, a):
+    """The check's Weyl hull of a and its (direction, offset) rows."""
+    weyl_hull = hull(np.array([w @ model.chart(a) for w in model.weyl_elements]))
+    return (weyl_hull, *polar._weyl_hull_rows(weyl_hull, model.cartan_basis))
+
+
+def _unit_starts(model, a, seed):
+    """The check's starts, seeded images of a and its Weyl witness images, over |a|."""
+    starts = np.concatenate(
+        [model.images(seed + 1, polar._WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
+    )
+    return starts / np.linalg.norm(a)
+
+
+def _orbit_maxima(model, a, directions, seed):
+    """max over K a of <x, n> for each row n of directions, by the check's ascent and starts."""
+    size = np.linalg.norm(a)
+    heights, gradient_norms, _ = polar._ascend(polar._lie_algebra(model), _unit_starts(model, a, seed), directions)
+    assert gradient_norms.max() <= polar._ASCENT_GRADIENT_CUT
+    return size * heights
+
+
+def _analytic_maxima(model, a, directions):
+    """so3: max_R <R a, n> = |a| |n|; sym3: max_R <R A R^T, D> = sum of eigenvalues paired in order (von Neumann)."""
+    if model.name == "so3_standard":
+        return np.linalg.norm(a) * np.linalg.norm(directions, axis=1)
+    eigenvalues = np.linalg.eigvalsh(polar.sym_mat(a))
+    return np.array([helpers.sorted_pairing(eigenvalues, np.linalg.eigvalsh(polar.sym_mat(n))) for n in directions])
+
+
+def _unit_rows(rng, count, dim):
+    rows = rng.standard_normal((count, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 117])
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_ascent_reaches_the_analytic_maxima(name, seed):
+    # The facet rows of a Cartan point's Weyl hull, and seeded directions
+    # from a seeded point off the section.
+    model = polar.get_model(name)
+    rng = np.random.default_rng(seed)
+    a = model.cartan_point(seed)
+    _, directions, _ = _hull_rows(model, a)
+    b = rng.standard_normal(model.ambient_dim)
+    for point, dirs in ((a, directions), (b, _unit_rows(rng, 6, model.ambient_dim))):
+        maxima = _orbit_maxima(model, point, dirs, seed)
+        assert np.max(np.abs(maxima - _analytic_maxima(model, point, dirs))) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_ascent_on_a_point_with_a_double_eigenvalue(sym3, seed):
+    # diag(1, 1, -2) has 3 Weyl images, so its hull is a triangle, and its
+    # orbit is a 2-dim singular one; the ascent still reaches the maxima.
+    a = 1.3 * polar.sym_vec(np.diag([1.0, 1.0, -2.0]))
+    report = polar.check_projection_matches_weyl_hull(sym3, a=a, seed=seed)
+    assert report.passed
+    assert report.details["hull_vertices"] == 3
+    _, directions, offsets = _hull_rows(sym3, a)
+    assert len(directions) == 3
+    maxima = _orbit_maxima(sym3, a, directions, seed)
+    assert np.max(np.abs(maxima - _analytic_maxima(sym3, a, directions))) <= 1e-10
+    assert np.max(np.abs(maxima - offsets)) <= 1e-10
+    dirs = _unit_rows(np.random.default_rng(seed), 6, 5)
+    assert np.max(np.abs(_orbit_maxima(sym3, a, dirs, seed) - _analytic_maxima(sym3, a, dirs))) <= 1e-10
+
+
+def _off_the_section(model, eps):
+    """cartan_point(5) and the point eps |a| off it along a seeded unit normal to the section."""
+    a = model.cartan_point(5)
+    u = np.random.default_rng(3).standard_normal(model.ambient_dim)
+    u -= model.cartan_basis.T @ (model.cartan_basis @ u)
+    return a, a + eps * np.linalg.norm(a) * u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 3e-4])
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_projection_hull_fails_off_the_section(name, eps):
+    # The chart of the tilted point is a, so its Weyl hull is a's, but its
+    # orbit is larger: the projection leaves the hull by a gap second order
+    # in eps, 4e-8 to 7e-7 here, which 10^5 sampled rotations never reached.
+    model = polar.get_model(name)
+    a, tilted = _off_the_section(model, eps)
+    if name == "so3_standard":
+        gap = np.linalg.norm(a) * (np.sqrt(1.0 + eps**2) - 1.0)
+    else:
+        # The hexagon's facet normals are the Weyl images of diag(2, -1, -1)
+        # and diag(1, 1, -2) over sqrt(6); each facet's offset is the height
+        # of a, and the orbit's maximum that of the tilted point.
+        normals = [polar.sym_vec(np.diag(d) / np.sqrt(6.0)) for d in ([2.0, -1.0, -1.0], [1.0, 1.0, -2.0])]
+        gap = max(
+            (_analytic_maxima(model, tilted, [n]) - _analytic_maxima(model, a, [n]))[0] for n in normals
+        )
+    report = polar.check_projection_matches_weyl_hull(model, a=tilted, seed=5)
+    assert gap > 3.0 * polar._WEYL_HULL_THRESHOLD
+    assert not report.passed
+    assert abs(report.max_violation - gap) <= 1e-9
+    assert report.details["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
+
+
 @pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
 def test_projection_facet_residual_matches_row_wise(name):
-    # The residual reduced across facet rows is the row-wise one, bit for bit:
-    # a point in the Cartan subspace passes, one off it fails by that residual.
+    # The (facet x start) batch gives each facet the best of its rows run
+    # one at a time, and max_violation is the largest facet residual: a
+    # point in the Cartan subspace passes, one off it fails by that residual.
     model = polar.get_model(name)
-    seed, count = 5, 100_000
+    seed = 5
+    algebra = polar._lie_algebra(model)
     off_subspace = np.random.default_rng(seed).standard_normal(model.ambient_dim)
     for a, passes in ((model.cartan_point(seed), True), (off_subspace, False)):
-        report = polar.check_projection_matches_weyl_hull(model, a=a, n_samples=count, seed=seed)
+        report = polar.check_projection_matches_weyl_hull(model, a=a, seed=seed)
         assert report.passed == passes
-        weyl_hull = hull(np.array([w @ model.chart(a) for w in model.weyl_elements]))
-        chart_pts = model.images(seed + 1, count, a[None])[0] @ model.cartan_basis.T
-        normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
-        row_wise = (chart_pts @ normals.T - offsets).max(axis=1)
-        across = (normals @ chart_pts.T - offsets[:, None]).max(axis=0)
-        assert np.array_equal(across, row_wise)
-        assert report.max_violation == max(float(row_wise.max()), 0.0)
+        _, directions, offsets = _hull_rows(model, a)
+        size = np.linalg.norm(a)
+        starts = _unit_starts(model, a, seed)
+        row_wise = np.array(
+            [max(polar._ascend(algebra, start[None], n[None])[0][0] for start in starts) for n in directions]
+        )
+        residual = size * row_wise - offsets
+        assert abs(report.max_violation - max(float(residual.max()), 0.0)) <= 1e-12 * size
 
 
 def test_projection_hull_zero_point(sym3):
-    report = polar.check_projection_matches_weyl_hull(
-        sym3, a=np.zeros(5), n_samples=100, seed=7
-    )
+    # K 0 = {0}: a one-vertex hull, and rows along both signs of both chart
+    # directions off its affine span, all at height and offset 0.
+    report = polar.check_projection_matches_weyl_hull(sym3, a=np.zeros(5), seed=7)
     assert report.passed
+    assert report.max_violation == 0.0
     assert report.details["hull_vertices"] == 1
+    assert report.details["ascent_steps"] == 0
+    _, directions, offsets = _hull_rows(sym3, np.zeros(5))
+    assert len(directions) == 4 and not offsets.any()
+    assert np.allclose(np.abs(directions @ sym3.cartan_basis.T).sum(axis=0), 2.0)
 
 
 def test_cartan_slice_sym3(sym3):
@@ -456,27 +545,27 @@ def test_dimension_obstruction_zero_summand(hopf):
 
 def test_battery_verdicts():
     for name, expected in (("so3_standard", True), ("sym3_traceless", True), ("hopf_circle", False)):
-        verdict, _ = polar.run_battery(polar.get_model(name), samples=500, seed=42)
+        verdict, _ = polar.run_battery(polar.get_model(name), seed=42)
         assert verdict == expected
 
 
 def test_battery_memory_is_bounded(sym3):
-    # Blocked rotations keep a 10^5-sample battery near 8 MB of traced
-    # allocations; all 10^5 rotations at once peaked at 29.6 MB, and one
-    # (count, 3, 3) work array alone is 7.2 MB.
-    polar.run_battery(sym3, samples=10)  # load scipy.spatial and warm caches untraced
+    # The battery's draws are fixed, the slice check's 2000 rotations the
+    # largest, and the ascent holds a few dozen rows: its traced peak was
+    # 0.9 MB (numpy 2.4).  At 10^5 sampled rotations it was 8 MB.
+    polar.run_battery(sym3)  # load scipy.spatial and warm caches untraced
     tracemalloc.start()
     try:
-        polar.run_battery(sym3, samples=100_000)
+        polar.run_battery(sym3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 2e6
 
 
 def test_battery_deterministic(sym3):
-    v1, r1 = polar.run_battery(polar.get_model("sym3_traceless"), samples=300, seed=8)
-    v2, r2 = polar.run_battery(polar.get_model("sym3_traceless"), samples=300, seed=8)
+    v1, r1 = polar.run_battery(polar.get_model("sym3_traceless"), seed=8)
+    v2, r2 = polar.run_battery(polar.get_model("sym3_traceless"), seed=8)
     assert v1 == v2
     for key in r1:
         a, b = r1[key], r2[key]
@@ -489,10 +578,8 @@ def test_battery_deterministic(sym3):
 @pytest.mark.parametrize("name", sorted(polar.MODEL_BUILDERS))
 def test_battery_matches_reference_sampler(name, seed):
     model = polar.get_model(name)
-    verdict, reports = polar.run_battery(model, samples=2000, seed=seed)
-    ref_verdict, ref_reports = polar.run_battery(
-        replace(model, images=_reference_images(name)), samples=2000, seed=seed
-    )
+    verdict, reports = polar.run_battery(model, seed=seed)
+    ref_verdict, ref_reports = polar.run_battery(replace(model, images=_reference_images(name)), seed=seed)
     assert verdict == ref_verdict
     assert reports.keys() == ref_reports.keys()
     for key, report in reports.items():
