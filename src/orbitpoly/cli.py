@@ -317,9 +317,8 @@ def cmd_theorem2(group, seed):
 @_SEED
 @_TOL
 @_samples("Accepted and checked (at least 1) but unread: no check of the battery takes a "
-          "sample count. The slice, support and dimension-obstruction checks always draw "
-          "2000, 500 and 64 group elements and the Weyl-hull ascent 4; the section checks "
-          "draw none.")
+          "sample count. The dimension obstruction always draws 64 group elements and the "
+          "Weyl-hull ascent 4; the section checks draw none.")
 @_OUT
 def cmd_polar_verify(model_name, seed, tol, samples, out_path):
     """Run the polar-structure check battery for a built-in model."""

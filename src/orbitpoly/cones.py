@@ -25,7 +25,6 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_vector,
-    close,
     distinct_rows,
     lazy_import,
 )
@@ -367,32 +366,3 @@ def voronoi_consistency(
         min_wall_distance=min_wall_distance,
     )
 
-
-def local_peak_failures(
-    G: FiniteGroup,
-    v,
-    radius_factor: float = 0.1,
-    n_samples: int = 50,
-    seed: int = 0,
-) -> list[dict]:
-    """Directions near v for which v is not the unique orbit maximizer.
-
-    Samples w with |w - v| < radius_factor * |v| and records every failure
-    instead of asserting; the radius is a concrete stand-in for an
-    existence-only neighborhood.
-    """
-    v = as_vector(v, G.dim)
-    orb = orbit(G, v)
-    rng = np.random.default_rng(seed)
-    vnorm = float(np.linalg.norm(v))
-    failures = []
-    for s in range(n_samples):
-        x = rng.standard_normal(G.dim)
-        x /= np.linalg.norm(x)
-        w = v + x * radius_factor * vnorm * rng.uniform() ** (1.0 / G.dim)
-        values = orb.points @ w
-        top = float(values.max())
-        tied = np.where(values >= top - G.tol.eps_eq)[0]
-        if len(tied) != 1 or not close(orb.points[tied[0]], v, G.tol):
-            failures.append({"sample_index": s, "direction": w.tolist(), "tied": len(tied)})
-    return failures

@@ -7,13 +7,14 @@ sampling, the peak criterion, reflection generation, and local cone
 stability - and cross-checks that they agree.  The SP sample stops at its
 first failing pair, which is the witness of a false verdict.
 
-On a group with root data the three sampled criteria check all of their
-probes in one pass over stacked arrays: one product with the stacked
-elements gives every probe's orbit, the SP pairs are tested together at
-their first candidates, and the local samples read their chamber walls
-from one sign product.  A probe such a pass does not settle takes the
-per-probe path, in order, so the witnesses are still the first ones.  Any
-other group checks one probe at a time and stops at its first witness.
+The peak criterion checks all of its probes in one pass over stacked
+arrays on every group: one product with the stacked elements gives every
+probe's orbit.  On a group with root data the other two sampled criteria
+do too: the SP pairs are tested together at their first candidates, and
+the local samples read their chamber walls from one sign product.  A
+probe such a pass does not settle takes the per-probe path, in order, so
+the witnesses are still the first ones.  Any other group checks its SP
+pairs and local samples one at a time and stops at its first witness.
 
 None of the four solves an LP or builds a Minkowski sum or orbit hull: an
 SP pair is checked by support inequalities along rows of root data or of
@@ -223,21 +224,13 @@ def criterion_peak(G: FiniteGroup, v_reg, test_points) -> tuple[bool, np.ndarray
     first orbit base with a tied maximum as witness.  This is a
     falsification-only sample of a statement about all orbits.
 
-    It reads orbit points only.  On a group with root data every test
-    point is checked in one pass over their orbits (:func:`_orbits`); any
-    other group stops at its first tied orbit.
+    It reads orbit points only: every test point is checked in one pass
+    over their orbits (:func:`_orbits`).
     """
     v_reg = as_vector(v_reg, G.dim)
     if not is_regular(G, v_reg):
         raise NotRegularError("the peak criterion requires a regular base vector")
     eps = G.tol.eps_eq
-    if root_data(G) is None:
-        for u in test_points:
-            u = as_vector(u, G.dim)
-            values = orbit(G, u).points @ v_reg
-            if int(np.sum(values >= values.max() - eps)) > 1:
-                return False, u
-        return True, None
     points = np.array([as_vector(u, G.dim) for u in test_points]).reshape(-1, G.dim)
     images, kept = _orbits(G, points)
     values = np.where(kept, np.matmul(images, v_reg), -np.inf)

@@ -47,7 +47,7 @@ from orbitpoly.group import (
     root_data,
 )
 from orbitpoly.numerics import DEFAULT_TOL, close, distinct_rows, round_key, unit
-from orbitpoly.polar import _SYM_BASIS
+from orbitpoly.polar import _SKEW_BASIS, _SYM_BASIS, sym_mat, sym_vec
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
 
@@ -338,6 +338,30 @@ def criterion_peak_reference(G, v_reg, test_points):
     return True, None
 
 
+def local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=0):
+    """Directions near v for which v is not the unique orbit maximizer.
+
+    Samples w with |w - v| < radius_factor * |v| and records every failure
+    instead of asserting; the radius is a concrete stand-in for an
+    existence-only neighborhood.
+    """
+    v = np.asarray(v, dtype=float)
+    orb = orbit(G, v)
+    rng = np.random.default_rng(seed)
+    vnorm = float(np.linalg.norm(v))
+    failures = []
+    for s in range(n_samples):
+        x = rng.standard_normal(G.dim)
+        x /= np.linalg.norm(x)
+        w = v + x * radius_factor * vnorm * rng.uniform() ** (1.0 / G.dim)
+        values = orb.points @ w
+        top = float(values.max())
+        tied = np.where(values >= top - G.tol.eps_eq)[0]
+        if len(tied) != 1 or not close(orb.points[tied[0]], v, G.tol):
+            failures.append({"sample_index": s, "direction": w.tolist(), "tied": len(tied)})
+    return failures
+
+
 def criterion_local_cone_reference(G, v_reg, seed=0):
     """Local cone stability by one orbit cone and one cone_equal per sample, drawn as it goes."""
     v_reg = np.asarray(v_reg, dtype=float)
@@ -620,15 +644,21 @@ def hopf_rotations_reference(seed, count):
 def check_cartan_orthogonality_reference(model, n_samples=200, seed=0):
     """Worst normalized tangent/subspace overlap, one sampled point at a time.
 
-    Calls the model's tangent map at every sampled point instead of reading
-    it off at the unit vectors; returns the ``max_violation`` value only.
+    Forms the tangents X_t u at every sampled point: for sym3 as the
+    coordinates of the commutators [S_t, U] of the skew generators with the
+    matrix of u, for the other models as the products of the algebra with
+    u.  Returns the ``max_violation`` value only.
     """
     rng = np.random.default_rng(seed)
     basis = model.cartan_basis
     worst = 0.0
     for _ in range(n_samples):
         u = model.ambient(rng.standard_normal(len(basis)))
-        tangents = np.atleast_2d(model.tangent_basis_at(u))
+        if model.name == "sym3_traceless":
+            a = sym_mat(u)
+            tangents = np.array([sym_vec(x @ a - a @ x) for x in _SKEW_BASIS])
+        else:
+            tangents = model.algebra @ u
         norms = np.linalg.norm(tangents, axis=1)
         keep = norms > 1e-12
         if not np.any(keep):

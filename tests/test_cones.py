@@ -16,7 +16,6 @@ from orbitpoly.cones import (
     cone_from_halfspaces,
     dual_cone,
     in_orbit_cone,
-    local_peak_failures,
     orbit_cone,
     voronoi_consistency,
 )
@@ -294,7 +293,7 @@ def test_local_peak_neighborhood(groups):
         v = unit(np.sum(C.rays, axis=0)) if len(C.rays) else v0
         if len(orbit(G, v)) != G.order:
             v = v0  # fall back when the ray sum is non-regular
-        failures = local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=83)
+        failures = helpers.local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=83)
         assert failures == []
 
 
@@ -307,7 +306,7 @@ def test_local_peak_failures_tell_v_from_orbit_points_past_eps():
     v = unit(np.ones(3)) + 1e-6 * unit(np.array([1.0, -1.0, 0.0]))
     points = orbit(G, v).points
     assert 1e-9 < np.sort(np.abs(points - v).max(axis=1))[1] < 1e-5
-    failures = local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=83)
+    failures = helpers.local_peak_failures(G, v, radius_factor=0.1, n_samples=50, seed=83)
     for failure in failures:
         values = points @ np.array(failure["direction"])
         top = np.flatnonzero(values >= values.max() - G.tol.eps_eq)

@@ -120,13 +120,11 @@ def test_sym_basis_orthonormal():
 
 
 def test_tangents_orthogonal_to_base(so3, sym3, hopf):
-    # orthogonal actions: the orbit tangent at v is orthogonal to v itself
-    rng = np.random.default_rng(1)
+    # Orthogonal actions: every X_t is skew, so the orbit tangent X_t v at v
+    # is orthogonal to v itself.
     for model in (so3, sym3, hopf):
-        for _ in range(10):
-            v = rng.standard_normal(model.ambient_dim)
-            for t in model.tangent_basis_at(v):
-                assert abs(float(t @ v)) <= 1e-9
+        assert model.algebra.shape[1:] == (model.ambient_dim, model.ambient_dim)
+        assert np.max(np.abs(model.algebra + model.algebra.transpose(0, 2, 1))) <= 1e-15
 
 
 def test_skew_diagonal_commutator_oracle():
@@ -159,22 +157,13 @@ def _generic_candidate(model, dim, seed):
     return polar.with_candidate_basis(model, basis.T)
 
 
-def test_tangent_maps_are_linear(so3, sym3, hopf):
-    rng = np.random.default_rng(3)
-    for model in (so3, sym3, hopf):
-        x, y = rng.standard_normal((2, model.ambient_dim))
-        combined = model.tangent_basis_at(2.5 * x - 0.75 * y)
-        expected = 2.5 * model.tangent_basis_at(x) - 0.75 * model.tangent_basis_at(y)
-        assert np.max(np.abs(combined - expected)) <= 1e-12
-
-
 @pytest.mark.parametrize("seed", [5, 7, 42, 1001])
 def test_cartan_orthogonality_matches_reference(so3, sym3, hopf, seed):
     for model in (so3, sym3, hopf, _generic_candidate(hopf, 2, 11)):
         report = polar.check_cartan_orthogonality(model, n_samples=200, seed=seed)
         assert report.max_violation == helpers.check_cartan_orthogonality_reference(model, 200, seed)
     # A generic subspace of sym3 makes the tangent products non-trivial;
-    # reading the map off at the unit vectors changes only rounding there.
+    # the commutators of the reference differ from the algebra only by rounding there.
     model = _generic_candidate(sym3, 2, 11)
     report = polar.check_cartan_orthogonality(model, n_samples=200, seed=seed)
     reference = helpers.check_cartan_orthogonality_reference(model, 200, seed)
@@ -240,13 +229,10 @@ def _in_basis(model, q):
     def images(seed, count, points):
         return model.images(seed, count, np.asarray(points, dtype=float) @ q) @ q.T
 
-    def tangent(v):
-        return model.tangent_basis_at(np.asarray(v, dtype=float) @ q) @ q.T
-
     return replace(
         model,
         images=images,
-        tangent_basis_at=tangent,
+        algebra=q @ model.algebra @ q.T,
         cartan_basis=model.cartan_basis @ q.T,
         weyl_witnesses=None if model.weyl_witnesses is None else q @ model.weyl_witnesses @ q.T,
         falsify_pair=None if model.falsify_pair is None else tuple(x @ q.T for x in model.falsify_pair),
@@ -292,8 +278,9 @@ def test_projection_hull_sym3_with_majorization_oracle(sym3):
 
 
 def _hull_rows(model, a):
-    """The check's Weyl hull of a and its (direction, offset) rows."""
-    weyl_hull = hull(np.array([w @ model.chart(a) for w in model.weyl_elements]))
+    """The check's Weyl hull of a / |a| (of 0 for a = 0) and its (direction, offset) rows."""
+    unit_chart = model.chart(a / (np.linalg.norm(a) or 1.0))
+    weyl_hull = hull(np.array([w @ unit_chart for w in model.weyl_elements]))
     return (weyl_hull, *polar._weyl_hull_rows(weyl_hull, model.cartan_basis))
 
 
@@ -308,7 +295,7 @@ def _unit_starts(model, a, seed):
 def _orbit_maxima(model, a, directions, seed):
     """max over K a of <x, n> for each row n of directions, by the check's ascent and starts."""
     size = np.linalg.norm(a)
-    heights, gradient_norms, _ = polar._ascend(polar._lie_algebra(model), _unit_starts(model, a, seed), directions)
+    heights, gradient_norms, _ = polar._ascend(model.algebra, _unit_starts(model, a, seed), directions)
     assert gradient_norms.max() <= polar._ASCENT_GRADIENT_CUT
     return size * heights
 
@@ -353,17 +340,22 @@ def test_ascent_on_a_point_with_a_double_eigenvalue(sym3, seed):
     assert len(directions) == 3
     maxima = _orbit_maxima(sym3, a, directions, seed)
     assert np.max(np.abs(maxima - _analytic_maxima(sym3, a, directions))) <= 1e-10
-    assert np.max(np.abs(maxima - offsets)) <= 1e-10
+    assert np.max(np.abs(maxima - np.linalg.norm(a) * offsets)) <= 1e-10
     dirs = _unit_rows(np.random.default_rng(seed), 6, 5)
     assert np.max(np.abs(_orbit_maxima(sym3, a, dirs, seed) - _analytic_maxima(sym3, a, dirs))) <= 1e-10
+
+
+def _section_normal(model):
+    """A seeded unit vector orthogonal to the model's section."""
+    u = np.random.default_rng(3).standard_normal(model.ambient_dim)
+    u -= model.cartan_basis.T @ (model.cartan_basis @ u)
+    return u / np.linalg.norm(u)
 
 
 def _off_the_section(model, eps):
     """cartan_point(5) and the point eps |a| off it along a seeded unit normal to the section."""
     a = model.cartan_point(5)
-    u = np.random.default_rng(3).standard_normal(model.ambient_dim)
-    u -= model.cartan_basis.T @ (model.cartan_basis @ u)
-    return a, a + eps * np.linalg.norm(a) * u / np.linalg.norm(u)
+    return a, a + eps * np.linalg.norm(a) * _section_normal(model)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 3e-4])
@@ -398,7 +390,7 @@ def test_projection_facet_residual_matches_row_wise(name):
     # point in the Cartan subspace passes, one off it fails by that residual.
     model = polar.get_model(name)
     seed = 5
-    algebra = polar._lie_algebra(model)
+    algebra = model.algebra
     off_subspace = np.random.default_rng(seed).standard_normal(model.ambient_dim)
     for a, passes in ((model.cartan_point(seed), True), (off_subspace, False)):
         report = polar.check_projection_matches_weyl_hull(model, a=a, seed=seed)
@@ -409,7 +401,7 @@ def test_projection_facet_residual_matches_row_wise(name):
         row_wise = np.array(
             [max(polar._ascend(algebra, start[None], n[None])[0][0] for start in starts) for n in directions]
         )
-        residual = size * row_wise - offsets
+        residual = size * (row_wise - offsets)
         assert abs(report.max_violation - max(float(residual.max()), 0.0)) <= 1e-12 * size
 
 
@@ -426,60 +418,56 @@ def test_projection_hull_zero_point(sym3):
     assert np.allclose(np.abs(directions @ sym3.cartan_basis.T).sum(axis=0), 2.0)
 
 
-def test_cartan_slice_sym3(sym3):
-    report = polar.check_cartan_slice_is_weyl_orbit(sym3, n_group_samples=1000, seed=9)
-    assert report.passed
-    # the Weyl witnesses themselves populate the slice
-    assert report.details["n_points_in_slice"] >= 6
+def _tilted(model, angle):
+    """The model with its first section direction turned by angle towards a seeded normal."""
+    basis = model.cartan_basis.copy()
+    basis[0] = np.cos(angle) * basis[0] + np.sin(angle) * _section_normal(model)
+    return replace(model, cartan_basis=basis)
 
 
-def test_cartan_slice_counts_points_off_the_weyl_orbit(sym3):
-    # With the Weyl data cut to the identity, the other five witness images
-    # still land in the slice but match no listed Weyl image.
-    model = replace(sym3, weyl_elements=sym3.weyl_elements[:1])
-    a = sym3.cartan_point(9)
-    report = polar.check_cartan_slice_is_weyl_orbit(model, a=a, n_group_samples=1000, seed=9)
+def _tampered_sym3(case):
+    sym3 = polar.sym3_traceless()
+    if case == "identity_only":
+        return replace(sym3, weyl_elements=sym3.weyl_elements[:1])
+    if case == "rotated_0.3":
+        c, s = np.cos(0.3), np.sin(0.3)
+        return replace(sym3, weyl_elements=np.array([[c, -s], [s, c]]) @ sym3.weyl_elements)
+    if case == "z3_subgroup":
+        even = [0, 3, 4]  # the identity and the two 3-cycles among the permutations
+        return replace(sym3, weyl_elements=sym3.weyl_elements[even], weyl_witnesses=sym3.weyl_witnesses[even])
+    return _tilted(sym3, {"tilted_1e-3": 1e-3, "tilted_1e-5": 1e-5}[case])
+
+
+@pytest.mark.parametrize(
+    "case", ["identity_only", "rotated_0.3", "z3_subgroup", "tilted_1e-3", "tilted_1e-5"]
+)
+def test_projection_hull_fails_on_tampered_weyl_data(case):
+    # Weyl data that is not the action's: too few elements, elements that
+    # are not the Weyl group's, a proper subgroup, or a candidate subspace
+    # turned off the section.  In each case the projection of K a leaves
+    # the hull of the listed W a.
+    model = _tampered_sym3(case)
+    report = polar.check_projection_matches_weyl_hull(model, seed=9)
     assert not report.passed
-    assert report.details["n_points_in_slice"] == 6
-    # Reference: the gap of each witness image, one point at a time.
-    gaps = [float(np.linalg.norm(model.chart(w @ a) - model.chart(a))) for w in sym3.weyl_witnesses[1:]]
-    assert min(gaps) > 1e-5
-    assert report.max_violation == pytest.approx(max(gaps), rel=0.0, abs=1e-14)
+    assert report.max_violation > polar._WEYL_HULL_THRESHOLD
 
 
-def test_cartan_slice_so3(so3):
-    a = np.array([2.0, 0.0, 0.0])
-    report = polar.check_cartan_slice_is_weyl_orbit(so3, a=a, n_group_samples=1000, seed=9)
-    assert report.passed
-
-
-def test_slice_support_so3_segments(so3):
-    # Orbits of (1,0,0) and (2,0,0) are spheres; both sides give the
-    # supports of the segment [-3, 3].
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([2.0, 0.0, 0.0])
-    report = polar.check_slice_support_match(so3, a=a, b=b, n_dirs=50, seed=3)
-    assert report.passed
-    dirs = np.array([[1.0], [-1.0]])
-    for d in dirs:
-        amb = d @ so3.cartan_basis
-        lhs = max(float((w @ a) @ amb) for w in so3.weyl_witnesses) + max(
-            float((w @ b) @ amb) for w in so3.weyl_witnesses
-        )
-        assert lhs == pytest.approx(3.0, abs=1e-12)
-
-
-def test_slice_support_sym3(sym3):
-    report = polar.check_slice_support_match(sym3, n_dirs=200, seed=3)
-    assert report.passed
-    assert report.max_violation < 1e-6
-
-
-def test_slice_support_identity_element(sym3):
-    # Adding the zero orbit changes nothing.
-    a = sym3.cartan_point(31)
-    report = polar.check_slice_support_match(sym3, a=a, b=np.zeros(5), n_dirs=50, seed=3)
-    assert report.passed
+@pytest.mark.parametrize("seed", [0, 7, 42, 117])
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_projection_hull_is_scale_free(name, seed):
+    # The check runs on the orbit of a / |a|: scaling a changes neither the
+    # verdict nor the steps, and scales max_violation with it.
+    model = polar.get_model(name)
+    a = model.cartan_point(seed)
+    reports = {
+        c: polar.check_projection_matches_weyl_hull(model, a=c * a, seed=seed) for c in (1e-3, 1.0, 1e3)
+    }
+    base = reports[1.0]
+    assert base.passed
+    for c, report in reports.items():
+        assert report.passed == base.passed
+        assert report.details["ascent_steps"] == base.details["ascent_steps"]
+        assert abs(report.max_violation / c - base.max_violation) <= 1e-12
 
 
 def test_sampled_support_bounded_by_sorted_pairing(sym3):
@@ -516,10 +504,6 @@ def test_weyl_checks_require_data(hopf):
         polar.weyl_is_coxeter(hopf)
     with pytest.raises(NoCartanDataError):
         polar.check_projection_matches_weyl_hull(hopf)
-    with pytest.raises(NoCartanDataError):
-        polar.check_cartan_slice_is_weyl_orbit(hopf)
-    with pytest.raises(NoCartanDataError):
-        polar.check_slice_support_match(hopf)
 
 
 def test_dimension_obstruction_hopf(hopf):
@@ -550,9 +534,9 @@ def test_battery_verdicts():
 
 
 def test_battery_memory_is_bounded(sym3):
-    # The battery's draws are fixed, the slice check's 2000 rotations the
-    # largest, and the ascent holds a few dozen rows: its traced peak was
-    # 0.9 MB (numpy 2.4).  At 10^5 sampled rotations it was 8 MB.
+    # The battery's draws are fixed, the dimension obstruction's 64 elements
+    # and the ascent's 4, and the ascent holds a few dozen rows: its traced
+    # peak was 0.4 MB (numpy 2.4).
     polar.run_battery(sym3)  # load scipy.spatial and warm caches untraced
     tracemalloc.start()
     try:
