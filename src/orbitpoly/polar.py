@@ -1,8 +1,11 @@
-"""Sampled compact-group models and numeric polar-structure checks.
+"""Compact connected group models and numeric polar-structure checks.
 
-Continuous groups are represented through seeded group images of points,
-a basis of the Lie algebra as matrices and analytic Cartan/Weyl data per
-model; there is no general Lie-theory engine.
+A model is its Lie algebra: a basis of matrices acting on the ambient
+space, with analytic Cartan/Weyl data; there is no general Lie-theory
+engine.  A compact connected Lie group is the image of the exponential map
+of its Lie algebra (Broecker-tom Dieck, Representations of Compact Lie
+Groups, GTM 98), so ``group_images`` draws every group element a check
+needs as exp of a seeded algebra element, with no sampler per model.
 
 For a connected group acting orthogonally, a subspace is a section iff the
 orbit tangents at its points are orthogonal to it and its dimension is the
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .polytope import hull
 
 # Fixed pass criteria of the checks, each reported as its ``threshold``.
 _ORTHOGONALITY_THRESHOLD = 1e-8
-_WEYL_HULL_THRESHOLD = 1e-8
+_WEYL_HULL_THRESHOLD = 1e-8  # times |a|: the Weyl-hull check is decided on the orbit of a / |a|
 _REALIZATION_TOL = 1e-10  # error of the exact Weyl-vertex realizations of a / |a|
 
 # The height ascent of check_projection_matches_weyl_hull, on the orbit of
@@ -74,28 +77,22 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True, eq=False)
 class GroupModel:
-    """A sampled compact-group action with candidate Cartan data.
+    """A compact connected group acting orthogonally, with candidate Cartan data.
 
-    images(seed, count, points) applies count seeded group elements g_s to
-    each row p of points and returns g_s p at [k, s] of a (len(points),
-    count, ambient_dim) array.  A seed draws the same g_s for every batch,
-    and row k depends only on points[k], bit for bit; no sampled element is
-    formed as a matrix.  algebra[t] is the matrix X_t of a basis of the
-    Lie algebra acting on the ambient space, so the rows X_t v of
-    ``algebra @ v`` span the orbit tangent space at v.  cartan_basis rows
-    are an orthonormal basis of the candidate subspace; weyl_elements act
-    on its coordinates and weyl_witnesses are ambient group elements
-    realizing them.
+    algebra[t] is the matrix X_t of a basis of the Lie algebra acting on the
+    ambient space: the rows X_t v of ``algebra @ v`` span the orbit tangent
+    space at v, and the group is {exp(sum_t xi_t X_t)} (``group_images``).
+    cartan_basis rows are an orthonormal basis of the candidate subspace;
+    weyl_elements act on its coordinates and weyl_witnesses are ambient
+    group elements realizing them.
     """
 
     name: str
     ambient_dim: int
-    images: Callable[[int, int, np.ndarray], np.ndarray]
     algebra: np.ndarray
     cartan_basis: Optional[np.ndarray]
     weyl_elements: Optional[np.ndarray] = None
     weyl_witnesses: Optional[np.ndarray] = None
-    falsify_pair: Optional[tuple] = None
 
     def chart(self, x) -> np.ndarray:
         """Coordinates of (the projection of) an ambient vector in the Cartan chart."""
@@ -137,69 +134,6 @@ class PolarCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Rotation-group plumbing
-
-_SKEW_BASIS = np.array(
-    [
-        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    ]
-)
-
-
-def _haar_rotations(z: np.ndarray) -> np.ndarray:
-    """rs[a, c, s] = R_s[a, c] for the Q of each Gaussian Z_s = QR with positive diag(R).
-
-    Built column by column: Gram-Schmidt (the second column orthogonalized
-    twice), the third column from the cross product with the sign of det Z,
-    and row 0 flipped by that sign so the result is a rotation.
-    """
-    a, b, c = np.ascontiguousarray(z.transpose(2, 1, 0))  # columns of Z, each (3, n)
-    q0 = a / np.sqrt(_dot(a, a))
-    q1 = b - _dot(q0, b) * q0
-    q1 -= _dot(q0, q1) * q0
-    q1 /= np.sqrt(_dot(q1, q1))
-    sign = np.where(_dot(_cross(a, b), c) < 0.0, -1.0, 1.0)
-    rs = np.stack([q0, q1, sign * _cross(q0, q1)], axis=1)
-    rs[0] *= sign
-    return rs
-
-
-def _sample_rotations(seed: int, count: int) -> np.ndarray:
-    """Haar-random rotations of 3-space, the ones scipy's special_ortho_group draws.
-
-    One seeded ``normal(size=(count, 3, 3))`` draw, as a (count, 3, 3) view
-    of storage with the sample axis last: ``.transpose(1, 2, 0)`` gives
-    rs[a, c, s] = R_s[a, c] back without a copy.
-    """
-    z = np.random.default_rng(seed).normal(size=(count, 3, 3))
-    return _haar_rotations(z).transpose(2, 0, 1)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner products of matching columns of two (3, n) arrays."""
-    return np.einsum("ks,ks->s", x, y)
-
-
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross products of matching columns of two (3, n) arrays."""
-    return np.array(
-        [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
-    )
-
-
-def _rotation_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
-    """Seeded Haar rotations applied to each row of points: (len(points), count, 3)."""
-    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
-    points = np.asarray(points, dtype=float)
-    out = np.empty((len(points), count, 3))
-    for k, p in enumerate(points):
-        out[k] = (p @ rs).T  # p @ rs holds sum_c R_s[a, c] p[c] at [a, s]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Symmetric traceless 3x3 matrices as a 5-dim orthogonal representation
 
 def _sym_basis() -> np.ndarray:
@@ -225,33 +159,17 @@ def sym_mat(coords) -> np.ndarray:
     return np.einsum("i,iab->ab", np.asarray(coords, dtype=float), _SYM_BASIS)
 
 
-def _conjugated(rs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Coordinates of R_s A R_s^T for one symmetric 3x3 A, shape (5, count).
-
-    rs[a, c, s] = R_s[a, c] has the sample axis last, so each contraction
-    runs along contiguous rows.
-    """
-    # matrix @ rs holds R A (A is symmetric); contracting it with R gives R A R^T.
-    conjugated = np.einsum("acs,bcs->abs", rs, matrix @ rs)
-    return _SYM_BASIS.reshape(5, 9) @ conjugated.reshape(9, -1)
-
-
-def conjugation_action(rotations: np.ndarray) -> np.ndarray:
-    """5x5 matrices of A -> R A R^T on the symmetric traceless space, batched.
-
-    For single elements (the Weyl witnesses); sampled elements act on
-    points through ``_sym3_images`` and are never formed as matrices.
-    """
-    rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
-    rs = np.ascontiguousarray(rotations.transpose(1, 2, 0))  # rs[a, c, s] = R_s[a, c]
-    out = np.empty((len(rotations), 5, 5))
-    for j, e in enumerate(_SYM_BASIS):
-        out[:, :, j] = _conjugated(rs, e).T
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Built-in models
+
+_SKEW_BASIS = np.array(
+    [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
+
 
 def so3_standard() -> GroupModel:
     """Rotations of 3-space; candidate subspace is the first coordinate axis.
@@ -262,22 +180,11 @@ def so3_standard() -> GroupModel:
     return GroupModel(
         name="so3_standard",
         ambient_dim=3,
-        images=_rotation_images,
         algebra=_SKEW_BASIS,
         cartan_basis=np.array([[1.0, 0.0, 0.0]]),
         weyl_elements=np.array([[[1.0]], [[-1.0]]]),
         weyl_witnesses=np.array([np.eye(3), np.diag([-1.0, 1.0, -1.0])]),
     )
-
-
-def _sym3_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
-    """Seeded rotations conjugating each row of points: (len(points), count, 5)."""
-    rs = _sample_rotations(seed, count).transpose(1, 2, 0)
-    mats = [sym_mat(p) for p in np.asarray(points, dtype=float)]
-    out = np.empty((len(mats), count, 5))
-    for k, a in enumerate(mats):
-        out[k] = _conjugated(rs, a).T
-    return out
 
 
 def _sym3_algebra() -> np.ndarray:
@@ -287,18 +194,16 @@ def _sym3_algebra() -> np.ndarray:
 
 
 def _sym3_weyl() -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of the diagonal on chart coordinates, and the signed
+    permutation rotations R_w realizing them, each as the 5x5 matrix of A -> R_w A R_w^T."""
     diag_vecs = np.array([np.diag(_SYM_BASIS[0]), np.diag(_SYM_BASIS[1])])  # (2, 3)
-    elements = []
-    witnesses = []
-    for p in permutations((0, 1, 2)):
-        p = list(p)
-        permuted = diag_vecs[:, p]  # entry k of row i becomes diag_vecs[i][p[k]]
-        w = diag_vecs @ permuted.T  # w[i, j] = <diag_i, permuted diag_j>
-        elements.append(w)
-        pm = np.eye(3)[p]
-        sign = float(np.linalg.det(pm))
-        witnesses.append(conjugation_action((pm @ np.diag([sign, 1.0, 1.0]))[None])[0])
-    return np.array(elements), np.array(witnesses)
+    perms = [list(p) for p in permutations((0, 1, 2))]
+    # Entry k of row i of diag_vecs[:, p] is diag_vecs[i][p[k]]; w[i, j] = <diag_i, permuted diag_j>.
+    elements = np.array([diag_vecs @ diag_vecs[:, p].T for p in perms])
+    rotations = np.array([np.eye(3)[p] @ np.diag([np.linalg.det(np.eye(3)[p]), 1.0, 1.0]) for p in perms])
+    # witnesses[w, i, j] = <E_i, R_w E_j R_w^T>, the coordinates of the conjugated basis matrix.
+    witnesses = np.einsum("iab,wac,jcd,wbd->wij", _SYM_BASIS, rotations, _SYM_BASIS, rotations)
+    return elements, witnesses
 
 
 def sym3_traceless() -> GroupModel:
@@ -312,7 +217,6 @@ def sym3_traceless() -> GroupModel:
     return GroupModel(
         name="sym3_traceless",
         ambient_dim=5,
-        images=_sym3_images,
         algebra=_sym3_algebra(),
         cartan_basis=np.array([sym_vec(_SYM_BASIS[0]), sym_vec(_SYM_BASIS[1])]),
         weyl_elements=elements,
@@ -328,13 +232,6 @@ _HOPF_J = np.array(
         [0.0, 0.0, 1.0, 0.0],
     ]
 )
-
-
-def _hopf_images(seed: int, count: int, points: np.ndarray) -> np.ndarray:
-    """Rows of points turned by seeded cos(theta) I + sin(theta) J: (len(points), count, 4)."""
-    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count)[:, None]
-    points = np.asarray(points, dtype=float)
-    return np.cos(theta) * points[:, None, :] + np.sin(theta) * (points @ _HOPF_J.T)[:, None, :]
 
 
 def hopf_circle() -> GroupModel:
@@ -353,12 +250,10 @@ def hopf_circle() -> GroupModel:
     return GroupModel(
         name="hopf_circle",
         ambient_dim=4,
-        images=_hopf_images,
         algebra=_HOPF_J[None],
         cartan_basis=basis,
         weyl_elements=None,
         weyl_witnesses=None,
-        falsify_pair=(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])),
     )
 
 
@@ -496,6 +391,30 @@ def _expm(a: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
+def _exp_algebra(xi: np.ndarray, algebra: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """exp(sum_t xi[s, t] X_t) for each row of xi, X_t = algebra[t] and gram[s, t] = <X_s, X_t>_F."""
+    dim = algebra.shape[-1]
+    bound = math.sqrt(float(((xi @ gram) * xi).sum(axis=1).max()))  # the largest |sum xi_t X_t|_F
+    return _expm((xi @ algebra.reshape(len(algebra), dim * dim)).reshape(-1, dim, dim), bound)
+
+
+def group_images(model: GroupModel, seed: int, count: int, points) -> np.ndarray:
+    """count seeded group elements g_s applied to each row p of points: g_s p at [k, s].
+
+    g_s = exp(sum_t xi_st X_t) on the model's algebra, with xi_s uniform in
+    [-pi, pi]^dim_k from ``default_rng(seed)``: the same seed and count give
+    the same elements.  The elements act through one matmul, so row k of the
+    (len(points), count, ambient_dim) result depends only on points[k], bit
+    for bit.  The draw is not Haar measure; its callers need only generic
+    elements of a connected group.
+    """
+    algebra = model.algebra
+    xi = np.random.default_rng(seed).uniform(-np.pi, np.pi, (count, len(algebra)))
+    elements = _exp_algebra(xi, algebra, np.einsum("sij,tij->st", algebra, algebra))
+    points = np.asarray(points, dtype=float)
+    return np.matmul(elements, points[:, None, :, None])[..., 0]
+
+
 def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     """Maximise <x, n> over the orbit of the starts, for each row n of directions.
 
@@ -523,7 +442,6 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     normals = np.repeat(directions, len(starts), axis=0)
     tangent_map = algebra.reshape(dim_k * dim, dim).T  # x @ tangent_map holds the X_t x
     normal_tangents = (normals @ tangent_map).reshape(-1, dim_k, dim)
-    flat_algebra = algebra.reshape(dim_k, dim * dim)
     gram = np.einsum("sij,tij->st", algebra, algebra)  # |sum xi_t X_t|_F^2 = xi gram xi
     heights = np.einsum("ri,ri->r", x, normals)
     gradient_norms = np.zeros(len(x))
@@ -552,8 +470,7 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
         size = np.sqrt((xi * xi).sum(axis=1))
         reach = radius[rows]
         xi *= np.minimum(1.0, reach / size)[:, None]
-        bound = math.sqrt(float(((xi @ gram) * xi).sum(axis=1).max()))
-        step = _expm((xi @ flat_algebra).reshape(-1, dim, dim), bound)
+        step = _exp_algebra(xi, algebra, gram)
         moved = (step @ points[:, :, None])[..., 0]
         moved_heights = (moved * facing).sum(axis=1)
         kept = moved_heights >= heights[rows] - _ASCENT_SLACK
@@ -596,8 +513,9 @@ def check_projection_matches_weyl_hull(
     """The projection of K a onto the section is the hull of the Weyl orbit W a.
 
     Everything is computed on the orbit of the unit point u = a / |a| (u = 0
-    for a = 0), so the ascent's cuts and _REALIZATION_TOL are scale-free;
-    only _WEYL_HULL_THRESHOLD bounds a value at the scale of a.
+    for a = 0), so the verdict is scale-free: the ascent's cuts and
+    _REALIZATION_TOL bound values on that orbit, and the reported
+    ``threshold`` is _WEYL_HULL_THRESHOLD times |a| (times 1 at a = 0).
     Containment is decided by maximising, over K u, the height <x, N> along
     each facet normal N of hull(W u) lifted to the ambient space (and along
     the directions off the hull's affine span, when it has one), with
@@ -623,10 +541,11 @@ def check_projection_matches_weyl_hull(
     directions, offsets = _weyl_hull_rows(weyl_hull, model.cartan_basis)
 
     starts = np.concatenate(
-        [model.images(seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
+        [group_images(model, seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
     ) / norm
     heights, gradient_norms, steps = _ascend(model.algebra, starts, directions)
     violation = size * max(0.0, float(np.max(heights - offsets)))
+    threshold = _WEYL_HULL_THRESHOLD * norm
     worst_gradient = float(gradient_norms.max())
     realization = max(
         float(np.max(np.abs(model.chart(image) - vertex)))
@@ -637,12 +556,12 @@ def check_projection_matches_weyl_hull(
         check="projection_matches_weyl_hull",
         model=model.name,
         passed=(
-            violation <= _WEYL_HULL_THRESHOLD
+            violation <= threshold
             and realization <= _REALIZATION_TOL
             and worst_gradient <= _ASCENT_GRADIENT_CUT
         ),
         max_violation=violation,
-        threshold=_WEYL_HULL_THRESHOLD,
+        threshold=threshold,
         n_samples=_WEYL_HULL_STARTS,
         seed=seed,
         details={
@@ -669,12 +588,9 @@ def sp_falsify_nonpolar(
     orbit hull and the semigroup property fails.
     """
     if u is None or v is None:
-        if model.falsify_pair is not None:
-            u, v = model.falsify_pair
-        else:
-            rng = np.random.default_rng(seed + 9)
-            u = rng.standard_normal(model.ambient_dim)
-            v = rng.standard_normal(model.ambient_dim)
+        rng = np.random.default_rng(seed + 9)
+        u = rng.standard_normal(model.ambient_dim)
+        v = rng.standard_normal(model.ambient_dim)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -682,7 +598,7 @@ def sp_falsify_nonpolar(
     rng = np.random.default_rng(seed + 10)
     points = np.vstack([u, v, rng.standard_normal((4, model.ambient_dim))])
     orbits = np.concatenate(
-        [model.images(seed, n_group_samples, points), points[:, None, :]], axis=1
+        [group_images(model, seed, n_group_samples, points), points[:, None, :]], axis=1
     )
     orbit_u, orbit_v = orbits[0], orbits[1]
     sums = (orbit_u[:, None, :] + orbit_v[None, :, :]).reshape(-1, model.ambient_dim)

@@ -12,10 +12,9 @@ hull whose uncertified vertex candidates each cost an LP, the cone
 reduction that decides each halfspace by an LP, the cone rays found
 by one SVD per (d - 1)-subset of normals, and the Voronoi check on
 (samples x points x dim) arrays with one einsum for the cell margins.
-The polar sampler primitives have references too: scipy's QR-based Haar
-sampler, the three-operand conjugation einsum and the block matrices of the
-Hopf circle, each a batch of matrices to apply to points; so does the
-Cartan orthogonality check, as its per-point loop.  The group layer's references
+The polar group elements have a reference too, scipy's expm of the same
+seeded algebra elements; so does the Cartan orthogonality check, as its
+per-point loop.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
 tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
@@ -29,8 +28,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import linprog
-from scipy.stats import special_ortho_group
 
 from orbitpoly import cones, coxeter, polytope
 from orbitpoly.catalog import CATALOG_NAMES
@@ -616,29 +615,14 @@ def is_reflection_generated_reference(G, tol=DEFAULT_TOL):
     return close_generators(mirrors, tol=tol, max_order=G.order).order == G.order
 
 
-def sample_rotations_reference(seed, count):
-    """Haar rotations from scipy: batched LAPACK QR of seeded Gaussians, sign-fixed."""
-    rng = np.random.default_rng(seed)
-    mats = special_ortho_group.rvs(3, size=count, random_state=rng)
-    return np.asarray(mats).reshape(count, 3, 3)
+def group_elements_reference(model, seed, count):
+    """The seeded elements of ``polar.group_images`` as matrices, by scipy's expm.
 
-
-def conjugation_action_reference(rotations):
-    """5x5 matrices of A -> R A R^T in the symmetric traceless basis, by one einsum chain."""
-    rotations = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
-    transformed = np.einsum("sac,jcd,sbd->sjab", rotations, _SYM_BASIS, rotations)
-    return np.einsum("iab,sjab->sij", _SYM_BASIS, transformed)
-
-
-def hopf_rotations_reference(seed, count):
-    """4x4 matrices of the Hopf circle: one seeded angle turning planes (0, 1) and (2, 3)."""
-    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, count)
-    c, s = np.cos(theta), np.sin(theta)
-    block = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
-    out = np.zeros((count, 4, 4))
-    out[:, :2, :2] = block
-    out[:, 2:, 2:] = block
-    return out
+    The same draw, xi uniform in [-pi, pi]^dim_k from ``default_rng(seed)``,
+    exponentiated one element at a time by Pade approximation.
+    """
+    xi = np.random.default_rng(seed).uniform(-np.pi, np.pi, (count, len(model.algebra)))
+    return np.array([expm(np.tensordot(x, model.algebra, axes=1)) for x in xi])
 
 
 def check_cartan_orthogonality_reference(model, n_samples=200, seed=0):

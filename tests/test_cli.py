@@ -578,7 +578,7 @@ def _fresh_python(script, *args):
 
 
 def test_cold_start_leaves_scipy_stats_unloaded(tmp_path):
-    # A fresh interpreter: this test process already holds scipy.stats.
+    # A fresh interpreter: this test process may already hold scipy.stats.
     result = _fresh_python(_COLD_START, tmp_path)
     assert result["codes"] == [0, 0, 0]
     assert not result["stats_loaded"]
