@@ -40,6 +40,7 @@ from .cones import (
     dual_cone,
     in_orbit_cone,
     orbit_cone,
+    orbit_hull,
     voronoi_consistency,
 )
 from .coxeter import (
@@ -91,6 +92,7 @@ __all__ = [
     "dual_cone",
     "in_orbit_cone",
     "orbit_cone",
+    "orbit_hull",
     "voronoi_consistency",
     "ChamberData",
     "SPReport",

@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__, catalog, polar
-from .cones import orbit_cone, voronoi_consistency
+from .cones import orbit_cone, orbit_hull, voronoi_consistency
 from .coxeter import (
     _jsonable,
     group_reflections,
@@ -31,9 +31,9 @@ from .coxeter import (
     sp_equivalence_report,
 )
 from .errors import OrbitPolyError
-from .group import find_regular, group_from_json_dict, orbit
+from .group import find_regular, group_from_json_dict, orbit, root_data
 from .numerics import Tolerance
-from .polytope import export_off, hull, minkowski_sum
+from .polytope import export_off, minkowski_sum
 
 
 def _fail(message: str, code: int = 1):
@@ -201,7 +201,7 @@ def cmd_orbit(group, seed):
 def cmd_hull(group, seed, off_path):
     """Convex hull of the orbit of a seeded regular vector."""
     v = find_regular(group, seed)
-    poly = hull(orbit(group, v).points, group.tol)
+    poly = orbit_hull(group, v)
     data = {
         "base": v.tolist(),
         "vertices": poly.vertices.tolist(),
@@ -218,7 +218,12 @@ def cmd_minkowski(group, seed, off_path):
     """Minkowski sum of two seeded orbit hulls."""
     u = find_regular(group, seed)
     v = find_regular(group, seed + 1)
-    total = minkowski_sum(orbit(group, u), orbit(group, v), group.tol)
+    # On a reflection group the sum is hull(O_(u+v')) for the v' that the SP check certifies.
+    ok, v_prime = sp_check_pair(group, u, v) if root_data(group) is not None else (False, None)
+    if ok:
+        total = orbit_hull(group, u + v_prime)
+    else:
+        total = minkowski_sum(orbit(group, u), orbit(group, v), group.tol)
     data = {
         "u": u.tolist(),
         "v": v.tolist(),

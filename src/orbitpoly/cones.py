@@ -1,4 +1,4 @@
-"""Polyhedral cone calculus: orbit cones, duality, and the Voronoi partition.
+"""Polyhedral cone calculus: orbit cones, orbit hulls, duality, and the Voronoi partition.
 
 The central object is the cone attached to an orbit point v, bounded by the
 halfspaces ``<u, v - gv> >= 0`` over the orbit of v.  For orbits of a finite
@@ -8,7 +8,9 @@ of the orbit points, which is what :func:`voronoi_consistency` checks.
 No LP is solved and no subsets are enumerated here: irredundant normals
 come from hull incidence at the cone's apex (one Qhull call), extreme rays
 from the dual basis of independent normals or from one more Qhull call,
-on the first read of a cone's rays.
+on the first read of a cone's rays.  At a regular vector of a group
+generated by reflections, orbit cones and orbit hulls (:func:`orbit_hull`)
+are read from root data with no Qhull call.
 The library solves no LP.
 """
 
@@ -28,11 +30,25 @@ from .numerics import (
     distinct_rows,
     lazy_import,
 )
-from .polytope import _edge_neighbors, _merge_facet_rows, _qhull
+from .polytope import (
+    Polytope,
+    _affine_chart,
+    _chart_polytope,
+    _edge_neighbors,
+    _hull_points,
+    _merge_facet_rows,
+    _qhull,
+    hull,
+)
 
 # Never called here: perfbench/tracing.py's SCIPY_ENTRY_POINTS looks this name
 # up with getattr at install, like polytope.HalfspaceIntersection.
 linprog = lazy_import("scipy.optimize", "linprog")
+
+# Each float64 (block x orbit points) work array of voronoi_consistency stays within
+# this many bytes (blocks have at least 3 rows, so for orbits of up to 2730 points),
+# below glibc's 128 KiB mmap threshold: the walk reuses heap pages, not fresh ones.
+_VORONOI_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +217,26 @@ def orbit_cone(G: FiniteGroup, v) -> PolyhedralCone:
     return cone
 
 
+def orbit_hull(G: FiniteGroup, v) -> Polytope:
+    """Convex hull of the orbit of v, as :func:`~orbitpoly.polytope.hull` would build it.
+
+    At a regular v of a group with root data (the test of :func:`orbit_cone`)
+    the hull is Wythoff's: every fundamental coweight carries a facet at a
+    regular point (Coxeter, *Regular Polytopes*), so the facet normals are
+    the root-data rows g ω_k, grouped by k, at their support values, and the
+    vertices are the orbit points, rounded and sorted as hull input.  The
+    rows do not depend on v, so no facet splits near a mirror, and no Qhull
+    call is made.  Any other v or group takes ``hull`` of the orbit points.
+    """
+    points = orbit(G, v).points
+    roots = root_data(G) if len(points) == G.order else None
+    if roots is None:
+        return hull(points, G.tol)
+    pts = _hull_points(points)
+    origin, basis, _ = _affine_chart(pts, G.tol)
+    return _chart_polytope(pts, roots.rows[: len(roots.row_coweight)], origin, basis, G.tol)
+
+
 def orbit_cone_normals(G: FiniteGroup, v) -> np.ndarray:
     """Unit normals of the (unreduced) orbit-cone constraints of v.
 
@@ -299,14 +335,16 @@ def voronoi_consistency(
     lets callers inject deliberate tie samples such as wall points.
 
     The cell of the orbit point g v is g C, for C the orbit cone of v, so
-    its walls are the images g n of C's facet normals n.  Every work array
-    has the shape (samples, orbit points), so time and memory are
-    O(samples x |O|):
+    its walls are the images g n of C's facet normals n.  The samples are
+    walked in blocks, and each work array has the shape (block, orbit
+    points), within _VORONOI_BLOCK_BYTES.  Every decision reads one sample's
+    row alone, so the blocks give the same bits, and the violations come in
+    (sample, point) order:
 
     - distances are accumulated one coordinate at a time and then rooted,
       the same additions in the same order as ``np.linalg.norm`` along the
       coordinates, so they carry its bits;
-    - membership is a running minimum of one (samples x dim) @ (dim x
+    - membership is a running minimum of one (block x dim) @ (dim x
       points) product per facet of C.
     """
     v = as_vector(v, G.dim)
@@ -323,39 +361,42 @@ def voronoi_consistency(
         samples = np.vstack([samples, np.atleast_2d(np.asarray(extra_points, dtype=float))])
 
     points = orb.points
-    dists = np.zeros((len(samples), len(points)))
-    work = np.empty_like(dists)
-    for j in range(G.dim):
-        np.subtract(samples[:, j, None], points[None, :, j], out=work)
-        np.multiply(work, work, out=work)
-        dists += work
-    np.sqrt(dists, out=dists)
-    nearest = dists <= dists.min(axis=1, keepdims=True) + tol.eps_eq
+    # A one-row product takes BLAS's matrix-vector kernel, whose bits differ
+    # from the matrix product's, so a lone last sample joins the block before.
+    block = max(2, _VORONOI_BLOCK_BYTES // (8 * len(points)) - 1)
+    bounds = [0, *range(block, len(samples) - 1, block), len(samples)]
+    violations, wall_distances = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = samples[start:stop]
+        dist = np.zeros((len(chunk), len(points)))
+        work = np.empty_like(dist)
+        for j in range(G.dim):
+            np.subtract(chunk[:, j, None], points[None, :, j], out=work)
+            np.multiply(work, work, out=work)
+            dist += work
+        np.sqrt(dist, out=dist)
+        nearest = dist <= dist.min(axis=1, keepdims=True) + tol.eps_eq
 
-    if cones.shape[1] == 0:
-        member = np.ones((len(samples), len(orb)), dtype=bool)
-        min_wall_distance = None
-    else:
-        low = np.matmul(samples, cones[:, 0, :].T, out=dists)  # the distances are spent
-        for m in range(1, cones.shape[1]):
-            np.matmul(samples, cones[:, m, :].T, out=work)
-            np.minimum(low, work, out=low)
-        member = low >= -tol.eps_eq
-        np.abs(low, out=low)
-        min_wall_distance = float(low.min())
+        if cones.shape[1] == 0:
+            member = np.ones_like(nearest)
+        else:
+            low = np.matmul(chunk, cones[:, 0, :].T, out=dist)  # the distances are spent
+            for m in range(1, cones.shape[1]):
+                np.matmul(chunk, cones[:, m, :].T, out=work)
+                np.minimum(low, work, out=low)
+            member = low >= -tol.eps_eq
+            wall_distances.append(float(np.abs(low, out=low).min()))
 
-    violations = []
-    bad = np.argwhere(nearest != member)
-    for s, k in bad:
-        violations.append(
-            {
-                "sample_index": int(s),
-                "point_index": int(k),
-                "nearest": bool(nearest[s, k]),
-                "in_cone": bool(member[s, k]),
-                "sample": samples[s].tolist(),
-            }
-        )
+        for s, k in np.argwhere(nearest != member):
+            violations.append(
+                {
+                    "sample_index": start + int(s),
+                    "point_index": int(k),
+                    "nearest": bool(nearest[s, k]),
+                    "in_cone": bool(member[s, k]),
+                    "sample": chunk[s].tolist(),
+                }
+            )
     return VoronoiReport(
         group=G.name,
         base=v,
@@ -363,6 +404,6 @@ def voronoi_consistency(
         n_samples=len(samples),
         seed=seed,
         violations=tuple(violations),
-        min_wall_distance=min_wall_distance,
+        min_wall_distance=min(wall_distances, default=None),
     )
 

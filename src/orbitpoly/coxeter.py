@@ -29,11 +29,13 @@ Which geometry comes from where:
   pinned along the fixed subspace), and orbit cones at regular vectors
   read their hull edges from it (the reflections in the walls of the
   vector's chamber), as do :func:`chamber` and
-  :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call.
+  :func:`hull_from_dual_cones`.  ``theorem2`` then makes no Qhull call,
+  and neither do ``hull`` and ``minkowski`` at regular vectors
+  (:func:`~orbitpoly.cones.orbit_hull`).
 - Any other group reads the SP rows from orbit cones.  They, orbit cones
-  at non-regular vectors, and the ``hull`` and ``minkowski`` commands
-  keep Qhull (:mod:`orbitpoly.cones`, :mod:`orbitpoly.polytope`).  No
-  LP is solved anywhere.
+  and hulls at non-regular vectors, and the ``hull`` and ``minkowski``
+  commands on such groups keep Qhull (:mod:`orbitpoly.cones`,
+  :mod:`orbitpoly.polytope`).  No LP is solved anywhere.
 
 The root data is read off once reflection generation (criterion ii) holds,
 so the SP criterion could inherit an error of that decision.  It stays
@@ -52,7 +54,7 @@ from typing import Any
 
 import numpy as np
 
-from .cones import PolyhedralCone, cone_contains, cone_equal, orbit_cone
+from .cones import PolyhedralCone, cone_contains, cone_equal, orbit_cone, orbit_hull
 from .errors import (
     GeometryError,
     InconsistentCriteriaError,
@@ -77,7 +79,7 @@ from .numerics import (
     row_keys,
     unit,
 )
-from .polytope import Polytope, hull
+from .polytope import Polytope
 
 # Seeded random SP pairs (and as many extra peak test points) per report,
 # and the samples of the local cone criterion.
@@ -194,9 +196,11 @@ def hull_from_dual_cones(G: FiniteGroup, v, ch: ChamberData) -> Polytope:
     The vertex x0 in the chamber of the root-data coweights is where the
     coweight rows and the pins are tight: one d x d solve.  x0 is checked
     against every row, and since the halfspaces are G-invariant, the vertex
-    of chamber gC is g x0; the hull is that of the distinct images.  So the
-    vertices come from the halfspaces, not from the orbit of v, and can be
-    cross-checked against the direct orbit hull.
+    of chamber gC is g x0; the hull is that of the distinct images
+    (:func:`~orbitpoly.cones.orbit_hull`, whose facets at a regular x0 are
+    the coweight rows themselves).  So the vertices come from the
+    halfspaces, not from the orbit of v, and can be cross-checked against
+    the direct orbit hull.
     """
     v = as_vector(v, G.dim)
     tol = G.tol
@@ -213,7 +217,7 @@ def hull_from_dual_cones(G: FiniteGroup, v, ch: ChamberData) -> Polytope:
     )
     if np.any(roots.rows @ x0 > offsets + tol.eps_eq):
         raise GeometryError("the chamber vertex of the dual-cone halfspaces violates one of them")
-    return hull(orbit(G, x0).points, tol)
+    return orbit_hull(G, x0)
 
 
 def criterion_peak(G: FiniteGroup, v_reg, test_points) -> tuple[bool, np.ndarray | None]:

@@ -435,7 +435,8 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     Returns, per direction, the largest height over its rows and the least
     gradient norm among the rows that reach it to within _ASCENT_SLACK (the
     witnesses of a polar action start at the maxima, where rounding alone
-    orders the heights), and the number of steps the batch took.
+    orders the heights), the number of steps the batch took, and the number
+    of rows still moving when it stopped (non-zero only at the step cap).
     """
     dim_k, dim = algebra.shape[:2]
     x = np.tile(starts, (len(directions), 1))
@@ -482,7 +483,7 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     heights = heights.reshape(len(directions), len(starts))
     top = heights.max(axis=1)
     at_top = heights >= top[:, None] - _ASCENT_SLACK
-    return top, np.where(at_top, gradient_norms.reshape(heights.shape), np.inf).min(axis=1), steps
+    return top, np.where(at_top, gradient_norms.reshape(heights.shape), np.inf).min(axis=1), steps, len(rows)
 
 
 def _weyl_hull_rows(weyl_hull, cartan_basis: np.ndarray):
@@ -526,8 +527,10 @@ def check_projection_matches_weyl_hull(
     by which a height passes its facet's offset, or 0;
     ``max_gradient_norm`` is the largest over the facets of the gradient
     norm at a row reaching the facet's maximum, which must be at most
-    _ASCENT_GRADIENT_CUT for a pass.  The reverse containment is exact:
-    each Weyl vertex is realized as the projection of its own witness image.
+    _ASCENT_GRADIENT_CUT for a pass; ``rows_at_step_cap`` counts the rows
+    still moving when the batch hit _ASCENT_MAX_STEPS.  The reverse
+    containment is exact: each Weyl vertex is realized as the projection of
+    its own witness image.
     """
     _require_weyl(model)
     if a is None:
@@ -543,7 +546,7 @@ def check_projection_matches_weyl_hull(
     starts = np.concatenate(
         [group_images(model, seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
     ) / norm
-    heights, gradient_norms, steps = _ascend(model.algebra, starts, directions)
+    heights, gradient_norms, steps, at_cap = _ascend(model.algebra, starts, directions)
     violation = size * max(0.0, float(np.max(heights - offsets)))
     threshold = _WEYL_HULL_THRESHOLD * norm
     worst_gradient = float(gradient_norms.max())
@@ -569,6 +572,7 @@ def check_projection_matches_weyl_hull(
             "vertex_realization_error": realization,
             "max_gradient_norm": worst_gradient,
             "ascent_steps": steps,
+            "rows_at_step_cap": at_cap,
         },
     )
 

@@ -14,16 +14,18 @@ the last Qhull call.
 Hull input is rounded to 12 decimals and sorted lexicographically (first
 coordinate first) before Qhull sees it; of rows equal after rounding (0.0
 equals -0.0), the first in input order is kept.  A Minkowski sum is one
-hull, of the pairwise sums of its summands' vertices.
+hull, of the pairwise sums of its summands' vertices; on a reflection group
+the ``minkowski`` command builds none, as the sum of two orbit hulls is
+itself one (:func:`~orbitpoly.cones.orbit_hull`).
 
 Cuts read the given :class:`~orbitpoly.numerics.Tolerance`: equality at eps_eq, ranks
 at eps_rank, facet merges and incidence at eps_eq but no finer than ``_QHULL_SPREAD``.
 
 The scipy entry points (``ConvexHull``, ``cKDTree``) are module attributes
 made by :func:`~orbitpoly.numerics.lazy_import`: each imports
-``scipy.spatial`` on its first call.  Reflection-group verdicts read their
-geometry from root data and never call them, so their processes never load
-it.
+``scipy.spatial`` on its first call.  Reflection-group verdicts, and the
+hulls of regular orbits of reflection groups, read their geometry from root
+data and never call them, so their processes never load it.
 """
 
 from __future__ import annotations

@@ -39,6 +39,18 @@ def _report(result):
     return json.loads(result.output)
 
 
+def _group_file(tmp_path, name):
+    """A definition file of a catalog group, or of one of tests/helpers.py's 3-d groups."""
+    if name in CATALOG_NAMES:
+        data = fixture_dict(name)
+    else:
+        gens = helpers.NON_REFLECTION_GENERATORS.get(name) or helpers.reflection_generators(name)
+        data = {"name": name, "dim": 3, "generators": np.array(gens).tolist()}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def test_theorem2_coxeter_group(runner, fixtures):
     result = _run(runner, ["theorem2", "--input", str(fixtures / "b2.json")])
     assert result.exit_code == 0
@@ -213,9 +225,12 @@ def test_minkowski_and_sp_check(runner, fixtures):
     assert result.exit_code == 0  # a false verdict is still a computed verdict
 
 
-def test_minkowski_builds_only_the_hull_of_the_sum(runner, fixtures, monkeypatch):
-    # The summands are orbits, whose points are their hulls' vertices.
-    from orbitpoly import cli, polytope
+@pytest.mark.parametrize("name, vertices, hulls", [("b3", 48, 0), ("chiral_o", 96, 1)])
+def test_minkowski_builds_only_the_hull_of_the_sum(runner, tmp_path, monkeypatch, name, vertices, hulls):
+    # On a reflection group the sum is the orbit hull of u + v', read from
+    # root data with no hull call.  Any other group takes one hull, of the
+    # pairwise sums of the summands' orbit points (their hulls' vertices).
+    from orbitpoly import cones, polytope
 
     calls = []
     real = polytope.hull
@@ -225,11 +240,11 @@ def test_minkowski_builds_only_the_hull_of_the_sum(runner, fixtures, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "hull", counted)
-    monkeypatch.setattr(cli, "hull", counted)
-    result = _run(runner, ["minkowski", "--input", str(fixtures / "b3.json")])
+    monkeypatch.setattr(cones, "hull", counted)
+    result = _run(runner, ["minkowski", "--input", str(_group_file(tmp_path, name))])
     assert result.exit_code == 0
-    assert len(_report(result)["data"]["vertices"]) == 48
-    assert len(calls) == 1
+    assert len(_report(result)["data"]["vertices"]) == vertices
+    assert len(calls) == hulls
 
 
 def test_cone_command(runner, fixtures):
@@ -381,7 +396,7 @@ def test_polar_verify_samples_is_unread(runner):
     assert projection["n_samples"] == polar._WEYL_HULL_STARTS
     assert projection["details"]["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
     assert set(projection["details"]) == {
-        "hull_vertices", "vertex_realization_error", "max_gradient_norm", "ascent_steps"
+        "hull_vertices", "vertex_realization_error", "max_gradient_norm", "ascent_steps", "rows_at_step_cap"
     }
 
 
@@ -437,8 +452,8 @@ def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
 @pytest.mark.parametrize(
     "command, attribute",
     [
-        ("hull", "hull"),
-        ("minkowski", "minkowski_sum"),
+        ("hull", "orbit_hull"),
+        ("minkowski", "orbit_hull"),
         ("cone", "orbit_cone"),
         ("voronoi-check", "voronoi_consistency"),
         ("sp-check", "sp_check_pair"),
@@ -510,15 +525,10 @@ def test_coarse_tol_counts_no_rotoreflection_as_a_reflection(runner, tmp_path):
 @pytest.mark.parametrize("tol", ["1e-10", "1e-11"])
 @pytest.mark.parametrize("name, facets", [("a3", 14), ("h3", 62)])
 def test_fine_tol_keeps_hull_facets(runner, tmp_path, tol, name, facets):
-    # At seed 7 the base vectors lie near a mirror, where Qhull's equations
-    # for one facet spread up to ~1e-9: facets merge at that spread however
-    # fine the tolerance.
-    if name in CATALOG_NAMES:
-        data = fixture_dict(name)
-    else:
-        data = {"name": name, "dim": 3, "generators": np.array(helpers.reflection_generators(name)).tolist()}
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(data))
+    # At seed 7 the base vectors lie near a mirror.  The facets are the
+    # root-data rows g w_k, one per facet whatever the tolerance, so no facet
+    # is split into pieces a fine tolerance keeps apart.
+    path = _group_file(tmp_path, name)
     report = _report(_run(runner, ["hull", "--input", str(path), "--seed", "7", "--tol", tol]))
     assert len(report["data"]["facet_normals"]) == facets
 
@@ -596,14 +606,17 @@ _SCIPY_LOADS = textwrap.dedent(
     import orbitpoly.cli
 
     out = sys.argv[1]
-    group = ["--input", out + "/b3.json", "--out", out + "/report.json"]
+    report = ["--out", out + "/report.json"]
+    group = ["--input", out + "/b3.json", *report]
     commands = [
         ["catalog", "--out", out],
         *([name, *group] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
-        ["polar-verify", "--model", "so3_standard", "--out", out + "/report.json"],
+        ["polar-verify", "--model", "so3_standard", *report],
         ["minkowski", *group],
         ["hull", *group],
+        ["minkowski", "--input", out + "/a3.json", *report],
+        ["hull", "--input", out + "/c4.json", *report],
     ]
     loaded = []
     for args in commands:
@@ -619,16 +632,18 @@ _SCIPY_LOADS = textwrap.dedent(
 
 
 def test_scipy_loads_only_on_the_commands_that_call_it(tmp_path):
-    # Reflection-group verdicts are read from root data: no Qhull or k-d
-    # tree, so their processes never import scipy.spatial.  minkowski and
-    # hull call Qhull and the k-d tree.  No command solves an LP, so none
-    # imports scipy.optimize.
+    # Reflection-group verdicts, orbit hulls and Minkowski sums are read
+    # from root data: no Qhull or k-d tree, so their processes never import
+    # scipy.spatial.  hull on a rotation group calls Qhull and the k-d tree.
+    # No command solves an LP, so none imports scipy.optimize.
     loaded = _fresh_python(_SCIPY_LOADS, tmp_path)
     assert loaded == [
         ["catalog", []],
         *([name, []] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
         ["polar-verify", []],
-        ["minkowski", ["scipy.spatial"]],
+        ["minkowski", []],
+        ["hull", []],
+        ["minkowski", []],
         ["hull", ["scipy.spatial"]],
     ]

@@ -372,6 +372,21 @@ def test_voronoi_ties_at_wall_midpoints(groups, name):
         assert np.sum(d <= d.min() + G.tol.eps_eq) == 2
 
 
+def test_voronoi_blocks_match_reference(groups):
+    # A sample count that no whole number of blocks makes, wall midpoints
+    # appended: the block walk keeps every decision and the violation order.
+    # One sample is left over, and the last block takes it.
+    G = helpers.named_group(groups, "h3")
+    v = find_regular(G, 5)
+    block = cones._VORONOI_BLOCK_BYTES // (8 * G.order) - 1
+    midpoints = [v - (v @ n) * n for n in orbit_cone(G, v).halfspace_normals]
+    n_samples = 7 * block + 1 - len(midpoints)
+    assert 1 < block and (n_samples + len(midpoints)) % block == 1
+    report = _assert_voronoi_matches_reference(G, v, n_samples, 5, extra_points=midpoints)
+    assert report.n_samples == n_samples + len(midpoints)
+    assert report.min_wall_distance <= G.tol.eps_eq
+
+
 @pytest.mark.parametrize(
     "name, seed, n_violations",
     [
@@ -392,8 +407,9 @@ def test_voronoi_near_mirror_matches_reference(groups, name, seed, n_violations)
 
 @pytest.mark.parametrize("name", ["d4", "f4"])
 def test_voronoi_memory_is_bounded(groups, name):
-    # Every work array is (samples, orbit points): two of floats and a few
-    # of bools at the peak, below six float arrays of that shape.
+    # The work arrays are (block, orbit points), within the block budget
+    # each; the rest grows with the samples (n x dim) and with the orbit's
+    # cells (|G| x dim x dim), not with their product.
     G = helpers.named_group(groups, name)
     v = find_regular(G, 0)
     voronoi_consistency(G, v, 10, 0)  # orbit and root data cached untraced
@@ -403,7 +419,8 @@ def test_voronoi_memory_is_bounded(groups, name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * report.n_samples * report.n_points * 8, peak
+    floats = report.n_samples * G.dim + G.order * G.dim**2
+    assert peak < 4 * cones._VORONOI_BLOCK_BYTES + 4 * 8 * floats, peak
 
 
 def test_voronoi_trivial_group():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from orbitpoly import coxeter
+from orbitpoly import cones, coxeter, polytope
 from orbitpoly.cones import orbit_cone, cone_equal
 from orbitpoly.coxeter import (
     chamber,
@@ -321,7 +321,8 @@ def test_sp_scan_without_root_data_builds_no_orbit_hull(groups, name, monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("the SP report built an orbit hull")
 
-    monkeypatch.setattr(coxeter, "hull", forbidden)
+    for module in (coxeter, cones, polytope):
+        monkeypatch.setattr(module, "orbit_hull" if module is coxeter else "hull", forbidden)
     rep = sp_equivalence_report(helpers.named_group(groups, name), seed=7)
     assert rep.verdict is False
     assert not rep.criterion_results["sp"][0]

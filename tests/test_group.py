@@ -37,7 +37,7 @@ def test_group_functions_read_the_group_tolerance():
             params = list(inspect.signature(fn, eval_str=True).parameters.values())
             if params and params[0].annotation is FiniteGroup:
                 taking_a_group[f"{module.__name__}.{name}"] = [p.name for p in params]
-    assert len(taking_a_group) == 18, sorted(taking_a_group)
+    assert len(taking_a_group) == 19, sorted(taking_a_group)
     with_tol = {name for name, params in taking_a_group.items() if "tol" in params}
     assert with_tol == {"orbitpoly.group.group_reflections"}
     assert inspect.signature(group.group_reflections).parameters["tol"].default is None

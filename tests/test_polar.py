@@ -296,7 +296,7 @@ def _unit_starts(model, a, seed):
 def _orbit_maxima(model, a, directions, seed):
     """max over K a of <x, n> for each row n of directions, by the check's ascent and starts."""
     size = np.linalg.norm(a)
-    heights, gradient_norms, _ = polar._ascend(model.algebra, _unit_starts(model, a, seed), directions)
+    heights, gradient_norms, *_ = polar._ascend(model.algebra, _unit_starts(model, a, seed), directions)
     assert gradient_norms.max() <= polar._ASCENT_GRADIENT_CUT
     return size * heights
 
@@ -470,6 +470,17 @@ def test_projection_hull_is_scale_free(name, seed):
         assert report.details["ascent_steps"] == base.details["ascent_steps"]
         assert abs(report.max_violation / c - base.max_violation) <= 1e-12
         assert report.threshold / c == pytest.approx(base.threshold, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed, capped", [(117, True), (0, False), (1, False), (7, False), (42, False)])
+def test_rows_at_step_cap_are_reported(sym3, seed, capped):
+    # At seed 117 the Cartan point has a near-double eigenvalue, and rows
+    # starting near its saddle are still moving when the batch stops at the
+    # step cap; the check passes on the rows that reached each maximum.
+    report = polar.check_projection_matches_weyl_hull(sym3, seed=seed)
+    assert report.passed
+    assert (report.details["rows_at_step_cap"] > 0) == capped
+    assert (report.details["ascent_steps"] == polar._ASCENT_MAX_STEPS) == capped
 
 
 def test_sampled_support_bounded_by_sorted_pairing(sym3):

@@ -18,6 +18,7 @@ import pytest
 
 import helpers
 from orbitpoly import polytope
+from orbitpoly.cones import orbit_hull
 from orbitpoly.coxeter import chamber, hull_from_dual_cones, sp_equivalence_report
 from orbitpoly.errors import GeometryError
 from orbitpoly.group import close_generators, find_regular, group_reflections, orbit, root_data
@@ -130,7 +131,7 @@ def _hull_from_dual_cones_reference(G, x):
     x0 = np.linalg.solve(
         np.vstack([roots.coweights, roots.fixed]), np.r_[top, offsets[m : m + len(roots.fixed)]]
     )
-    return hull(orbit(G, x0).points)
+    return orbit_hull(G, x0)
 
 
 @pytest.mark.parametrize("name", SUPPORT_GROUPS)
@@ -270,3 +271,73 @@ def test_theorem2_rotation_control_within_budget():
     assert not rep.verdict
     assert not any(passed for passed, _ in rep.criterion_results.values())
     assert elapsed < ROTATION_CONTROL_THEOREM2_BUDGET_S, f"theorem2 b4_rotations took {elapsed:.2f}s"
+
+
+# The catalog reflection groups, H3, D4, B4 and F4.
+ORBIT_HULL_GROUPS = ("a2", "b2", "g2", "i2_5", "a3", "b3", "h3", "d4", "b4", "f4")
+
+
+@pytest.mark.parametrize("name", ORBIT_HULL_GROUPS)
+def test_orbit_hull_is_the_qhull_hull(groups, name):
+    # Same facets within eps_eq, and the same rounded, sorted vertices; a 2-d
+    # hull() lists them in Qhull's counterclockwise order instead.
+    G = helpers.named_group(groups, name)
+    for seed in range(5):
+        v = find_regular(G, seed)
+        got, want = orbit_hull(G, v), hull(orbit(G, v).points)
+        facets = [np.column_stack([P.facet_normals, P.facet_offsets]) for P in (got, want)]
+        assert helpers.match_point_sets(*facets, eps=DEFAULT_TOL.eps_eq), seed
+        assert (got.affine_dim, len(got.facet_normals)) == (want.affine_dim, FACETS[name])
+        if G.dim >= 3:
+            assert np.array_equal(got.vertices, want.vertices), seed
+        else:
+            assert helpers.match_point_sets(got.vertices, want.vertices, eps=0.0), seed
+
+
+@pytest.fixture
+def no_qhull(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise QhullCalled
+
+    monkeypatch.setattr(polytope, "ConvexHull", forbidden)
+
+
+@pytest.mark.parametrize("name, seed", [("h3", 198647486), ("f4", 35)])
+def test_orbit_hull_where_qhull_miscounts(groups, no_qhull, name, seed):
+    # hull() gives this H3 orbit 122 facets and fails on this F4 one (QH6417).
+    G = helpers.named_group(groups, name)
+    P = orbit_hull(G, find_regular(G, seed))
+    assert (P.n_vertices, len(P.facet_normals)) == (G.order, FACETS[name])
+
+
+@pytest.mark.parametrize("name", ["a3", "h3", "f4"])
+def test_orbit_hull_near_a_mirror(groups, no_qhull, name):
+    # Seeds 0-4 moved 1e-4 ... 1e-7 off their nearest mirror are still
+    # regular, so the hull keeps the regular count; hull() is right on only
+    # 1, 3 and 18 of these 20 orbits.
+    G = helpers.named_group(groups, name)
+    normals = root_data(G).normals
+    for seed in range(5):
+        v = find_regular(G, seed)
+        margins = normals @ v
+        i = int(np.argmin(np.abs(margins)))
+        for delta in (1e-4, 1e-5, 1e-6, 1e-7):
+            w = v - (margins[i] - math.copysign(delta, margins[i])) * normals[i]
+            P = orbit_hull(G, w)
+            assert (P.n_vertices, len(P.facet_normals)) == (G.order, FACETS[name]), (seed, delta)
+
+
+def test_hull_from_dual_cones_on_b5_chamber_points(groups):
+    # Criterion 5's points (tests/test_acceptance.py) on B5: the fundamental
+    # rays, then positive combinations of them, each a regular vector whose
+    # hull has the 242 facets of the regular B5 orbit (hull() gave point 14
+    # 243).
+    G = helpers.named_group(groups, "b5")
+    ch = chamber(G, find_regular(G, 42))
+    rng = np.random.default_rng(42)
+    points = list(ch.fundamental_rays)
+    while len(points) < 20:
+        points.append(rng.uniform(0.0, 1.0, len(ch.fundamental_rays)) @ ch.fundamental_rays)
+    for k in range(len(ch.fundamental_rays), 20):
+        P = hull_from_dual_cones(G, points[k], ch)
+        assert (P.n_vertices, len(P.facet_normals)) == (G.order, FACETS["b5"]), k
