@@ -225,11 +225,7 @@ def test_minkowski_and_sp_check(runner, fixtures):
     assert result.exit_code == 0  # a false verdict is still a computed verdict
 
 
-@pytest.mark.parametrize("name, vertices, hulls", [("b3", 48, 0), ("chiral_o", 96, 1)])
-def test_minkowski_builds_only_the_hull_of_the_sum(runner, tmp_path, monkeypatch, name, vertices, hulls):
-    # On a reflection group the sum is the orbit hull of u + v', read from
-    # root data with no hull call.  Any other group takes one hull, of the
-    # pairwise sums of the summands' orbit points (their hulls' vertices).
+def _count_hulls(monkeypatch):
     from orbitpoly import cones, polytope
 
     calls = []
@@ -241,10 +237,27 @@ def test_minkowski_builds_only_the_hull_of_the_sum(runner, tmp_path, monkeypatch
 
     monkeypatch.setattr(polytope, "hull", counted)
     monkeypatch.setattr(cones, "hull", counted)
-    result = _run(runner, ["minkowski", "--input", str(_group_file(tmp_path, name))])
+    return calls
+
+
+def test_minkowski_builds_only_the_hull_of_the_sum(runner, tmp_path, monkeypatch):
+    # A group without root data takes one hull, of the pairwise sums of the
+    # summands' orbit points (their hulls' vertices).
+    calls = _count_hulls(monkeypatch)
+    result = _run(runner, ["minkowski", "--input", str(_group_file(tmp_path, "chiral_o"))])
     assert result.exit_code == 0
-    assert len(_report(result)["data"]["vertices"]) == vertices
-    assert len(calls) == hulls
+    assert len(_report(result)["data"]["vertices"]) == 96
+    assert len(calls) == 1
+
+
+def test_minkowski_on_root_data_builds_no_hull(runner, tmp_path, monkeypatch):
+    # On a reflection group the sum is the orbit hull of u + v', read from
+    # root data with no hull call.
+    calls = _count_hulls(monkeypatch)
+    result = _run(runner, ["minkowski", "--input", str(_group_file(tmp_path, "b3"))])
+    assert result.exit_code == 0
+    assert len(_report(result)["data"]["vertices"]) == 48
+    assert len(calls) == 0
 
 
 def test_cone_command(runner, fixtures):
@@ -452,7 +465,9 @@ def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
 @pytest.mark.parametrize(
     "command, attribute",
     [
+        ("hull", "hull"),
         ("hull", "orbit_hull"),
+        ("minkowski", "minkowski_sum"),
         ("minkowski", "orbit_hull"),
         ("cone", "orbit_cone"),
         ("voronoi-check", "voronoi_consistency"),
@@ -460,15 +475,20 @@ def test_internal_inconsistency_exit_code(runner, fixtures, monkeypatch):
         ("theorem2", "sp_equivalence_report"),
     ],
 )
-def test_geometry_error_exit_code(runner, fixtures, monkeypatch, command, attribute):
-    from orbitpoly import cli
+def test_geometry_error_exit_code(runner, fixtures, tmp_path, monkeypatch, command, attribute):
+    from orbitpoly import cli, cones
     from orbitpoly.errors import GeometryError
 
     def boom(*args, **kwargs):
         raise GeometryError("Qhull failed on 4 points (forced)\nQH6154 second line")
 
-    monkeypatch.setattr(cli, attribute, boom)
-    result = _run(runner, [command, "--input", str(fixtures / "b2.json")])
+    # Qhull (hull, minkowski_sum) runs only on a group without root data.
+    if attribute in ("hull", "minkowski_sum"):
+        path = _group_file(tmp_path, "chiral_o")
+    else:
+        path = fixtures / "b2.json"
+    monkeypatch.setattr(cones if attribute == "hull" else cli, attribute, boom)
+    result = _run(runner, [command, "--input", str(path)])
     assert result.exit_code == 2
     assert result.output == "error: GeometryError: Qhull failed on 4 points (forced)\n"
 
