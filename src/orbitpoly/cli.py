@@ -97,9 +97,15 @@ def _parse_tol(ctx, param, value):
         _fail(f"--tol must be a finite positive number, got {value}")
 
 
+# Largest --samples: voronoi-check holds every sample at once (48 MB in dim 6).
+_MAX_SAMPLES = 1_000_000
+
+
 def _check_samples(ctx, param, value):
     if value < 1:
         _fail(f"--samples must be at least 1, got {value}")
+    if value > _MAX_SAMPLES:
+        _fail(f"--samples must be at most {_MAX_SAMPLES}, got {value}")
     return value
 
 
@@ -110,9 +116,9 @@ _TOL = click.option("--tol", type=float, callback=_parse_tol,
                     help="Equality tolerance eps_eq (default 1e-9); the rank cut is 10 x eps_eq.")
 
 
-def _samples(help_text=None):
+def _samples(help_text):
     return click.option("--samples", default=1000, show_default=True, type=int,
-                        callback=_check_samples, help=help_text)
+                        callback=_check_samples, help=f"{help_text} At most {_MAX_SAMPLES}.")
 
 
 _OUT = click.option("--out", "out_path", type=click.Path(),
@@ -250,7 +256,7 @@ def cmd_cone(group, seed):
     }
 
 
-@_group_command("voronoi-check", _samples())
+@_group_command("voronoi-check", _samples("Seeded Gaussian points to check."))
 def cmd_voronoi(group, seed, samples):
     """Nearest-orbit-point vs cone-membership consistency over seeded samples."""
     v = find_regular(group, seed)
@@ -321,9 +327,8 @@ def cmd_theorem2(group, seed):
 @click.option("--model", "model_name", required=True, help="Built-in compact-group model name.")
 @_SEED
 @_TOL
-@_samples("Accepted and checked (at least 1) but unread: no check of the battery takes a "
-          "sample count. The dimension obstruction always draws 64 group elements and the "
-          "Weyl-hull ascent 4; the section checks draw none.")
+@_samples("Accepted and checked but unread: no check of the battery takes a sample count. "
+          "Only the Weyl-hull ascent draws group elements, its 4 starts.")
 @_OUT
 def cmd_polar_verify(model_name, seed, tol, samples, out_path):
     """Run the polar-structure check battery for a built-in model."""

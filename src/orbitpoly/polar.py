@@ -1,38 +1,37 @@
-"""Compact connected group models and numeric polar-structure checks.
+"""Compact connected group models and exact polar-structure checks.
 
-A model is its Lie algebra: a basis of matrices acting on the ambient
-space, with analytic Cartan/Weyl data; there is no general Lie-theory
-engine.  A compact connected Lie group is the image of the exponential map
-of its Lie algebra (Broecker-tom Dieck, Representations of Compact Lie
-Groups, GTM 98), so ``group_images`` draws every group element a check
-needs as exp of a seeded algebra element, with no sampler per model.
+A model is its Lie algebra, a basis of matrices X_t acting on the ambient
+space, with analytic Cartan/Weyl data.  A compact connected Lie group is the
+image of the exponential map of its Lie algebra (Broecker-tom Dieck, GTM
+98), so ``group_images`` draws group elements as exp of seeded algebra
+elements; only the Weyl-hull ascent draws any, as its starts.
 
 For a connected group acting orthogonally, a subspace is a section iff the
 orbit tangents at its points are orthogonal to it and its dimension is the
 codimension of a principal orbit, reached at its points (Dadok, Trans. AMS
 288, 1985; Palais-Terng, Trans. AMS 300, 1987).  ``check_cartan_orthogonality``
-and ``check_cohomogeneity`` decide the two halves from the Lie algebra, with
-no group samples.
+(every B X_t B^T vanishes, for B the subspace's basis) and
+``check_cohomogeneity`` decide the two halves from the Lie algebra.
 
-``check_projection_matches_weyl_hull`` decides the model's Weyl data: it
-compares the projection of K a onto the section with the hull of the Weyl
-orbit W a, which Kostant's convexity theorem makes equal for a polar action
-(Ann. Sci. ENS 6, 1973).  It needs no sampled containment: for each facet
-normal n of the hull it maximises the height <x, n> over K a by an ascent
-in the Lie algebra.  Principal orbits of a polar representation are taut
-(Hsiang-Palais-Terng, J. Differential Geom. 27, 1988), so a height function
-on them has no local maximum that is not global, and the ascent reaches
-the support value of the projection.  The other consequences of Kostant's
-equality follow from it: K a has norm |a|, and the points of that norm in
-hull(W a) are W a, so the orbit meets the section in W a; and the support
-of a sum of orbit hulls along a section direction is the sum of two
-projection supports.
+``check_projection_matches_weyl_hull`` decides the model's Weyl data: the
+projection of K a onto the section is the hull of W a, by Kostant's
+convexity theorem (Ann. Sci. ENS 6, 1973).  The Weyl group of a polar
+representation is a finite reflection group (Dadok; Palais-Terng), so its
+root-data rows cut out that hull.  Along each row the check maximises the
+height over K a by an ascent in the Lie algebra; principal orbits of a
+polar representation are taut (Hsiang-Palais-Terng, J. Differential Geom.
+27, 1988), so the ascent's critical point is the maximum.  The other
+consequences of Kostant's equality follow from it: K a has norm |a|, and
+the points of that norm in hull(W a) are W a, so the orbit meets the
+section in W a; and the support of a sum of orbit hulls along a section
+direction is the sum of two projection supports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from itertools import permutations
 from typing import Optional
 
@@ -40,9 +39,8 @@ import numpy as np
 
 from . import coxeter
 from .errors import NoCartanDataError
-from .group import close_generators
-from .numerics import DEFAULT_TOL, Tolerance, matrix_rank
-from .polytope import hull
+from .group import FiniteGroup, close_generators
+from .numerics import DEFAULT_TOL, Tolerance, distinct_rows, matrix_rank
 
 # Fixed pass criteria of the checks, each reported as its ``threshold``.
 _ORTHOGONALITY_THRESHOLD = 1e-8
@@ -81,10 +79,12 @@ class GroupModel:
 
     algebra[t] is the matrix X_t of a basis of the Lie algebra acting on the
     ambient space: the rows X_t v of ``algebra @ v`` span the orbit tangent
-    space at v, and the group is {exp(sum_t xi_t X_t)} (``group_images``).
+    space at v, and the group is {exp(sum_t xi_t X_t)} (``group_images``);
+    the checks read the group through the algebra, and the Weyl witnesses.
     cartan_basis rows are an orthonormal basis of the candidate subspace;
     weyl_elements act on its coordinates and weyl_witnesses are ambient
-    group elements realizing them.
+    group elements realizing them.  The Weyl elements are the whole Weyl
+    group, so they close within their own count (``weyl_is_coxeter``).
     """
 
     name: str
@@ -121,16 +121,7 @@ class PolarCheckReport:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "model": self.model,
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-            "threshold": self.threshold,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +288,25 @@ def _require_weyl(model: GroupModel):
         raise NoCartanDataError(f"model {model.name} has no Weyl data")
 
 
-def check_cartan_orthogonality(
-    model: GroupModel, n_samples: int = 200, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> PolarCheckReport:
+def check_cartan_orthogonality(model: GroupModel) -> PolarCheckReport:
     """Orbit tangents at candidate-subspace points must be orthogonal to it.
 
-    Reports the worst normalized inner product between a tangent direction
-    and a basis direction over seeded subspace points.
+    With B the subspace's orthonormal basis rows, the tangent X_t B^T c has
+    the coordinates B X_t B^T c along it.  Reports max_t max |B X_t B^T| /
+    |X_t|_2, which is zero exactly when every such tangent is orthogonal.
     """
     _require_cartan(model)
-    basis = model.cartan_basis
-    points = np.random.default_rng(seed).standard_normal((n_samples, len(basis))) @ basis
-    tangents = np.einsum("si,tji->stj", points, model.algebra)
-    norms = np.linalg.norm(tangents, axis=2)
-    keep = norms > tol.eps_eq
-    overlaps = np.abs(tangents[keep] @ basis.T) / norms[keep][:, None]
-    worst = float(overlaps.max()) if overlaps.size else 0.0
+    basis, algebra = model.cartan_basis, model.algebra
+    overlaps = np.abs(basis @ algebra @ basis.T).max(axis=(1, 2))
+    worst = float(np.max(overlaps / np.linalg.norm(algebra, ord=2, axis=(1, 2))))
     return PolarCheckReport(
         check="cartan_orthogonality",
         model=model.name,
         passed=worst < _ORTHOGONALITY_THRESHOLD,
         max_violation=worst,
         threshold=_ORTHOGONALITY_THRESHOLD,
-        n_samples=n_samples,
-        seed=seed,
+        n_samples=0,
+        seed=0,
         details={},
     )
 
@@ -486,23 +472,16 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     return top, np.where(at_top, gradient_norms.reshape(heights.shape), np.inf).min(axis=1), steps, len(rows)
 
 
-def _weyl_hull_rows(weyl_hull, cartan_basis: np.ndarray):
-    """Ambient directions n and offsets c with hull(W a) = {y in the section : <y, n> <= c}.
+@lru_cache(maxsize=4)
+def _weyl_group(model: GroupModel, tol: Tolerance) -> FiniteGroup:
+    """The group closed from the listed Weyl elements, once per model and tolerance.
 
-    One row per facet, plus, when the hull is not full-dimensional, one for
-    each sign of each chart direction orthogonal to its affine span, whose
-    offset is the span's height there.
+    They list the whole group, so data that does not close within their
+    count raises OrderExceededError at once.
     """
-    normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
-    n_affine, dim = weyl_hull.affine_dim, weyl_hull.ambient_dim
-    if n_affine < dim:
-        # QR of [affine basis | I]: the columns after the first n_affine span the complement.
-        frame = np.linalg.qr(np.hstack([weyl_hull.affine_basis.T, np.eye(dim)]))[0]
-        across = frame[:, n_affine:].T
-        across = np.vstack([across, -across])
-        normals = np.vstack([normals, across])
-        offsets = np.concatenate([offsets, across @ weyl_hull.affine_origin])
-    return normals @ cartan_basis, offsets
+    _require_weyl(model)
+    elements = list(model.weyl_elements)
+    return close_generators(elements, tol=tol, max_order=len(elements), name=f"weyl({model.name})")
 
 
 def check_projection_matches_weyl_hull(
@@ -517,22 +496,22 @@ def check_projection_matches_weyl_hull(
     for a = 0), so the verdict is scale-free: the ascent's cuts and
     _REALIZATION_TOL bound values on that orbit, and the reported
     ``threshold`` is _WEYL_HULL_THRESHOLD times |a| (times 1 at a = 0).
-    Containment is decided by maximising, over K u, the height <x, N> along
-    each facet normal N of hull(W u) lifted to the ambient space (and along
-    the directions off the hull's affine span, when it has one), with
-    ``_ascend``.  Its starts are _WEYL_HULL_STARTS seeded images of u and
-    the Weyl witnesses' images.  A principal orbit of a polar action is
-    taut, so an ascent that reaches a critical point has found the maximum.
-    ``max_violation`` is |a| times the largest amount max_K <k u, N> - c_N
-    by which a height passes its facet's offset, or 0;
-    ``max_gradient_norm`` is the largest over the facets of the gradient
-    norm at a row reaching the facet's maximum, which must be at most
-    _ASCENT_GRADIENT_CUT for a pass; ``rows_at_step_cap`` counts the rows
-    still moving when the batch hit _ASCENT_MAX_STEPS.  The reverse
-    containment is exact: each Weyl vertex is realized as the projection of
-    its own witness image.
+    hull(W u) is {y : <y, n> <= c_n} over the root-data rows n of the
+    Weyl group (NotCoxeterError if it has none), c_n their supports at u.
+    Containment is decided by maximising, over K u, the height along each
+    row lifted to the ambient space, N = n B, with ``_ascend``, from
+    _WEYL_HULL_STARTS seeded images of u and the Weyl witnesses' images.
+    A principal orbit of a polar action is taut, so an ascent that reaches
+    a critical point has found the maximum.  ``max_violation`` is |a| times
+    the largest amount max_K <k u, N> - c_n, or 0; ``max_gradient_norm`` is
+    the largest over the rows of the gradient norm at a batch row reaching
+    the row's maximum, at most _ASCENT_GRADIENT_CUT for a pass;
+    ``rows_at_step_cap`` counts the batch rows still moving at
+    _ASCENT_MAX_STEPS; ``hull_vertices`` counts the distinct points of W u.
+    The reverse containment is exact: each Weyl vertex is realized as the
+    projection of its own witness image.
     """
-    _require_weyl(model)
+    roots = coxeter._required_root_data(_weyl_group(model, tol))
     if a is None:
         a = model.cartan_point(seed)
     a = np.asarray(a, dtype=float)
@@ -540,8 +519,7 @@ def check_projection_matches_weyl_hull(
     norm = size or 1.0  # K 0 = {0}: its heights are 0, and a zero start stops at once.
     unit_chart = model.chart(a / norm)
     vertices = np.array([w @ unit_chart for w in model.weyl_elements])
-    weyl_hull = hull(vertices, tol)
-    directions, offsets = _weyl_hull_rows(weyl_hull, model.cartan_basis)
+    directions, offsets = roots.rows @ model.cartan_basis, roots.support(unit_chart)
 
     starts = np.concatenate(
         [group_images(model, seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
@@ -568,7 +546,7 @@ def check_projection_matches_weyl_hull(
         n_samples=_WEYL_HULL_STARTS,
         seed=seed,
         details={
-            "hull_vertices": int(weyl_hull.n_vertices),
+            "hull_vertices": len(distinct_rows(vertices, tol)),
             "vertex_realization_error": realization,
             "max_gradient_norm": worst_gradient,
             "ascent_steps": steps,
@@ -577,19 +555,39 @@ def check_projection_matches_weyl_hull(
     )
 
 
+def _orbit_span(algebra: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal rows spanning aff(K p) - p, for K connected: the words X_t1 ... X_tk p, k >= 1.
+
+    The span starts from the words X_t (p / |p|), and X_t is applied to its
+    rows until its rank stops growing.  It is empty at p = 0.
+    """
+    size = float(np.linalg.norm(p))
+    span = np.zeros((0, len(p)))
+    words = algebra @ (p / size) if size else span
+    while len(words):
+        _, values, rows = np.linalg.svd(np.vstack([span, words]), full_matrices=False)
+        grown = rows[values > tol.eps_rank]
+        if len(grown) == len(span):
+            break
+        span = grown
+        words = (algebra @ span.T).transpose(0, 2, 1).reshape(-1, len(p))
+    return span
+
+
 def sp_falsify_nonpolar(
     model: GroupModel,
     u=None,
     v=None,
-    n_group_samples: int = 64,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PolarCheckReport:
     """Dimension obstruction to the semigroup property.
 
-    If the Minkowski sum of two sampled orbit hulls has a strictly larger
-    affine dimension than every sampled orbit hull, the sum cannot be an
-    orbit hull and the semigroup property fails.
+    If the Minkowski sum of the orbit hulls of u and v has a strictly
+    larger affine dimension than the orbit hulls of u, v and four seeded
+    points, the sum cannot be an orbit hull and the semigroup property
+    fails.  An orbit's dimension is that of its ``_orbit_span``, and the
+    sum's the rank of the two spans stacked: nothing is sampled.
     """
     if u is None or v is None:
         rng = np.random.default_rng(seed + 9)
@@ -598,17 +596,11 @@ def sp_falsify_nonpolar(
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
 
-    # u, v and four seeded points, each with its sampled images and itself.
     rng = np.random.default_rng(seed + 10)
     points = np.vstack([u, v, rng.standard_normal((4, model.ambient_dim))])
-    orbits = np.concatenate(
-        [group_images(model, seed, n_group_samples, points), points[:, None, :]], axis=1
-    )
-    orbit_u, orbit_v = orbits[0], orbits[1]
-    sums = (orbit_u[:, None, :] + orbit_v[None, :, :]).reshape(-1, model.ambient_dim)
-    sum_dim = matrix_rank(sums - sums.mean(axis=0), tol)
-
-    orbit_dims = [matrix_rank(o - o.mean(axis=0), tol) for o in orbits]
+    spans = [_orbit_span(model.algebra, p, tol) for p in points]
+    sum_dim = matrix_rank(np.vstack(spans[:2]), tol)
+    orbit_dims = [len(span) for span in spans]
     max_orbit_dim = max(orbit_dims)
     sp_impossible = sum_dim > max_orbit_dim
 
@@ -618,7 +610,7 @@ def sp_falsify_nonpolar(
         passed=not sp_impossible,
         max_violation=float(sum_dim - max_orbit_dim),
         threshold=0.0,
-        n_samples=n_group_samples,
+        n_samples=0,
         seed=seed,
         details={
             "sum_affine_dim": sum_dim,
@@ -630,12 +622,8 @@ def sp_falsify_nonpolar(
 
 
 def weyl_is_coxeter(model: GroupModel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Close the Weyl elements into a finite group and test reflection generation."""
-    _require_weyl(model)
-    weyl_group = close_generators(
-        list(model.weyl_elements), tol=tol, name=f"weyl({model.name})"
-    )
-    return coxeter.is_reflection_generated(weyl_group)
+    """Is the group closed from the listed Weyl elements generated by reflections?"""
+    return coxeter.is_reflection_generated(_weyl_group(model, tol))
 
 
 def run_battery(
@@ -648,28 +636,30 @@ def run_battery(
     falsifies SP, and the model's Weyl data is the action's
     (``projection_matches_weyl_hull``) with a reflection-generated Weyl
     group (the hypothesis under which orbit hulls form a Minkowski
-    semigroup).  A model without Weyl data is not verified.
+    semigroup).  A model without Weyl data is not verified, nor one whose
+    Weyl group is not generated by reflections, as no connected polar
+    action's is: the Weyl-hull check of either is skipped.
     """
     reports: dict[str, object] = {}
-    reports["cartan_orthogonality"] = check_cartan_orthogonality(model, 200, seed, tol)
+    # The exact check reads no seed; every report of the battery names its seed.
+    reports["cartan_orthogonality"] = replace(check_cartan_orthogonality(model), seed=seed)
     reports["cohomogeneity"] = check_cohomogeneity(model, seed, tol)
     reports["minkowski_dimension_obstruction"] = sp_falsify_nonpolar(model, seed=seed, tol=tol)
 
-    has_weyl = model.weyl_elements is not None and model.weyl_witnesses is not None
-    if has_weyl:
-        reports["projection_matches_weyl_hull"] = check_projection_matches_weyl_hull(
-            model, seed=seed, tol=tol
-        )
-        reports["weyl_is_coxeter"] = weyl_is_coxeter(model, tol)
-    else:
+    if model.weyl_elements is None or model.weyl_witnesses is None:
         reports["projection_matches_weyl_hull"] = {"skipped": "no Weyl data"}
         reports["weyl_is_coxeter"] = None
+    elif weyl_is_coxeter(model, tol):
+        reports["projection_matches_weyl_hull"] = check_projection_matches_weyl_hull(model, seed=seed, tol=tol)
+        reports["weyl_is_coxeter"] = True
+    else:
+        reports["projection_matches_weyl_hull"] = {"skipped": "Weyl group not generated by reflections"}
+        reports["weyl_is_coxeter"] = False
 
     verdict = (
         reports["cartan_orthogonality"].passed
         and reports["cohomogeneity"].passed
         and reports["minkowski_dimension_obstruction"].passed
-        and has_weyl
         and bool(reports["weyl_is_coxeter"])
         and reports["projection_matches_weyl_hull"].passed
     )

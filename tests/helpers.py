@@ -13,8 +13,8 @@ reduction that decides each halfspace by an LP, the cone rays found
 by one SVD per (d - 1)-subset of normals, and the Voronoi check on
 (samples x points x dim) arrays with one einsum for the cell margins.
 The polar group elements have a reference too, scipy's expm of the same
-seeded algebra elements; so does the Cartan orthogonality check, as its
-per-point loop.  The group layer's references
+seeded algebra elements; so do the Cartan orthogonality check, one (t, i, j)
+at a time, and the Weyl hull's root-data rows, as Qhull's facets.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
 tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
@@ -625,31 +625,48 @@ def group_elements_reference(model, seed, count):
     return np.array([expm(np.tensordot(x, model.algebra, axes=1)) for x in xi])
 
 
-def check_cartan_orthogonality_reference(model, n_samples=200, seed=0):
-    """Worst normalized tangent/subspace overlap, one sampled point at a time.
+def sym3_tangent(t, b):
+    """X_t b for sym3 in its own basis, as the coordinates of the commutator [S_t, B] with the matrix of b."""
+    m = sym_mat(b)
+    return sym_vec(_SKEW_BASIS[t] @ m - m @ _SKEW_BASIS[t])
 
-    Forms the tangents X_t u at every sampled point: for sym3 as the
-    coordinates of the commutators [S_t, U] of the skew generators with the
-    matrix of u, for the other models as the products of the algebra with
-    u.  Returns the ``max_violation`` value only.
+
+def check_cartan_orthogonality_reference(model, tangent=None):
+    """max |<b_i, X_t b_j>| / |X_t|_2 over the basis rows b and the algebra, one (t, i, j) at a time.
+
+    ``tangent(t, b)`` forms X_t b, by default as the product of the algebra
+    with b; |X_t|_2 is the largest singular value.  Returns the
+    ``max_violation`` value only.
     """
-    rng = np.random.default_rng(seed)
-    basis = model.cartan_basis
+    tangent = tangent or (lambda t, b: model.algebra[t] @ b)
     worst = 0.0
-    for _ in range(n_samples):
-        u = model.ambient(rng.standard_normal(len(basis)))
-        if model.name == "sym3_traceless":
-            a = sym_mat(u)
-            tangents = np.array([sym_vec(x @ a - a @ x) for x in _SKEW_BASIS])
-        else:
-            tangents = model.algebra @ u
-        norms = np.linalg.norm(tangents, axis=1)
-        keep = norms > 1e-12
-        if not np.any(keep):
-            continue
-        overlaps = np.abs(tangents[keep] @ basis.T) / norms[keep, None]
-        worst = max(worst, float(overlaps.max()))
+    for t, x in enumerate(model.algebra):
+        size = np.linalg.svd(x, compute_uv=False)[0]
+        for b_i in model.cartan_basis:
+            for b_j in model.cartan_basis:
+                worst = max(worst, abs(float(b_i @ tangent(t, b_j))) / size)
     return worst
+
+
+def weyl_hull_rows_reference(model, a):
+    """Qhull's hull of W a / |a| (of 0 at a = 0), and its rows lifted to the ambient space.
+
+    The rows are the facets' (normal, offset) pairs, plus, when the hull
+    is not full-dimensional, one for each sign of each chart direction
+    orthogonal to its affine span, at the span's height there.
+    """
+    unit_chart = model.chart(a / (np.linalg.norm(a) or 1.0))
+    weyl_hull = hull(np.array([w @ unit_chart for w in model.weyl_elements]))
+    normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
+    n_affine, dim = weyl_hull.affine_dim, weyl_hull.ambient_dim
+    if n_affine < dim:
+        # QR of [affine basis | I]: the columns after the first n_affine span the complement.
+        frame = np.linalg.qr(np.hstack([weyl_hull.affine_basis.T, np.eye(dim)]))[0]
+        across = frame[:, n_affine:].T
+        across = np.vstack([across, -across])
+        normals = np.vstack([normals, across])
+        offsets = np.concatenate([offsets, across @ weyl_hull.affine_origin])
+    return weyl_hull, normals @ model.cartan_basis, offsets
 
 
 def merge_facet_rows_reference(rows, eps):

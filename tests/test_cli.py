@@ -387,7 +387,7 @@ def test_polar_verify_models(runner):
     assert report["verdict"] is False
     # The right dimension for a section, but the tangents are not orthogonal to it.
     assert report["criteria"]["cohomogeneity"]["passed"] is True
-    assert report["criteria"]["cartan_orthogonality"]["max_violation"] > 1e-2
+    assert report["criteria"]["cartan_orthogonality"]["max_violation"] == 1.0
     assert report["criteria"]["minkowski_dimension_obstruction"]["details"]["sp_impossible"]
 
     result = _run(runner, ["polar-verify", "--model", "nope"])
@@ -405,6 +405,8 @@ def test_polar_verify_samples_is_unread(runner):
     assert outputs[0] == outputs[1] == outputs[2]
     report = json.loads(outputs[0])
     assert report["meta"]["samples"] is None
+    for exact in ("cartan_orthogonality", "minkowski_dimension_obstruction"):
+        assert report["criteria"][exact]["n_samples"] == 0
     projection = report["criteria"]["projection_matches_weyl_hull"]
     assert projection["n_samples"] == polar._WEYL_HULL_STARTS
     assert projection["details"]["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
@@ -428,6 +430,22 @@ def test_nonpositive_samples_rejected(runner, fixtures, monkeypatch, command, sa
     result = _run(runner, [command, *target, "--samples", str(samples)])
     assert result.exit_code == 1
     assert result.output == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("samples", [1_000_001, 100_000_000_000_000_000])
+@pytest.mark.parametrize("command", ["polar-verify", "voronoi-check"])
+def test_samples_above_the_cap_rejected(runner, fixtures, monkeypatch, command, samples):
+    from orbitpoly import cli
+
+    # A count that voronoi-check could not hold in memory is refused before
+    # any work, with one error line; 10^5, which the benchmark passes, is not.
+    monkeypatch.setattr(cli, "polar", None)
+    monkeypatch.setattr(cli, "voronoi_consistency", None)
+    target = ["--model", "sym3_traceless"] if command == "polar-verify" else ["--input", str(fixtures / "a2.json")]
+    result = _run(runner, [command, *target, "--samples", str(samples)])
+    assert result.exit_code == 1
+    assert result.output == f"error: --samples must be at most {cli._MAX_SAMPLES}, got {samples}\n"
+    assert cli._MAX_SAMPLES >= 100_000
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -633,6 +651,7 @@ _SCIPY_LOADS = textwrap.dedent(
         *([name, *group] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
         ["polar-verify", "--model", "so3_standard", *report],
+        ["polar-verify", "--model", "sym3_traceless", *report],
         ["minkowski", *group],
         ["hull", *group],
         ["minkowski", "--input", out + "/a3.json", *report],
@@ -653,14 +672,15 @@ _SCIPY_LOADS = textwrap.dedent(
 
 def test_scipy_loads_only_on_the_commands_that_call_it(tmp_path):
     # Reflection-group verdicts, orbit hulls and Minkowski sums are read
-    # from root data: no Qhull or k-d tree, so their processes never import
-    # scipy.spatial.  hull on a rotation group calls Qhull and the k-d tree.
+    # from root data, and so is the polar Weyl hull: no Qhull or k-d tree,
+    # so their processes never import scipy.spatial.  hull on a rotation group calls Qhull and the k-d tree.
     # No command solves an LP, so none imports scipy.optimize.
     loaded = _fresh_python(_SCIPY_LOADS, tmp_path)
     assert loaded == [
         ["catalog", []],
         *([name, []] for name in
           ("theorem2", "sp-check", "cone", "voronoi-check", "coxeter-check", "orbit")),
+        ["polar-verify", []],
         ["polar-verify", []],
         ["minkowski", []],
         ["hull", []],
