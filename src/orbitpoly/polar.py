@@ -111,14 +111,16 @@ class GroupModel:
 
 @dataclass(frozen=True, eq=False)
 class PolarCheckReport:
+    """One check's outcome; ``seed`` is the battery's, None for an exact check run alone."""
+
     check: str
     model: str
     passed: bool
     max_violation: float
     threshold: float
     n_samples: int
-    seed: int
     details: dict
+    seed: Optional[int] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -306,7 +308,6 @@ def check_cartan_orthogonality(model: GroupModel) -> PolarCheckReport:
         max_violation=worst,
         threshold=_ORTHOGONALITY_THRESHOLD,
         n_samples=0,
-        seed=0,
         details={},
     )
 
@@ -641,7 +642,6 @@ def run_battery(
     action's is: the Weyl-hull check of either is skipped.
     """
     reports: dict[str, object] = {}
-    # The exact check reads no seed; every report of the battery names its seed.
     reports["cartan_orthogonality"] = replace(check_cartan_orthogonality(model), seed=seed)
     reports["cohomogeneity"] = check_cohomogeneity(model, seed, tol)
     reports["minkowski_dimension_obstruction"] = sp_falsify_nonpolar(model, seed=seed, tol=tol)

@@ -35,7 +35,7 @@ def _sampled_matrices(model, seed, count):
 
 
 def _reference_images(model, seed, count, points):
-    """``group_images`` with the elements formed one at a time by scipy's expm."""
+    """``group_images`` with the elements formed by ``helpers.group_elements_reference``."""
     mats = helpers.group_elements_reference(model, seed, count)
     return np.array([mats @ p for p in np.asarray(points, dtype=float)])
 
@@ -662,12 +662,7 @@ def test_battery_matches_reference_sampler(name, seed, monkeypatch):
             assert report == ref
             continue
         assert (report.passed, report.n_samples) == (ref.passed, ref.n_samples)
-        # The two samplers' images agree within 1e-13 |a| (see
-        # test_images_match_sampled_matrices), and a start off the orbit by
-        # that much moves the height of its maximum as far: at sym3 seed 3
-        # scipy's starts are 2.5e-13 off in norm, |a| = 3.27.
-        scale = np.linalg.norm(model.cartan_point(seed))
-        assert report.max_violation == pytest.approx(ref.max_violation, rel=0.0, abs=1e-13 * scale)
+        assert report.max_violation == pytest.approx(ref.max_violation, rel=0.0, abs=1e-13)
         assert report.details.keys() == ref.details.keys()
         for field, value in report.details.items():
             if field == "max_gradient_norm":
