@@ -41,10 +41,6 @@ class InconsistentCriteriaError(OrbitPolyError):
     """Equivalent semigroup criteria disagreed; signals a bug or a tolerance failure."""
 
 
-class NoCartanDataError(OrbitPolyError):
-    """The model lacks the Cartan/Weyl data required by this check."""
-
-
 class GeometryError(OrbitPolyError):
     """An internal geometric consistency check failed."""
 

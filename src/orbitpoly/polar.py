@@ -1,55 +1,64 @@
 """Compact connected group models and exact polar-structure checks.
 
-A model is its Lie algebra, a basis of matrices X_t acting on the ambient
-space, with analytic Cartan/Weyl data.  A compact connected Lie group is the
-image of the exponential map of its Lie algebra (Broecker-tom Dieck, GTM
-98), so ``group_images`` draws group elements as exp of seeded algebra
-elements; only the Weyl-hull ascent draws any, as its starts.
+A model is its name and its Lie algebra, a basis of matrices X_t acting on
+the ambient space.  A compact connected Lie group is the image of the
+exponential map of its Lie algebra (Broecker-tom Dieck, GTM 98), so
+``group_images`` draws group elements as exp of seeded algebra elements;
+only the Weyl-hull ascent draws any, as its starts.
 
-For a connected group acting orthogonally, a subspace is a section iff the
-orbit tangents at its points are orthogonal to it and its dimension is the
-codimension of a principal orbit, reached at its points (Dadok, Trans. AMS
-288, 1985; Palais-Terng, Trans. AMS 300, 1987).  ``check_cartan_orthogonality``
-(every B X_t B^T vanishes, for B the subspace's basis) and
-``check_cohomogeneity`` decide the two halves from the Lie algebra.
+Everything else is computed from the algebra at a seeded Gaussian point p.
+The normal space nu_p of the orbit K p holds p, and every orbit meets it: a
+point of K x nearest p is normal there to K x, so it is orthogonal to the
+tangents X_t p.  For a regular p, nu_p has the codimension of a principal
+orbit.  So nu_p is a section exactly when the orbit tangents at its points
+are orthogonal to it (Dadok, Trans. AMS 288, 1985; Palais-Terng, Trans. AMS
+300, 1987), which ``check_cartan_orthogonality`` decides from the algebra.
 
-``check_projection_matches_weyl_hull`` decides the model's Weyl data: the
+The Weyl group of a polar representation is generated by the reflections
+in its restricted roots.  For H in the section, the tangent map M(H): X ->
+X H is lambda(H) times one fixed isomorphism on each root space k_lambda
+(Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces, 1978,
+ch. VII).  So the operators P_i = M(p)^+ M(b_i), for the section's basis
+rows b_i, act on k / ker M(p) with the joint eigenvalues lambda(b_i) /
+lambda(p): each joint eigenvector gives one root up to scale, and no
+invariant metric is needed (``_weyl``).  An eigenvector X_a of the root a
+turns the plane of a and X_a a, and fixes the rest of the section, so exp(pi
+/ |X_a a| X_a), for a unit a, is a group element acting on the section as
+the reflection in a.
+
+``check_projection_matches_weyl_hull`` checks the computed Weyl data: the
 projection of K a onto the section is the hull of W a, by Kostant's
-convexity theorem (Ann. Sci. ENS 6, 1973).  The Weyl group of a polar
-representation is a finite reflection group (Dadok; Palais-Terng), so its
-root-data rows cut out that hull.  Along each row the check maximises the
-height over K a by an ascent in the Lie algebra; principal orbits of a
-polar representation are taut (Hsiang-Palais-Terng, J. Differential Geom.
-27, 1988), so the ascent's critical point is the maximum.  The other
-consequences of Kostant's equality follow from it: K a has norm |a|, and
-the points of that norm in hull(W a) are W a, so the orbit meets the
-section in W a; and the support of a sum of orbit hulls along a section
-direction is the sum of two projection supports.
+convexity theorem (Ann. Sci. ENS 6, 1973), and the root-data rows of W cut
+out that hull.  Along each row the check maximises the height over K a by
+an ascent in the Lie algebra; principal orbits of a polar representation
+are taut (Hsiang-Palais-Terng, J. Differential Geom. 27, 1988), so the
+ascent's critical point is the maximum.  The other consequences of
+Kostant's equality follow from it: K a has norm |a|, and the points of that
+norm in hull(W a) are W a, so the orbit meets the section in W a; and the
+support of a sum of orbit hulls along a section direction is the sum of
+two projection supports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Optional
 
 import numpy as np
 
 from . import coxeter
-from .errors import NoCartanDataError
 from .group import FiniteGroup, close_generators
 from .numerics import DEFAULT_TOL, Tolerance, distinct_rows, matrix_rank
 
 # Fixed pass criteria of the checks, each reported as its ``threshold``.
 _ORTHOGONALITY_THRESHOLD = 1e-8
 _WEYL_HULL_THRESHOLD = 1e-8  # times |a|: the Weyl-hull check is decided on the orbit of a / |a|
-_REALIZATION_TOL = 1e-10  # error of the exact Weyl-vertex realizations of a / |a|
+_REALIZATION_TOL = 1e-10  # error of the realized Weyl vertices of a / |a|
 
 # The height ascent of check_projection_matches_weyl_hull, on the orbit of
 # a / |a| with unit facet normals, so every cut below is scale-free.
-_WEYL_HULL_STARTS = 4  # seeded group elements; the Weyl witnesses start rows too
+_WEYL_HULL_STARTS = 4  # seeded group elements; the realized Weyl vertices start rows too
 _ASCENT_GRADIENT_CUT = 1e-10  # a row stops once its gradient norm is at most this
 _ASCENT_MAX_STEPS = 100  # the batch stops after this many steps
 _ASCENT_MAX_TURN = 1.0  # the largest |xi| of a step, the trust radius a row starts from
@@ -75,43 +84,25 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True, eq=False)
 class GroupModel:
-    """A compact connected group acting orthogonally, with candidate Cartan data.
+    """A compact connected group acting orthogonally, given by its Lie algebra.
 
     algebra[t] is the matrix X_t of a basis of the Lie algebra acting on the
     ambient space: the rows X_t v of ``algebra @ v`` span the orbit tangent
-    space at v, and the group is {exp(sum_t xi_t X_t)} (``group_images``);
-    the checks read the group through the algebra, and the Weyl witnesses.
-    cartan_basis rows are an orthonormal basis of the candidate subspace;
-    weyl_elements act on its coordinates and weyl_witnesses are ambient
-    group elements realizing them.  The Weyl elements are the whole Weyl
-    group, so they close within their own count (``weyl_is_coxeter``).
+    space at v, and the group is {exp(sum_t xi_t X_t)} (``group_images``).
+    The section, the roots and the Weyl group are computed from it.
     """
 
     name: str
-    ambient_dim: int
     algebra: np.ndarray
-    cartan_basis: Optional[np.ndarray]
-    weyl_elements: Optional[np.ndarray] = None
-    weyl_witnesses: Optional[np.ndarray] = None
 
-    def chart(self, x) -> np.ndarray:
-        """Coordinates of (the projection of) an ambient vector in the Cartan chart."""
-        return self.cartan_basis @ np.asarray(x, dtype=float)
-
-    def ambient(self, c) -> np.ndarray:
-        return np.asarray(c, dtype=float) @ self.cartan_basis
-
-    def cartan_point(self, seed: int) -> np.ndarray:
-        """Seeded generic point of the candidate Cartan subspace."""
-        if self.cartan_basis is None:
-            raise NoCartanDataError(f"model {self.name} has no Cartan data")
-        rng = np.random.default_rng(seed)
-        return self.ambient(rng.standard_normal(len(self.cartan_basis)))
+    @property
+    def ambient_dim(self) -> int:
+        return self.algebra.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class PolarCheckReport:
-    """One check's outcome; ``seed`` is the battery's, None for an exact check run alone."""
+    """One check's outcome at the battery's seed."""
 
     check: str
     model: str
@@ -120,7 +111,7 @@ class PolarCheckReport:
     threshold: float
     n_samples: int
     details: dict
-    seed: Optional[int] = None
+    seed: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,56 +156,20 @@ _SKEW_BASIS = np.array(
 
 
 def so3_standard() -> GroupModel:
-    """Rotations of 3-space; candidate subspace is the first coordinate axis.
-
-    The residual Weyl action on the axis is the sign flip, realized by the
-    half-turn about the middle axis.
-    """
-    return GroupModel(
-        name="so3_standard",
-        ambient_dim=3,
-        algebra=_SKEW_BASIS,
-        cartan_basis=np.array([[1.0, 0.0, 0.0]]),
-        weyl_elements=np.array([[[1.0]], [[-1.0]]]),
-        weyl_witnesses=np.array([np.eye(3), np.diag([-1.0, 1.0, -1.0])]),
-    )
-
-
-def _sym3_algebra() -> np.ndarray:
-    """X_t[j, i] = coordinate j of the commutator [S_t, E_i], for skew S_t and basis matrix E_i."""
-    columns = np.array([[sym_vec(x @ e - e @ x) for x in _SKEW_BASIS] for e in _SYM_BASIS])
-    return columns.transpose(1, 2, 0)
-
-
-def _sym3_weyl() -> tuple[np.ndarray, np.ndarray]:
-    """The permutations of the diagonal on chart coordinates, and the signed
-    permutation rotations R_w realizing them, each as the 5x5 matrix of A -> R_w A R_w^T."""
-    diag_vecs = np.array([np.diag(_SYM_BASIS[0]), np.diag(_SYM_BASIS[1])])  # (2, 3)
-    perms = [list(p) for p in permutations((0, 1, 2))]
-    # Entry k of row i of diag_vecs[:, p] is diag_vecs[i][p[k]]; w[i, j] = <diag_i, permuted diag_j>.
-    elements = np.array([diag_vecs @ diag_vecs[:, p].T for p in perms])
-    rotations = np.array([np.eye(3)[p] @ np.diag([np.linalg.det(np.eye(3)[p]), 1.0, 1.0]) for p in perms])
-    # witnesses[w, i, j] = <E_i, R_w E_j R_w^T>, the coordinates of the conjugated basis matrix.
-    witnesses = np.einsum("iab,wac,jcd,wbd->wij", _SYM_BASIS, rotations, _SYM_BASIS, rotations)
-    return elements, witnesses
+    """Rotations of 3-space: a section is a line through 0, and W its sign flip."""
+    return GroupModel(name="so3_standard", algebra=_SKEW_BASIS)
 
 
 def sym3_traceless() -> GroupModel:
     """Rotations acting by conjugation on symmetric traceless 3x3 matrices.
 
-    The candidate subspace is the diagonal matrices; the residual Weyl
-    action permutes the three diagonal entries and is realized by signed
-    permutation rotations.
+    X_t[j, i] is coordinate j of the commutator [S_t, E_i], for the skew S_t
+    and the basis matrix E_i.  The section through a matrix with distinct
+    eigenvalues is the traceless matrices commuting with it, and W permutes
+    their eigenvalues.
     """
-    elements, witnesses = _sym3_weyl()
-    return GroupModel(
-        name="sym3_traceless",
-        ambient_dim=5,
-        algebra=_sym3_algebra(),
-        cartan_basis=np.array([sym_vec(_SYM_BASIS[0]), sym_vec(_SYM_BASIS[1])]),
-        weyl_elements=elements,
-        weyl_witnesses=witnesses,
-    )
+    columns = np.array([[sym_vec(x @ e - e @ x) for x in _SKEW_BASIS] for e in _SYM_BASIS])
+    return GroupModel(name="sym3_traceless", algebra=columns.transpose(1, 2, 0))
 
 
 _HOPF_J = np.array(
@@ -230,24 +185,12 @@ _HOPF_J = np.array(
 def hopf_circle() -> GroupModel:
     """Simultaneous plane rotations of R^4 (one circle acting on two planes).
 
-    The documented candidate subspace spans coordinates (x1, x2, y2) with
-    coordinate order (x1, y1, x2, y2).  It has the dimension of a section
-    (orbits are circles in R^4), but the orbit tangents are not orthogonal
-    to it, and no valid Weyl data exists: this is the non-polar negative
-    control.
+    The orbits are circles, so the normal space of one through p is the
+    3-space orthogonal to J p.  J maps the plane orthogonal to p and J p
+    onto itself, so the orbit tangents there are not orthogonal to that
+    space: this is the non-polar negative control.
     """
-    basis = np.zeros((3, 4))
-    basis[0, 0] = 1.0
-    basis[1, 2] = 1.0
-    basis[2, 3] = 1.0
-    return GroupModel(
-        name="hopf_circle",
-        ambient_dim=4,
-        algebra=_HOPF_J[None],
-        cartan_basis=basis,
-        weyl_elements=None,
-        weyl_witnesses=None,
-    )
+    return GroupModel(name="hopf_circle", algebra=_HOPF_J[None])
 
 
 MODEL_BUILDERS = {
@@ -266,40 +209,98 @@ def get_model(name: str) -> GroupModel:
         ) from None
 
 
-def with_candidate_basis(model: GroupModel, basis) -> GroupModel:
-    """Model with a replacement candidate subspace and no Weyl data.
+# ---------------------------------------------------------------------------
+# The section, roots and Weyl group, computed once per model, seed and tolerance
 
-    The section checks read only the group and the subspace, so they judge
-    the new candidate as they would a model's own.
+@dataclass(frozen=True, eq=False)
+class _Section:
+    """nu_p, and the SVD of the tangent map M: xi -> sum_t xi_t X_t p / |p|.
+
+    M = tangents^T diag(values) frame^T: frame's columns are an orthonormal
+    basis of the algebra coordinates orthogonal to the stabiliser ker M,
+    kernel's one of the stabiliser, and the tangents span T_p(K p).
     """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    return replace(model, cartan_basis=basis, weyl_elements=None, weyl_witnesses=None)
+
+    point: np.ndarray  # p, the seeded Gaussian
+    basis: np.ndarray  # orthonormal rows spanning nu_p
+    frame: np.ndarray
+    kernel: np.ndarray
+    values: np.ndarray
+    tangents: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _section(model: GroupModel, seed: int, tol: Tolerance) -> _Section:
+    """nu_p, for p = default_rng(seed).standard_normal(dim), from one SVD of its tangents."""
+    p = np.random.default_rng(seed).standard_normal(model.ambient_dim)
+    frame, values, rows = np.linalg.svd(model.algebra @ (p / np.linalg.norm(p)))
+    rank = int(np.sum(values > tol.eps_rank))
+    return _Section(p, rows[rank:], frame[:, :rank], frame[:, rank:], values[:rank], rows[:rank])
+
+
+@lru_cache(maxsize=8)
+def _weyl(model: GroupModel, seed: int, tol: Tolerance) -> tuple[FiniteGroup, np.ndarray]:
+    """The Weyl group on section coordinates, and the group elements realizing its root reflections.
+
+    The operators P_i = M(p)^+ M(b_i) act on the frame's coordinates, and
+    commute.  They are diagonalised together through P(h) = sum_i h_i P_i,
+    for a seeded Gaussian h of the section; a joint eigenvector's
+    eigenvalues, its Rayleigh quotients x P_i x / x x, are its root's
+    section coordinates up to scale.  The roots are kept one per mirror, in
+    the order of their reflections' rounded entries.  A root's eigenvector
+    X_a is shifted by a stabiliser element so that it maps Y = X_a a back to
+    -|Y|^2 a: without an invariant metric the frame need not be orthogonal
+    to the stabiliser, which moves Y.
+    """
+    section, algebra = _section(model, seed, tol), model.algebra
+    dim, flat = len(section.basis), algebra.reshape(len(algebra), -1)
+    ratios = np.einsum("rn,tni,tq->irq", section.tangents, algebra @ section.basis.T, section.frame)
+    ratios /= section.values[:, None]
+    h = np.random.default_rng(seed + 2).standard_normal(dim)  # seed + 1 draws the ascent's starts
+    # LAPACK returns each eigenvector with its largest entry real, so where
+    # rounding splits a double eigenvalue into a complex pair, the real part
+    # of each vector still lies in the eigenspace.
+    vectors = np.linalg.eig(np.einsum("i,irq->rq", h, ratios))[1].real
+    roots = np.einsum("rj,irq,qj->ji", vectors, ratios, vectors)
+    roots /= np.linalg.norm(roots, axis=1, keepdims=True)
+    mirrors = (np.eye(dim) - 2.0 * roots[:, :, None] * roots[:, None, :]).reshape(len(roots), -1)
+    kept = distinct_rows(mirrors, tol)
+    kept = kept[np.lexsort(np.round(mirrors[kept], tol.round_digits).T[::-1])]
+
+    stabiliser = section.kernel.T @ flat
+    elements = []
+    for j in kept:
+        x = (section.frame @ vectors[:, j] @ flat).reshape(algebra.shape[1:])
+        axis = roots[j] @ section.basis
+        image = x @ axis
+        size = float(np.linalg.norm(image))
+        if len(stabiliser):
+            moves = (stabiliser.reshape(-1, *x.shape) @ image).T
+            shift = np.linalg.lstsq(moves, -size * size * axis - x @ image, rcond=None)[0]
+            x = x + (shift @ stabiliser).reshape(x.shape)
+        turn = (math.pi / size) * x
+        elements.append(_expm(turn, float(np.linalg.norm(turn))))
+    weyl = close_generators(mirrors[kept].reshape(-1, dim, dim), tol=tol, name=f"weyl({model.name})")
+    return weyl, np.array(elements)
 
 
 # ---------------------------------------------------------------------------
 # Checks
 
-def _require_cartan(model: GroupModel):
-    if model.cartan_basis is None:
-        raise NoCartanDataError(f"model {model.name} has no Cartan data")
+def check_cartan_orthogonality(
+    model: GroupModel, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+) -> PolarCheckReport:
+    """Orbit tangents at the points of nu_p must be orthogonal to it.
 
-
-def _require_weyl(model: GroupModel):
-    _require_cartan(model)
-    if model.weyl_elements is None or model.weyl_witnesses is None:
-        raise NoCartanDataError(f"model {model.name} has no Weyl data")
-
-
-def check_cartan_orthogonality(model: GroupModel) -> PolarCheckReport:
-    """Orbit tangents at candidate-subspace points must be orthogonal to it.
-
-    With B the subspace's orthonormal basis rows, the tangent X_t B^T c has
-    the coordinates B X_t B^T c along it.  Reports max_t max |B X_t B^T| /
-    |X_t|_2, which is zero exactly when every such tangent is orthogonal.
+    With B the orthonormal basis rows of nu_p, the tangent X_t B^T c has
+    the coordinates B X_t B^T c along it.  Reports max_t |B X_t B^T|_2 /
+    |X_t|_2, which does not depend on the basis chosen and is zero exactly
+    when every such tangent is orthogonal.  Then nu_p is a section, as
+    every orbit meets it and it has the dimension of one.
     """
-    _require_cartan(model)
-    basis, algebra = model.cartan_basis, model.algebra
-    overlaps = np.abs(basis @ algebra @ basis.T).max(axis=(1, 2))
+    section = _section(model, seed, tol)
+    basis, algebra = section.basis, model.algebra
+    overlaps = np.linalg.norm(basis @ algebra @ basis.T, ord=2, axis=(1, 2))
     worst = float(np.max(overlaps / np.linalg.norm(algebra, ord=2, axis=(1, 2))))
     return PolarCheckReport(
         check="cartan_orthogonality",
@@ -308,41 +309,8 @@ def check_cartan_orthogonality(model: GroupModel) -> PolarCheckReport:
         max_violation=worst,
         threshold=_ORTHOGONALITY_THRESHOLD,
         n_samples=0,
-        details={},
-    )
-
-
-def check_cohomogeneity(
-    model: GroupModel, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> PolarCheckReport:
-    """The candidate subspace must have the dimension of a section, reached on it.
-
-    The principal orbit dimension is the rank of the tangents X v at one
-    seeded Gaussian v, which is regular with probability one.  A section
-    has dimension dim V minus that and meets the principal orbits, so a
-    generic point of the candidate subspace has a principal orbit too.
-    Nothing is sampled from the group: the dimensions are exact up to the
-    rank cut.  ``max_violation`` is the gap in dimensions.
-    """
-    _require_cartan(model)
-    v = np.random.default_rng(seed).standard_normal(model.ambient_dim)
-    principal = matrix_rank(model.algebra @ v, tol)
-    in_candidate = matrix_rank(model.algebra @ model.cartan_point(seed), tol)
-    candidate = len(model.cartan_basis)
-    gap = abs(model.ambient_dim - principal - candidate) + abs(principal - in_candidate)
-    return PolarCheckReport(
-        check="cohomogeneity",
-        model=model.name,
-        passed=gap == 0,
-        max_violation=float(gap),
-        threshold=0.0,
-        n_samples=1,
         seed=seed,
-        details={
-            "principal_orbit_dim": principal,
-            "candidate_dim": candidate,
-            "orbit_dim_in_candidate": in_candidate,
-        },
+        details={"section_dim": len(basis), "principal_orbit_dim": len(section.values)},
     )
 
 
@@ -421,9 +389,10 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
 
     Returns, per direction, the largest height over its rows and the least
     gradient norm among the rows that reach it to within _ASCENT_SLACK (the
-    witnesses of a polar action start at the maxima, where rounding alone
-    orders the heights), the number of steps the batch took, and the number
-    of rows still moving when it stopped (non-zero only at the step cap).
+    realized Weyl vertices of a polar action start at the maxima, where
+    rounding alone orders the heights), the number of steps the batch took,
+    and the number of rows still moving when it stopped (non-zero only at
+    the step cap).
     """
     dim_k, dim = algebra.shape[:2]
     x = np.tile(starts, (len(directions), 1))
@@ -473,16 +442,18 @@ def _ascend(algebra: np.ndarray, starts: np.ndarray, directions: np.ndarray):
     return top, np.where(at_top, gradient_norms.reshape(heights.shape), np.inf).min(axis=1), steps, len(rows)
 
 
-@lru_cache(maxsize=4)
-def _weyl_group(model: GroupModel, tol: Tolerance) -> FiniteGroup:
-    """The group closed from the listed Weyl elements, once per model and tolerance.
+def _realized_orbit(elements: np.ndarray, u: np.ndarray, order: int, tol: Tolerance) -> np.ndarray:
+    """The distinct points of the orbit of u under the group the elements generate.
 
-    They list the whole group, so data that does not close within their
-    count raises OrderExceededError at once.
+    The orbit grows by the elements' images of its newest points, and stops
+    once it has no new point or more than order points.
     """
-    _require_weyl(model)
-    elements = list(model.weyl_elements)
-    return close_generators(elements, tol=tol, max_order=len(elements), name=f"weyl({model.name})")
+    points = frontier = u[None]
+    while len(frontier) and len(points) <= order:
+        stacked = np.concatenate([points, (frontier @ elements.transpose(0, 2, 1)).reshape(-1, len(u))])
+        kept = distinct_rows(stacked, tol)
+        frontier, points = stacked[kept[kept >= len(points)]], stacked[kept]
+    return points
 
 
 def check_projection_matches_weyl_hull(
@@ -491,54 +462,53 @@ def check_projection_matches_weyl_hull(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PolarCheckReport:
-    """The projection of K a onto the section is the hull of the Weyl orbit W a.
+    """The projection of K a onto the section nu_p is the hull of the Weyl orbit W a.
 
-    Everything is computed on the orbit of the unit point u = a / |a| (u = 0
-    for a = 0), so the verdict is scale-free: the ascent's cuts and
-    _REALIZATION_TOL bound values on that orbit, and the reported
-    ``threshold`` is _WEYL_HULL_THRESHOLD times |a| (times 1 at a = 0).
-    hull(W u) is {y : <y, n> <= c_n} over the root-data rows n of the
-    Weyl group (NotCoxeterError if it has none), c_n their supports at u.
-    Containment is decided by maximising, over K u, the height along each
-    row lifted to the ambient space, N = n B, with ``_ascend``, from
-    _WEYL_HULL_STARTS seeded images of u and the Weyl witnesses' images.
-    A principal orbit of a polar action is taut, so an ascent that reaches
-    a critical point has found the maximum.  ``max_violation`` is |a| times
-    the largest amount max_K <k u, N> - c_n, or 0; ``max_gradient_norm`` is
-    the largest over the rows of the gradient norm at a batch row reaching
-    the row's maximum, at most _ASCENT_GRADIENT_CUT for a pass;
-    ``rows_at_step_cap`` counts the batch rows still moving at
-    _ASCENT_MAX_STEPS; ``hull_vertices`` counts the distinct points of W u.
-    The reverse containment is exact: each Weyl vertex is realized as the
-    projection of its own witness image.
+    a defaults to p itself.  Everything is computed on the orbit of the
+    unit point u = a / |a| (u = 0 for a = 0), so the verdict is scale-free:
+    the ascent's cuts and _REALIZATION_TOL bound values on that orbit, and
+    the reported ``threshold`` is _WEYL_HULL_THRESHOLD times |a| (times 1 at
+    a = 0).  hull(W u) is {y : <y, n> <= c_n} over the root-data rows n of
+    the computed Weyl group, c_n their supports at u.  Containment is
+    decided by maximising, over K u, the height along each row lifted to
+    the ambient space, N = n B, with ``_ascend``, from _WEYL_HULL_STARTS
+    seeded images of u and the realized Weyl vertices.  A principal orbit of
+    a polar action is taut, so an ascent that reaches a critical point has
+    found the maximum.  ``max_violation`` is |a| times the largest amount
+    max_K <k u, N> - c_n, or 0; ``max_gradient_norm`` is the largest over the
+    rows of the gradient norm at a batch row reaching the row's maximum, at
+    most _ASCENT_GRADIENT_CUT for a pass; ``rows_at_step_cap`` counts the
+    batch rows still moving at _ASCENT_MAX_STEPS; ``hull_vertices`` counts
+    the distinct points of W u.  The reverse containment is exact: the
+    orbit of u under the root reflections' group elements is realized, one
+    point per Weyl vertex (``realized_vertices``), each within
+    ``vertex_realization_error`` of its vertex.
     """
-    roots = coxeter._required_root_data(_weyl_group(model, tol))
-    if a is None:
-        a = model.cartan_point(seed)
-    a = np.asarray(a, dtype=float)
+    section = _section(model, seed, tol)
+    weyl, elements = _weyl(model, seed, tol)
+    roots = coxeter._required_root_data(weyl)
+    a = section.point if a is None else np.asarray(a, dtype=float)
     size = float(np.linalg.norm(a))
     norm = size or 1.0  # K 0 = {0}: its heights are 0, and a zero start stops at once.
-    unit_chart = model.chart(a / norm)
-    vertices = np.array([w @ unit_chart for w in model.weyl_elements])
-    directions, offsets = roots.rows @ model.cartan_basis, roots.support(unit_chart)
+    unit_chart = section.basis @ (a / norm)
+    images = weyl.stack @ unit_chart
+    vertices = images[distinct_rows(images, tol)] @ section.basis
+    realized = _realized_orbit(elements, a / norm, weyl.order, tol)
+    directions, offsets = roots.rows @ section.basis, roots.support(unit_chart)
 
-    starts = np.concatenate(
-        [group_images(model, seed + 1, _WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
-    ) / norm
+    starts = np.concatenate([group_images(model, seed + 1, _WEYL_HULL_STARTS, a[None])[0] / norm, realized])
     heights, gradient_norms, steps, at_cap = _ascend(model.algebra, starts, directions)
     violation = size * max(0.0, float(np.max(heights - offsets)))
     threshold = _WEYL_HULL_THRESHOLD * norm
     worst_gradient = float(gradient_norms.max())
-    realization = max(
-        float(np.max(np.abs(model.chart(image) - vertex)))
-        for image, vertex in zip(starts[_WEYL_HULL_STARTS:], vertices)
-    )
+    realization = float(np.abs(realized[:, None] - vertices[None]).max(axis=2).min(axis=1).max())
 
     return PolarCheckReport(
         check="projection_matches_weyl_hull",
         model=model.name,
         passed=(
             violation <= threshold
+            and len(realized) == len(vertices)
             and realization <= _REALIZATION_TOL
             and worst_gradient <= _ASCENT_GRADIENT_CUT
         ),
@@ -547,7 +517,9 @@ def check_projection_matches_weyl_hull(
         n_samples=_WEYL_HULL_STARTS,
         seed=seed,
         details={
-            "hull_vertices": len(distinct_rows(vertices, tol)),
+            "weyl_order": weyl.order,
+            "hull_vertices": len(vertices),
+            "realized_vertices": len(realized),
             "vertex_realization_error": realization,
             "max_gradient_norm": worst_gradient,
             "ascent_steps": steps,
@@ -622,45 +594,31 @@ def sp_falsify_nonpolar(
     )
 
 
-def weyl_is_coxeter(model: GroupModel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Is the group closed from the listed Weyl elements generated by reflections?"""
-    return coxeter.is_reflection_generated(_weyl_group(model, tol))
+def weyl_is_coxeter(model: GroupModel, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Is the group closed from the computed root reflections generated by reflections?"""
+    return coxeter.is_reflection_generated(_weyl(model, seed, tol)[0])
 
 
 def run_battery(
     model: GroupModel, seed: int = 42, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, dict]:
-    """Full check battery for one model; returns (verdict, reports).
+    """Full check battery for one model at one seeded point p; returns (verdict, reports).
 
-    The verdict is the AND of the five checks: the candidate is a section
-    (``cartan_orthogonality``, ``cohomogeneity``), no dimension obstruction
-    falsifies SP, and the model's Weyl data is the action's
-    (``projection_matches_weyl_hull``) with a reflection-generated Weyl
-    group (the hypothesis under which orbit hulls form a Minkowski
-    semigroup).  A model without Weyl data is not verified, nor one whose
-    Weyl group is not generated by reflections, as no connected polar
-    action's is: the Weyl-hull check of either is skipped.
+    The verdict is the AND of the four checks: nu_p is a section
+    (``cartan_orthogonality``), no dimension obstruction falsifies SP, the
+    Weyl group computed from the roots is generated by reflections (the
+    hypothesis under which orbit hulls form a Minkowski semigroup), and it
+    is the action's (``projection_matches_weyl_hull``).  Where nu_p is not a
+    section there are no roots to compute, and the Weyl checks are skipped.
     """
-    reports: dict[str, object] = {}
-    reports["cartan_orthogonality"] = replace(check_cartan_orthogonality(model), seed=seed)
-    reports["cohomogeneity"] = check_cohomogeneity(model, seed, tol)
-    reports["minkowski_dimension_obstruction"] = sp_falsify_nonpolar(model, seed=seed, tol=tol)
-
-    if model.weyl_elements is None or model.weyl_witnesses is None:
-        reports["projection_matches_weyl_hull"] = {"skipped": "no Weyl data"}
+    orthogonality = check_cartan_orthogonality(model, seed, tol)
+    obstruction = sp_falsify_nonpolar(model, seed=seed, tol=tol)
+    reports = {"cartan_orthogonality": orthogonality, "minkowski_dimension_obstruction": obstruction}
+    if not orthogonality.passed:
+        reports["projection_matches_weyl_hull"] = {"skipped": "no section: cartan_orthogonality failed"}
         reports["weyl_is_coxeter"] = None
-    elif weyl_is_coxeter(model, tol):
-        reports["projection_matches_weyl_hull"] = check_projection_matches_weyl_hull(model, seed=seed, tol=tol)
-        reports["weyl_is_coxeter"] = True
-    else:
-        reports["projection_matches_weyl_hull"] = {"skipped": "Weyl group not generated by reflections"}
-        reports["weyl_is_coxeter"] = False
-
-    verdict = (
-        reports["cartan_orthogonality"].passed
-        and reports["cohomogeneity"].passed
-        and reports["minkowski_dimension_obstruction"].passed
-        and bool(reports["weyl_is_coxeter"])
-        and reports["projection_matches_weyl_hull"].passed
-    )
-    return verdict, reports
+        return False, reports
+    reports["weyl_is_coxeter"] = weyl_is_coxeter(model, seed, tol)
+    hull_check = check_projection_matches_weyl_hull(model, seed=seed, tol=tol)
+    reports["projection_matches_weyl_hull"] = hull_check
+    return obstruction.passed and reports["weyl_is_coxeter"] and hull_check.passed, reports

@@ -13,8 +13,11 @@ reduction that decides each halfspace by an LP, the cone rays found
 by one SVD per (d - 1)-subset of normals, and the Voronoi check on
 (samples x points x dim) arrays with one einsum for the cell margins.
 The polar group elements have a reference too, the spectral exponential of
-the same seeded algebra elements; so do the Cartan orthogonality check, one (t, i, j)
-at a time, and the Weyl hull's root-data rows, as Qhull's facets.  The group layer's references
+the same seeded algebra elements; so do the Cartan orthogonality check, one
+entry <b_i, X_t b_j> at a time, and the Weyl hull's root-data rows, as
+Qhull's facets.  The polar models' sections and Weyl groups have known
+answers from the spectral theorem, and SO(3) on R^3 + R^3 is a non-polar
+control.  The group layer's references
 are its per-element loops: the stack closure that inserts one product at a
 time, and orbits, stabilizers and reflections one element at a time.  The
 tolerant dedup's reference inserts one row at a time (ToleranceBuckets), and
@@ -45,7 +48,7 @@ from orbitpoly.group import (
     root_data,
 )
 from orbitpoly.numerics import DEFAULT_TOL, close, distinct_rows, round_key, unit
-from orbitpoly.polar import _SKEW_BASIS, _SYM_BASIS, sym_mat, sym_vec
+from orbitpoly.polar import _SKEW_BASIS, GroupModel, sym_mat, sym_vec
 from orbitpoly.polytope import hull, minkowski_sum, polytope_equal
 
 
@@ -635,32 +638,31 @@ def sym3_tangent(t, b):
     return sym_vec(_SKEW_BASIS[t] @ m - m @ _SKEW_BASIS[t])
 
 
-def check_cartan_orthogonality_reference(model, tangent=None):
-    """max |<b_i, X_t b_j>| / |X_t|_2 over the basis rows b and the algebra, one (t, i, j) at a time.
+def check_cartan_orthogonality_reference(algebra, basis, tangent=None):
+    """max_t |B X_t B^T|_2 / |X_t|_2 over the algebra, for the basis rows B, one entry <b_i, X_t b_j> at a time.
 
     ``tangent(t, b)`` forms X_t b, by default as the product of the algebra
-    with b; |X_t|_2 is the largest singular value.  Returns the
+    with b; |.|_2 is the largest singular value.  Returns the
     ``max_violation`` value only.
     """
-    tangent = tangent or (lambda t, b: model.algebra[t] @ b)
+    tangent = tangent or (lambda t, b: algebra[t] @ b)
     worst = 0.0
-    for t, x in enumerate(model.algebra):
-        size = np.linalg.svd(x, compute_uv=False)[0]
-        for b_i in model.cartan_basis:
-            for b_j in model.cartan_basis:
-                worst = max(worst, abs(float(b_i @ tangent(t, b_j))) / size)
-    return worst
+    for t, x in enumerate(algebra):
+        overlap = np.array([[b_i @ tangent(t, b_j) for b_j in basis] for b_i in basis])
+        worst = max(worst, np.linalg.svd(overlap, compute_uv=False)[0] / np.linalg.svd(x, compute_uv=False)[0])
+    return float(worst)
 
 
-def weyl_hull_rows_reference(model, a):
-    """Qhull's hull of W a / |a| (of 0 at a = 0), and its rows lifted to the ambient space.
+def weyl_hull_rows_reference(elements, basis, a):
+    """Qhull's hull of W a / |a| (of 0 at a = 0) in section coordinates, and its rows lifted to the ambient space.
 
-    The rows are the facets' (normal, offset) pairs, plus, when the hull
-    is not full-dimensional, one for each sign of each chart direction
-    orthogonal to its affine span, at the span's height there.
+    elements act on the coordinates along the section's basis rows.  The
+    rows are the facets' (normal, offset) pairs, plus, when the hull is not
+    full-dimensional, one for each sign of each chart direction orthogonal
+    to its affine span, at the span's height there.
     """
-    unit_chart = model.chart(a / (np.linalg.norm(a) or 1.0))
-    weyl_hull = hull(np.array([w @ unit_chart for w in model.weyl_elements]))
+    unit_chart = basis @ (a / (np.linalg.norm(a) or 1.0))
+    weyl_hull = hull(np.asarray(elements) @ unit_chart)
     normals, offsets = weyl_hull.facet_normals, weyl_hull.facet_offsets
     n_affine, dim = weyl_hull.affine_dim, weyl_hull.ambient_dim
     if n_affine < dim:
@@ -670,7 +672,46 @@ def weyl_hull_rows_reference(model, a):
         across = np.vstack([across, -across])
         normals = np.vstack([normals, across])
         offsets = np.concatenate([offsets, across @ weyl_hull.affine_origin])
-    return weyl_hull, normals @ model.cartan_basis, offsets
+    return weyl_hull, normals @ basis, offsets
+
+
+# Known answers for the polar models, at a point p of sym3 with distinct
+# eigenvalues: a section through p is the traceless symmetric matrices that
+# commute with sym_mat(p), the matrices V diag(d) V^T over p's eigenvectors
+# V, and the Weyl group permutes the eigenvalues d.  so3's Weyl group on the
+# line through p is {1, -1}.
+
+SO3_WEYL = np.array([[[1.0]], [[-1.0]]])
+
+
+def sym3_section_point(p, eigenvalues):
+    """Coordinates of V diag(eigenvalues) V^T, for the eigenvectors V of sym_mat(p) in ascending order."""
+    vectors = np.linalg.eigh(sym_mat(p))[1]
+    return sym_vec(vectors @ np.diag(eigenvalues) @ vectors.T)
+
+
+def sym3_section_reference(p):
+    """Orthonormal rows spanning the traceless symmetric matrices that commute with sym_mat(p)."""
+    spanning = [sym3_section_point(p, d) for d in ([1.0, -1.0, 0.0], [1.0, 1.0, -2.0])]
+    return np.linalg.qr(np.array(spanning).T)[0].T
+
+
+def sym3_weyl_orbit_reference(p, a):
+    """The Weyl orbit of a point a of p's section: its eigenvalues in p's eigenbasis, in all 6 orders."""
+    vectors = np.linalg.eigh(sym_mat(p))[1]
+    eigenvalues = np.diag(vectors.T @ sym_mat(a) @ vectors)
+    return np.array([sym3_section_point(p, eigenvalues[list(w)]) for w in itertools.permutations(range(3))])
+
+
+def so3_on_r3_plus_r3():
+    """SO(3) acting diagonally on R^3 + R^3, a non-polar control.
+
+    Generic orbits are 3-dim, so nu_p is 3-dim too, but the orbit tangents
+    at its points are not orthogonal to it.
+    """
+    algebra = np.zeros((3, 6, 6))
+    algebra[:, :3, :3] = algebra[:, 3:, 3:] = _SKEW_BASIS
+    return GroupModel(name="so3_on_r3_plus_r3", algebra=algebra)
 
 
 def merge_facet_rows_reference(rows, eps):

@@ -219,7 +219,6 @@ def test_criterion_7_polar_positive():
         <= polar._ASCENT_GRADIENT_CUT
         and set(crit) == {
             "cartan_orthogonality",
-            "cohomogeneity",
             "minkowski_dimension_obstruction",
             "projection_matches_weyl_hull",
             "weyl_is_coxeter",

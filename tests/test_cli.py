@@ -378,16 +378,20 @@ def test_polar_verify_models(runner):
     report = _report(result)
     assert report["verdict"] is True
     assert report["criteria"]["weyl_is_coxeter"] is True
-    cohomogeneity = report["criteria"]["cohomogeneity"]
-    assert cohomogeneity["passed"] is True
-    assert (cohomogeneity["details"]["principal_orbit_dim"], cohomogeneity["details"]["candidate_dim"]) == (3, 2)
+    assert report["timings"]["checks_run"] == 4
+    orthogonality = report["criteria"]["cartan_orthogonality"]
+    assert orthogonality["passed"] is True
+    assert orthogonality["details"] == {"principal_orbit_dim": 3, "section_dim": 2}
+    assert report["criteria"]["projection_matches_weyl_hull"]["details"]["weyl_order"] == 6
 
     result = _run(runner, ["polar-verify", "--model", "hopf_circle", "--samples", "200"])
     report = _report(result)
     assert report["verdict"] is False
-    # The right dimension for a section, but the tangents are not orthogonal to it.
-    assert report["criteria"]["cohomogeneity"]["passed"] is True
-    assert report["criteria"]["cartan_orthogonality"]["max_violation"] == 1.0
+    # nu_p has a section's dimension, but the tangents are not orthogonal to it.
+    orthogonality = report["criteria"]["cartan_orthogonality"]
+    assert orthogonality["details"] == {"principal_orbit_dim": 1, "section_dim": 3}
+    assert abs(orthogonality["max_violation"] - 1.0) <= 1e-12
+    assert report["criteria"]["projection_matches_weyl_hull"] == {"skipped": "no section: cartan_orthogonality failed"}
     assert report["criteria"]["minkowski_dimension_obstruction"]["details"]["sp_impossible"]
 
     result = _run(runner, ["polar-verify", "--model", "nope"])
@@ -411,7 +415,8 @@ def test_polar_verify_samples_is_unread(runner):
     assert projection["n_samples"] == polar._WEYL_HULL_STARTS
     assert projection["details"]["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
     assert set(projection["details"]) == {
-        "hull_vertices", "vertex_realization_error", "max_gradient_norm", "ascent_steps", "rows_at_step_cap"
+        "weyl_order", "hull_vertices", "realized_vertices", "vertex_realization_error", "max_gradient_norm",
+        "ascent_steps", "rows_at_step_cap",
     }
 
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from scipy.spatial.transform import Rotation
 
 import helpers
 from orbitpoly import polar
-from orbitpoly.errors import NoCartanDataError, NotCoxeterError, OrderExceededError
 from orbitpoly.group import root_data
 from orbitpoly.numerics import DEFAULT_TOL, Tolerance, is_orthogonal
 
@@ -145,38 +143,64 @@ def test_skew_diagonal_commutator_oracle():
         assert np.max(np.abs(np.diag(comm))) <= 1e-12
 
 
+def _section(model, seed):
+    return polar._section(model, seed, DEFAULT_TOL)
+
+
+def _weyl_group(model, seed):
+    return polar._weyl(model, seed, DEFAULT_TOL)[0]
+
+
 def test_cartan_orthogonality_polar_models(so3, sym3):
+    # B X_t B^T vanishes to rounding on the computed section.
     for model in (so3, sym3):
-        report = polar.check_cartan_orthogonality(model)
-        assert report.passed
-        assert (report.max_violation, report.n_samples) == (0.0, 0)
+        for seed in (0, 5, 42):
+            report = polar.check_cartan_orthogonality(model, seed=seed)
+            assert report.passed
+            assert report.max_violation <= 1e-15
+            assert (report.n_samples, report.seed) == (0, seed)
 
 
 def test_cartan_orthogonality_hopf_fails(hopf):
-    # J maps x2 to y2, both in the candidate subspace, and |J|_2 = 1.
-    report = polar.check_cartan_orthogonality(hopf)
-    assert not report.passed
-    assert report.max_violation == 1.0
+    # J maps the plane orthogonal to p and J p onto itself, and |J|_2 = 1.
+    for seed in (0, 5, 42):
+        report = polar.check_cartan_orthogonality(hopf, seed=seed)
+        assert not report.passed
+        assert abs(report.max_violation - 1.0) <= 1e-15
 
 
-def _generic_candidate(model, dim, seed):
-    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.ambient_dim, dim)))
-    return polar.with_candidate_basis(model, basis.T)
+def test_nonpolar_control_fails_orthogonality():
+    # SO(3) on R^3 + R^3: nu_p has a section's dimension, the tangents turn
+    # against it, and there are no roots to compute.
+    control = helpers.so3_on_r3_plus_r3()
+    verdict, reports = polar.run_battery(control, seed=3)
+    orthogonality = reports["cartan_orthogonality"]
+    assert verdict is False
+    assert not orthogonality.passed
+    assert 0.9 < orthogonality.max_violation < 1.0
+    assert orthogonality.details == {"section_dim": 3, "principal_orbit_dim": 3}
+    assert reports["projection_matches_weyl_hull"] == {"skipped": "no section: cartan_orthogonality failed"}
+    assert reports["weyl_is_coxeter"] is None
 
 
 @pytest.mark.parametrize("seed", [5, 7, 42, 1001])
 def test_cartan_orthogonality_matches_reference(so3, sym3, hopf, seed):
-    # The seed draws the generic candidate subspaces.
-    for model in (so3, hopf, _generic_candidate(hopf, 2, seed), _generic_candidate(so3, 2, seed)):
-        reference = helpers.check_cartan_orthogonality_reference(model)
-        assert abs(polar.check_cartan_orthogonality(model).max_violation - reference) <= 1e-15
+    control = helpers.so3_on_r3_plus_r3()
+    for model in (so3, hopf, control):
+        reference = helpers.check_cartan_orthogonality_reference(model.algebra, _section(model, seed).basis)
+        assert abs(polar.check_cartan_orthogonality(model, seed=seed).max_violation - reference) <= 1e-15
+    assert polar.check_cartan_orthogonality(control, seed=seed).max_violation > 1e-2
     # On sym3 the reference's tangents are the commutators, which differ
-    # from the algebra only by rounding; a generic subspace makes them large.
-    generic = _generic_candidate(sym3, 2, seed)
-    for model in (sym3, generic):
-        reference = helpers.check_cartan_orthogonality_reference(model, helpers.sym3_tangent)
-        assert abs(polar.check_cartan_orthogonality(model).max_violation - reference) <= 1e-14
-    assert polar.check_cartan_orthogonality(generic).max_violation > 1e-2
+    # from the algebra only by rounding.
+    reference = helpers.check_cartan_orthogonality_reference(
+        sym3.algebra, _section(sym3, seed).basis, helpers.sym3_tangent
+    )
+    assert abs(polar.check_cartan_orthogonality(sym3, seed=seed).max_violation - reference) <= 1e-14
+
+
+def _in_basis(model, q):
+    """The model in the coordinates x' = q x, where each element g acts as q g q^T."""
+    return polar.GroupModel(model.name, q @ model.algebra @ q.T)
 
 
 @pytest.mark.parametrize("seed", [5, 7, 42, 1001])
@@ -185,117 +209,174 @@ def test_cartan_orthogonality_in_rotated_bases(name, seed):
     model = polar.get_model(name)
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.ambient_dim,) * 2))
     rotated = _in_basis(model, q)
-    report = polar.check_cartan_orthogonality(rotated)
+    report = polar.check_cartan_orthogonality(rotated, seed=seed)
     assert report.passed
     assert report.max_violation <= 1e-15
-    assert abs(report.max_violation - helpers.check_cartan_orthogonality_reference(rotated)) <= 1e-15
-
-
-def _candidate_cases():
-    """The models, one more section (without Weyl data) and two subspaces that are not sections."""
-    so3, sym3, hopf = (polar.get_model(name) for name in ("so3_standard", "sym3_traceless", "hopf_circle"))
-    line_112 = polar.sym_vec(np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0))
-    return {
-        "so3_standard": so3,
-        "sym3_traceless": sym3,
-        "hopf_circle": hopf,
-        "so3_axis_2": polar.with_candidate_basis(so3, [[0.0, 1.0, 0.0]]),
-        "hopf_plane_11": _generic_candidate(hopf, 2, 11),
-        "sym3_line_112": polar.with_candidate_basis(sym3, [line_112]),
-    }
+    reference = helpers.check_cartan_orthogonality_reference(rotated.algebra, _section(rotated, seed).basis)
+    assert abs(report.max_violation - reference) <= 1e-15
 
 
 @pytest.mark.parametrize(
     "name, dims", [("so3_standard", (2, 1)), ("sym3_traceless", (3, 2)), ("hopf_circle", (1, 3))]
 )
 def test_cohomogeneity_of_models(name, dims):
-    # (principal orbit dim, candidate dim): each candidate is a complement of
-    # a principal orbit's tangent space, and its generic points are regular.
-    report = polar.check_cohomogeneity(polar.get_model(name), seed=5)
-    assert report.passed
-    assert (report.max_violation, report.threshold, report.n_samples) == (0.0, 0.0, 1)
-    details = report.details
-    assert (details["principal_orbit_dim"], details["candidate_dim"]) == dims
-    assert details["orbit_dim_in_candidate"] == dims[0]
+    # (principal orbit dim, section dim): nu_p is the orthogonal complement
+    # of the tangents at the regular p, and holds p.
+    model = polar.get_model(name)
+    report = polar.check_cartan_orthogonality(model, seed=5)
+    assert report.details == {"principal_orbit_dim": dims[0], "section_dim": dims[1]}
+    section = _section(model, 5)
+    assert np.max(np.abs(section.basis @ section.basis.T - np.eye(dims[1]))) <= 1e-15
+    assert np.max(np.abs(section.basis @ (model.algebra @ section.point).T)) <= 1e-14
+    p = section.point
+    assert np.linalg.norm(p - section.basis.T @ (section.basis @ p)) <= 1e-14 * np.linalg.norm(p)
 
 
-def test_cohomogeneity_of_another_axis():
-    # Every line through 0 is a section of SO(3); no witness is needed.
-    model = _candidate_cases()["so3_axis_2"]
+def test_cohomogeneity_of_another_axis(so3):
+    # The section of SO(3) through p is the line of p, another axis at each seed.
     for seed in (0, 5, 42):
-        assert polar.check_cohomogeneity(model, seed=seed).passed
+        section = _section(so3, seed)
+        p = section.point / np.linalg.norm(section.point)
+        assert abs(abs(float(section.basis[0] @ p)) - 1.0) <= 1e-15
+        assert polar.check_cartan_orthogonality(so3, seed=seed).passed
 
 
-def test_cohomogeneity_generic_plane_fails():
-    # Circle orbits in R^4 leave a 3-dim section; a 2-plane is a dimension short.
-    report = polar.check_cohomogeneity(_candidate_cases()["hopf_plane_11"], seed=5)
-    assert not report.passed
-    assert report.max_violation == 1.0
-    assert report.details == {"principal_orbit_dim": 1, "candidate_dim": 2, "orbit_dim_in_candidate": 1}
+@pytest.mark.parametrize("seed", [0, 3, 42, 117])
+def test_sym3_section_is_the_commutant(sym3, seed):
+    # nu_p is the traceless symmetric matrices that commute with sym_mat(p).
+    section = _section(sym3, seed)
+    reference = helpers.sym3_section_reference(section.point)
+    assert np.max(np.abs(section.basis.T @ section.basis - reference.T @ reference)) <= 1e-14
 
 
-def test_cohomogeneity_fails_on_singular_line():
-    # The line of diag(1, 1, -2) is a dimension short of a section, and its
-    # points have a double eigenvalue: their orbits are 2-dim, not 3-dim.
-    report = polar.check_cohomogeneity(_candidate_cases()["sym3_line_112"], seed=5)
-    assert not report.passed
-    assert report.max_violation == 2.0
-    assert report.details == {"principal_orbit_dim": 3, "candidate_dim": 1, "orbit_dim_in_candidate": 2}
+@pytest.mark.parametrize("seed", [0, 3, 42, 117])
+def test_sym3_weyl_group_permutes_the_eigenvalues(sym3, seed):
+    # The computed W has order 6, with 3 reflections, and W p is p's
+    # eigenvalues in all 6 orders on p's eigenvectors.
+    weyl = _weyl_group(sym3, seed)
+    assert weyl.order == 6
+    assert len(root_data(weyl).normals) == 3
+    section = _section(sym3, seed)
+    orbit = (weyl.stack @ (section.basis @ section.point)) @ section.basis
+    expected = helpers.sym3_weyl_orbit_reference(section.point, section.point)
+    assert helpers.match_point_sets(orbit, expected, eps=1e-12)
 
 
-def _in_basis(model, q):
-    """The model in the coordinates x' = q x, where each element g acts as q g q^T."""
-
-    return replace(
-        model,
-        algebra=q @ model.algebra @ q.T,
-        cartan_basis=model.cartan_basis @ q.T,
-        weyl_witnesses=None if model.weyl_witnesses is None else q @ model.weyl_witnesses @ q.T,
-    )
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_so3_weyl_group_is_the_sign_flip(so3, seed):
+    weyl = _weyl_group(so3, seed)
+    assert helpers.match_point_sets(weyl.stack.reshape(-1, 1), helpers.SO3_WEYL.reshape(-1, 1), eps=1e-15)
 
 
-@pytest.mark.parametrize("case", sorted(_candidate_cases()))
-def test_battery_survives_a_change_of_basis(case):
-    # Polarity, a section's dimension and the Weyl checks are properties of
-    # the action, not of the coordinates it is written in.
-    model = _candidate_cases()[case]
+@pytest.mark.parametrize("seed", [0, 3, 42])
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_root_elements_act_as_reflections(name, seed):
+    # exp(pi / |X_a a| X_a) maps the section onto itself and acts there as
+    # the reflection in a, one element per mirror of W.  Over seeds 0-199
+    # the action is a reflection to 1.6e-15 and the section leaks by up to
+    # 1.05e-13 (sym3 seed 3), where two eigenvalues of P(h) lie close.
+    model = polar.get_model(name)
+    section = _section(model, seed)
+    weyl, elements = polar._weyl(model, seed, DEFAULT_TOL)
+    mirrors = [weyl.stack[r.element_index] for r in weyl._reflections]
+    assert len(elements) == len(mirrors)
+    basis = section.basis
+    for g in elements:
+        assert np.max(np.abs(g @ g.T - np.eye(model.ambient_dim))) <= 1e-14
+        acting = basis @ g @ basis.T
+        assert np.max(np.abs(g @ basis.T - basis.T @ acting)) <= 1e-12
+        assert min(np.max(np.abs(acting - m)) for m in mirrors) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 42])
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
+def test_roots_need_no_invariant_metric(name, seed):
+    # The algebra in a basis mixed by a non-orthogonal matrix: the ratios
+    # P_i are no longer symmetric, and the frame of so3 is no longer
+    # orthogonal to the stabiliser, yet the roots, W and its realizations
+    # are the same.  At seed 1 rounding splits so3's double eigenvalue
+    # into a complex pair.
+    model = polar.get_model(name)
+    mix = np.eye(3) + 0.8 * np.random.default_rng(seed).standard_normal((3, 3))
+    skewed = polar.GroupModel(name, np.tensordot(mix, model.algebra, axes=1))
+    verdict, reports = polar.run_battery(skewed, seed=seed)
+    assert verdict is True
+    details = reports["projection_matches_weyl_hull"].details
+    assert details["weyl_order"] == {"so3_standard": 2, "sym3_traceless": 6}[name]
+    assert details["realized_vertices"] == details["hull_vertices"] == details["weyl_order"]
+    assert details["vertex_realization_error"] <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless", "hopf_circle", "so3_on_r3_plus_r3"])
+def test_battery_survives_a_change_of_basis(name):
+    # Polarity, the section's dimension, the Weyl group and the orbit
+    # dimensions are properties of the action, not of the coordinates it is
+    # written in: the algebra conjugated by a seeded orthogonal q.
+    model = helpers.so3_on_r3_plus_r3() if name == "so3_on_r3_plus_r3" else polar.get_model(name)
     q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((model.ambient_dim,) * 2))
     verdict, reports = polar.run_battery(model, seed=42)
     q_verdict, q_reports = polar.run_battery(_in_basis(model, q), seed=42)
     assert q_verdict == verdict
-    assert q_reports["cohomogeneity"].details == reports["cohomogeneity"].details
+    assert q_reports["cartan_orthogonality"].details == reports["cartan_orthogonality"].details
+    obstruction = "minkowski_dimension_obstruction"
+    assert q_reports[obstruction].details == reports[obstruction].details
     for key, report in reports.items():
         if isinstance(report, polar.PolarCheckReport):
             assert q_reports[key].passed == report.passed, key
         else:
             assert q_reports[key] == report, key
+    if verdict:
+        weyl = "projection_matches_weyl_hull"
+        assert q_reports[weyl].details["weyl_order"] == reports[weyl].details["weyl_order"]
+
+
+# sym3's Cartan point at seed 117 had eigenvalues 0.40822 and 0.40828 on the
+# unit orbit, a near-double eigenvalue where ascent rows meet saddles of
+# small curvature.  These tests keep that point, in the computed section's
+# chamber of p: eigenvalues in ascending order on p's ascending eigenvectors.
+_NEAR_DOUBLE_SEED = 117
+_NEAR_DOUBLE = (-0.8165, 0.40822, 0.40828)
+
+
+def _point(model, seed):
+    """The Weyl-hull check's a at seed: p, or sym3's near-double point at seed 117."""
+    p = _section(model, seed).point
+    if model.name == "sym3_traceless" and seed == _NEAR_DOUBLE_SEED:
+        return helpers.sym3_section_point(p, _NEAR_DOUBLE)
+    return p
 
 
 def test_projection_hull_so3(so3):
-    a = np.array([1.5, 0.0, 0.0])
+    a = 1.5 * _section(so3, 7).point / np.linalg.norm(_section(so3, 7).point)
     report = polar.check_projection_matches_weyl_hull(so3, a=a, seed=7)
     assert report.passed
     assert report.n_samples == polar._WEYL_HULL_STARTS
-    assert report.details["hull_vertices"] == 2
+    assert report.details["weyl_order"] == report.details["hull_vertices"] == 2
+    assert report.details["realized_vertices"] == 2
     assert report.details["max_gradient_norm"] <= polar._ASCENT_GRADIENT_CUT
 
 
 def test_projection_hull_sym3_with_majorization_oracle(sym3):
-    # Base diag(1, 0, -1); projections of conjugates must be majorized by it.
-    a = polar.sym_vec(np.diag([1.0, 0.0, -1.0]))
+    # Base eigenvalues (1, 0, -1) on p's eigenvectors: the projections of its
+    # conjugates onto the section must be majorized by them.
+    p = _section(sym3, 7).point
+    a = helpers.sym3_section_point(p, [1.0, 0.0, -1.0])
     report = polar.check_projection_matches_weyl_hull(sym3, a=a, seed=7)
     assert report.passed
     assert report.details["hull_vertices"] == 6  # hexagon of the 6 permutations
 
+    basis = _section(sym3, 7).basis
+    vectors = np.linalg.eigh(polar.sym_mat(p))[1]
     for img in polar.group_images(sym3, 23, 500, a[None])[0]:
-        diag = np.diag(polar.sym_mat((img @ sym3.cartan_basis.T) @ sym3.cartan_basis))
+        diag = np.diag(vectors.T @ polar.sym_mat((img @ basis.T) @ basis) @ vectors)
         assert helpers.in_permutohedron(diag, [1.0, 0.0, -1.0], eps=1e-8)
 
 
-def _hull_rows(model, a):
+def _hull_rows(model, a, seed):
     """The check's (direction, offset) rows: the Weyl group's root-data rows and their supports at a / |a|."""
-    roots = root_data(polar._weyl_group(model, DEFAULT_TOL))
-    return roots.rows @ model.cartan_basis, roots.support(model.chart(a / (np.linalg.norm(a) or 1.0)))
+    basis = _section(model, seed).basis
+    roots = root_data(_weyl_group(model, seed))
+    return roots.rows @ basis, roots.support(basis @ (a / (np.linalg.norm(a) or 1.0)))
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -304,9 +385,11 @@ def test_root_data_rows_are_the_qhull_facets(name, seed):
     # At a regular a every root-data row is a facet of hull(W a / |a|), so
     # Qhull's facets and the rows match one to one, within eps_eq.
     model = polar.get_model(name)
-    a = model.cartan_point(seed)
-    weyl_hull, facets, facet_offsets = helpers.weyl_hull_rows_reference(model, a)
-    directions, offsets = _hull_rows(model, a)
+    a = _section(model, seed).point
+    weyl_hull, facets, facet_offsets = helpers.weyl_hull_rows_reference(
+        _weyl_group(model, seed).stack, _section(model, seed).basis, a
+    )
+    directions, offsets = _hull_rows(model, a, seed)
     assert len(facets) == len(directions) == weyl_hull.n_vertices
     eps = DEFAULT_TOL.eps_eq
     for facet, offset in zip(facets, facet_offsets):
@@ -316,11 +399,12 @@ def test_root_data_rows_are_the_qhull_facets(name, seed):
 
 
 def _unit_starts(model, a, seed):
-    """The check's starts, seeded images of a and its Weyl witness images, over |a|."""
-    starts = np.concatenate(
-        [polar.group_images(model, seed + 1, polar._WEYL_HULL_STARTS, a[None])[0], model.weyl_witnesses @ a]
-    )
-    return starts / np.linalg.norm(a)
+    """The check's starts over |a|: seeded images of a, and the realized Weyl vertices of a / |a|."""
+    size = np.linalg.norm(a)
+    weyl, elements = polar._weyl(model, seed, DEFAULT_TOL)
+    realized = polar._realized_orbit(elements, a / size, weyl.order, DEFAULT_TOL)
+    images = polar.group_images(model, seed + 1, polar._WEYL_HULL_STARTS, a[None])[0]
+    return np.concatenate([images / size, realized])
 
 
 def _orbit_maxima(model, a, directions, seed):
@@ -347,12 +431,12 @@ def _unit_rows(rng, count, dim):
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 117])
 @pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
 def test_ascent_reaches_the_analytic_maxima(name, seed):
-    # The facet rows of a Cartan point's Weyl hull, and seeded directions
+    # The facet rows of a section point's Weyl hull, and seeded directions
     # from a seeded point off the section.
     model = polar.get_model(name)
     rng = np.random.default_rng(seed)
-    a = model.cartan_point(seed)
-    directions, _ = _hull_rows(model, a)
+    a = _point(model, seed)
+    directions, _ = _hull_rows(model, a, seed)
     b = rng.standard_normal(model.ambient_dim)
     for point, dirs in ((a, directions), (b, _unit_rows(rng, 6, model.ambient_dim))):
         maxima = _orbit_maxima(model, point, dirs, seed)
@@ -361,16 +445,17 @@ def test_ascent_reaches_the_analytic_maxima(name, seed):
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_ascent_on_a_point_with_a_double_eigenvalue(sym3, seed):
-    # diag(1, 1, -2) has 3 Weyl images, so its hull is a triangle, and its
-    # orbit is a 2-dim singular one; the ascent still reaches the maxima.
-    # Three of the six root-data rows are the triangle's facets, and the
-    # other three touch it at a vertex.
-    a = 1.3 * polar.sym_vec(np.diag([1.0, 1.0, -2.0]))
+    # Eigenvalues (1, 1, -2) have 3 Weyl images, so the hull is a triangle,
+    # and the orbit is a 2-dim singular one; the ascent still reaches the
+    # maxima.  Three of the six root-data rows are the triangle's facets,
+    # and the other three touch it at a vertex.
+    section = _section(sym3, seed)
+    a = 1.3 * helpers.sym3_section_point(section.point, np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
     report = polar.check_projection_matches_weyl_hull(sym3, a=a, seed=seed)
     assert report.passed
-    assert report.details["hull_vertices"] == 3
-    assert len(helpers.weyl_hull_rows_reference(sym3, a)[1]) == 3
-    directions, offsets = _hull_rows(sym3, a)
+    assert report.details["hull_vertices"] == report.details["realized_vertices"] == 3
+    assert len(helpers.weyl_hull_rows_reference(_weyl_group(sym3, seed).stack, section.basis, a)[1]) == 3
+    directions, offsets = _hull_rows(sym3, a, seed)
     assert len(directions) == 6
     maxima = _orbit_maxima(sym3, a, directions, seed)
     assert np.max(np.abs(maxima - _analytic_maxima(sym3, a, directions))) <= 1e-10
@@ -379,37 +464,27 @@ def test_ascent_on_a_point_with_a_double_eigenvalue(sym3, seed):
     assert np.max(np.abs(_orbit_maxima(sym3, a, dirs, seed) - _analytic_maxima(sym3, a, dirs))) <= 1e-10
 
 
-def _section_normal(model):
-    """A seeded unit vector orthogonal to the model's section."""
-    u = np.random.default_rng(3).standard_normal(model.ambient_dim)
-    u -= model.cartan_basis.T @ (model.cartan_basis @ u)
-    return u / np.linalg.norm(u)
-
-
 def _off_the_section(model, eps):
-    """cartan_point(5) and the point eps |a| off it along a seeded unit normal to the section."""
-    a = model.cartan_point(5)
-    return a, a + eps * np.linalg.norm(a) * _section_normal(model)
+    """The section point at seed 5, and the point eps |a| off it along a seeded unit normal to that section."""
+    section = _section(model, 5)
+    normal = np.random.default_rng(3).standard_normal(model.ambient_dim)
+    normal -= section.basis.T @ (section.basis @ normal)
+    a = section.point
+    return a, a + eps * np.linalg.norm(a) * normal / np.linalg.norm(normal)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 3e-4])
 @pytest.mark.parametrize("name", ["so3_standard", "sym3_traceless"])
 def test_projection_hull_fails_off_the_section(name, eps):
-    # The chart of the tilted point is a, so its Weyl hull is a's, but its
+    # The chart of the tilted point is a's, so its Weyl hull is a's, but its
     # orbit is larger: the projection leaves the hull by a gap second order
     # in eps, 4e-8 to 7e-7 here, which 10^5 sampled rotations never reached.
+    # Each facet's offset is the height of a, and the orbit's maximum that
+    # of the tilted point.
     model = polar.get_model(name)
     a, tilted = _off_the_section(model, eps)
-    if name == "so3_standard":
-        gap = np.linalg.norm(a) * (np.sqrt(1.0 + eps**2) - 1.0)
-    else:
-        # The hexagon's facet normals are the Weyl images of diag(2, -1, -1)
-        # and diag(1, 1, -2) over sqrt(6); each facet's offset is the height
-        # of a, and the orbit's maximum that of the tilted point.
-        normals = [polar.sym_vec(np.diag(d) / np.sqrt(6.0)) for d in ([2.0, -1.0, -1.0], [1.0, 1.0, -2.0])]
-        gap = max(
-            (_analytic_maxima(model, tilted, [n]) - _analytic_maxima(model, a, [n]))[0] for n in normals
-        )
+    directions, _ = _hull_rows(model, a, 5)
+    gap = float(np.max(_analytic_maxima(model, tilted, directions) - _analytic_maxima(model, a, directions)))
     report = polar.check_projection_matches_weyl_hull(model, a=tilted, seed=5)
     assert gap > 3.0 * report.threshold
     assert not report.passed
@@ -421,15 +496,16 @@ def test_projection_hull_fails_off_the_section(name, eps):
 def test_projection_facet_residual_matches_row_wise(name):
     # The (facet x start) batch gives each facet the best of its rows run
     # one at a time, and max_violation is the largest facet residual: a
-    # point in the Cartan subspace passes, one off it fails by that residual.
+    # point in the section passes, one off it fails by that residual.
     model = polar.get_model(name)
     seed = 5
     algebra = model.algebra
-    off_subspace = np.random.default_rng(seed).standard_normal(model.ambient_dim)
-    for a, passes in ((model.cartan_point(seed), True), (off_subspace, False)):
+    # Not p itself, which default_rng(seed) would draw again.
+    off_subspace = np.random.default_rng(seed + 1).standard_normal(model.ambient_dim)
+    for a, passes in ((_section(model, seed).point, True), (off_subspace, False)):
         report = polar.check_projection_matches_weyl_hull(model, a=a, seed=seed)
         assert report.passed == passes
-        directions, offsets = _hull_rows(model, a)
+        directions, offsets = _hull_rows(model, a, seed)
         size = np.linalg.norm(a)
         starts = _unit_starts(model, a, seed)
         row_wise = np.array(
@@ -446,62 +522,14 @@ def test_projection_hull_zero_point(sym3):
     report = polar.check_projection_matches_weyl_hull(sym3, a=np.zeros(5), seed=7)
     assert report.passed
     assert report.max_violation == 0.0
-    assert report.details["hull_vertices"] == 1
+    assert report.details["hull_vertices"] == report.details["realized_vertices"] == 1
     assert report.details["ascent_steps"] == 0
-    directions, offsets = _hull_rows(sym3, np.zeros(5))
+    directions, offsets = _hull_rows(sym3, np.zeros(5), 7)
     assert len(directions) == 6 and not offsets.any()
-    _, facets, facet_offsets = helpers.weyl_hull_rows_reference(sym3, np.zeros(5))
+    _, facets, facet_offsets = helpers.weyl_hull_rows_reference(
+        _weyl_group(sym3, 7).stack, _section(sym3, 7).basis, np.zeros(5)
+    )
     assert len(facets) == 4 and not facet_offsets.any()
-
-
-def _tilted(model, angle):
-    """The model with its first section direction turned by angle towards a seeded normal."""
-    basis = model.cartan_basis.copy()
-    basis[0] = np.cos(angle) * basis[0] + np.sin(angle) * _section_normal(model)
-    return replace(model, cartan_basis=basis)
-
-
-def _tampered_sym3(case):
-    sym3 = polar.sym3_traceless()
-    if case == "identity_only":
-        return replace(sym3, weyl_elements=sym3.weyl_elements[:1])
-    if case == "rotated_0.3":
-        c, s = np.cos(0.3), np.sin(0.3)
-        return replace(sym3, weyl_elements=np.array([[c, -s], [s, c]]) @ sym3.weyl_elements)
-    if case == "z3_subgroup":
-        even = [0, 3, 4]  # the identity and the two 3-cycles among the permutations
-        return replace(sym3, weyl_elements=sym3.weyl_elements[even], weyl_witnesses=sym3.weyl_witnesses[even])
-    return _tilted(sym3, {"tilted_1e-3": 1e-3, "tilted_1e-5": 1e-5}[case])
-
-
-@pytest.mark.parametrize(
-    "case", ["identity_only", "rotated_0.3", "z3_subgroup", "tilted_1e-3", "tilted_1e-5"]
-)
-def test_projection_hull_fails_on_tampered_weyl_data(case):
-    # Weyl data that is not the action's: too few elements, elements that
-    # are not the Weyl group's, a proper subgroup, or a candidate subspace
-    # turned off the section.  Elements that generate an infinite group are
-    # refused as soon as their closure passes their own count of 6.  The
-    # subgroup Z3 has no reflections, so no root data to cut out a hull, and
-    # no connected polar action has it as its Weyl group.  In the other
-    # cases the projection of K a leaves the hull of the listed W a.
-    model = _tampered_sym3(case)
-    if case == "rotated_0.3":
-        for check in (polar.weyl_is_coxeter, polar.check_projection_matches_weyl_hull, polar.run_battery):
-            with pytest.raises(OrderExceededError, match="max_order=6"):
-                check(model)
-        return
-    verdict, reports = polar.run_battery(model, seed=9)
-    assert verdict is False
-    if case == "z3_subgroup":
-        with pytest.raises(NotCoxeterError):
-            polar.check_projection_matches_weyl_hull(model, seed=9)
-        assert reports["projection_matches_weyl_hull"] == {"skipped": "Weyl group not generated by reflections"}
-        assert reports["weyl_is_coxeter"] is False
-        return
-    report = polar.check_projection_matches_weyl_hull(model, seed=9)
-    assert not report.passed
-    assert report.max_violation > report.threshold
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 117])
@@ -510,7 +538,7 @@ def test_projection_hull_is_scale_free(name, seed):
     # The check runs on the orbit of a / |a|: scaling a changes neither the
     # verdict nor the steps, and scales max_violation and threshold with it.
     model = polar.get_model(name)
-    a = model.cartan_point(seed)
+    a = _point(model, seed)
     reports = {
         c: polar.check_projection_matches_weyl_hull(model, a=c * a, seed=seed) for c in (1e-3, 1.0, 1e3, 1e6)
     }
@@ -525,10 +553,10 @@ def test_projection_hull_is_scale_free(name, seed):
 
 @pytest.mark.parametrize("seed, capped", [(117, True), (0, False), (1, False), (7, False), (42, False)])
 def test_rows_at_step_cap_are_reported(sym3, seed, capped):
-    # At seed 117 the Cartan point has a near-double eigenvalue, and rows
-    # starting near its saddle are still moving when the batch stops at the
-    # step cap; the check passes on the rows that reached each maximum.
-    report = polar.check_projection_matches_weyl_hull(sym3, seed=seed)
+    # At the near-double point rows starting near its saddle are still
+    # moving when the batch stops at the step cap; the check passes on the
+    # rows that reached each maximum.
+    report = polar.check_projection_matches_weyl_hull(sym3, a=_point(sym3, seed), seed=seed)
     assert report.passed
     assert (report.details["rows_at_step_cap"] > 0) == capped
     assert (report.details["ascent_steps"] == polar._ASCENT_MAX_STEPS) == capped
@@ -552,22 +580,16 @@ def test_sampled_support_bounded_by_sorted_pairing(sym3):
 
 
 def test_trace_conservation_sym3(sym3):
-    a = sym3.cartan_point(43)
-    for img in polar.group_images(sym3, 41, 500, a[None])[0]:
-        proj = (img @ sym3.cartan_basis.T) @ sym3.cartan_basis
+    section = _section(sym3, 43)
+    for img in polar.group_images(sym3, 41, 500, section.point[None])[0]:
+        proj = (img @ section.basis.T) @ section.basis
         assert abs(np.trace(polar.sym_mat(proj))) <= 1e-10
 
 
 def test_weyl_group_is_coxeter(so3, sym3):
-    assert polar.weyl_is_coxeter(so3)
-    assert polar.weyl_is_coxeter(sym3)
-
-
-def test_weyl_checks_require_data(hopf):
-    with pytest.raises(NoCartanDataError):
-        polar.weyl_is_coxeter(hopf)
-    with pytest.raises(NoCartanDataError):
-        polar.check_projection_matches_weyl_hull(hopf)
+    for seed in (0, 42):
+        assert polar.weyl_is_coxeter(so3, seed)
+        assert polar.weyl_is_coxeter(sym3, seed)
 
 
 def test_dimension_obstruction_hopf(hopf):
@@ -602,7 +624,7 @@ def test_dimension_obstruction_absent_for_polar(so3, sym3):
 def test_orbit_span_is_the_span_of_orbit_differences(sym3):
     # aff(K p) - p is spanned by the differences k p - p; a singular point,
     # diag(1, 1, -2), spans the whole irreducible 5-space too.
-    for p in (sym3.cartan_point(3), polar.sym_vec(np.diag([1.0, 1.0, -2.0]))):
+    for p in (_section(sym3, 3).point, polar.sym_vec(np.diag([1.0, 1.0, -2.0]))):
         span = polar._orbit_span(sym3.algebra, p, DEFAULT_TOL)
         differences = polar.group_images(sym3, 5, 40, p[None])[0] - p
         assert np.linalg.matrix_rank(differences, tol=1e-8) == len(span) == 5
@@ -625,11 +647,12 @@ def test_battery_verdicts():
 
 def test_battery_memory_is_bounded(sym3):
     # The battery's only draws are the ascent's 4 starts, and the ascent
-    # holds a few dozen rows: its traced peak was 0.4 MB (numpy 2.4).
+    # holds a few dozen rows: its traced peak was 0.4 MB (numpy 2.4).  The
+    # traced run is on a new model, which no cached section serves.
     polar.run_battery(sym3)  # warm caches untraced
     tracemalloc.start()
     try:
-        polar.run_battery(sym3)
+        polar.run_battery(polar.sym3_traceless())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
